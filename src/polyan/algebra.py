@@ -4,7 +4,8 @@ An n-dimensional system is described by the dense tensor ``p[k, i, j]``: the
 product of basis elements ``e_i`` and ``e_j`` has coefficient ``p[k, i, j]``
 on ``e_k``.  Elements are coordinate vectors tagged with the basis they refer
 to.  Everything here is pure and treats its inputs as immutable; built-in
-systems use exact integer tables so that axiom residuals are exactly zero.
+systems use small-integer tables, exact in float64, so that axiom residuals
+are exactly zero.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class StructureConstants:
 
     Attributes:
         n: dimension of the algebra.
-        p: read-only (n, n, n) array, ``p[k, i, j]`` = coefficient of basis
+        p: read-only float64 (n, n, n) array, ``p[k, i, j]`` = coefficient of basis
            element k in the product e_i * e_j.
         unit_index: index (0-based) of a basis element acting as the
            multiplicative identity, or None.  Componentwise (idempotent)
@@ -70,7 +71,7 @@ class StructureConstants:
         if p.ndim != 3 or len(set(p.shape)) != 1:
             raise ContractError(f"structure constants must be a cubic rank-3 array, got shape {p.shape}")
         self.n = int(p.shape[0])
-        self.p = _readonly(p)
+        self.p = _readonly(p.astype(float))
         if unit_index is not None and not 0 <= unit_index < self.n:
             raise ContractError(f"unit_index {unit_index} out of range for dimension {self.n}")
         self.unit_index = unit_index
@@ -98,7 +99,7 @@ class StructureConstants:
             return _readonly(u)
         if self._explicit_unit is not None:
             return self._explicit_unit
-        a = self.p.astype(float).reshape(self.n * self.n, self.n)
+        a = self.p.reshape(self.n * self.n, self.n)
         b = np.eye(self.n).reshape(-1)
         u, *_ = np.linalg.lstsq(a, b, rcond=None)
         if np.max(np.abs(a @ u - b)) < 1e-10:
@@ -218,18 +219,6 @@ class AxiomReport:
     def passed(self) -> bool:
         return self.commutativity_ok and self.associativity_ok and self.unit_ok
 
-    def as_dict(self) -> dict:
-        return {
-            "commutativity_residual": self.commutativity,
-            "associativity_residual": self.associativity,
-            "unit_residual": self.unit,
-            "tol": self.tol,
-            "commutativity_ok": self.commutativity_ok,
-            "associativity_ok": self.associativity_ok,
-            "unit_ok": self.unit_ok,
-            "passed": self.passed,
-        }
-
 
 def verify_structure(S: StructureConstants, tol: float = 1e-12) -> AxiomReport:
     """Check commutativity, associativity and the unit law; reports, never raises.
@@ -243,12 +232,12 @@ def verify_structure(S: StructureConstants, tol: float = 1e-12) -> AxiomReport:
     right = np.einsum("rkm,mij->rikj", p, p)
     assoc = float(np.max(np.abs(left - right)))
     if S.unit_index is not None:
-        unit = float(np.max(np.abs(p[:, S.unit_index, :] - np.eye(S.n, dtype=p.dtype))))
+        unit = float(np.max(np.abs(p[:, S.unit_index, :] - np.eye(S.n))))
     else:
         u = S.unit_element
         if u is None:
             # no unit exists; report the least-squares defect of the best candidate
-            a = p.astype(float).reshape(S.n * S.n, S.n)
+            a = p.reshape(S.n * S.n, S.n)
             b = np.eye(S.n).reshape(-1)
             cand, *_ = np.linalg.lstsq(a, b, rcond=None)
             unit = float(np.max(np.abs(a @ cand - b)))
@@ -281,7 +270,7 @@ class QTensor:
 
 def q_tensor(S: StructureConstants, tol: float = 1e-12) -> QTensor:
     """Double contraction of the structure constants; q_inv present iff nonsingular."""
-    q = np.einsum("rim,mrj->ij", S.p, S.p).astype(float)
+    q = np.einsum("rim,mrj->ij", S.p, S.p)
     det = float(np.linalg.det(q))
     scale = max(1.0, float(np.max(np.abs(q)))) ** S.n
     if abs(det) > tol * scale:
@@ -298,14 +287,15 @@ def mult_operator(a: PolyNumber, S: StructureConstants) -> np.ndarray:
 
 
 def is_zero_divisor(a: PolyNumber, S: StructureConstants, tol: float = _ZERO_DIVISOR_TOL) -> bool:
-    """Scale-aware singularity test of the multiplication operator.
+    """Scale-invariant singularity test of the multiplication operator.
 
-    Flags a when |det M(a)| <= tol * max(1, |a|)^n, so zero itself counts as
-    a zero divisor for the purpose of guarding division.
+    Flags a when |det M(a)| <= tol * |a|^n.  Both sides scale as c^n under
+    a -> c a, so the verdict does not depend on the size of a; zero itself
+    counts as a zero divisor for the purpose of guarding division.
     """
     m = mult_operator(a, S)
     norm = float(np.linalg.norm(a.coords))
-    return abs(float(np.linalg.det(m))) <= tol * max(1.0, norm) ** S.n
+    return abs(float(np.linalg.det(m))) <= tol * norm ** S.n
 
 
 def invert(a: PolyNumber, S: StructureConstants) -> PolyNumber:
@@ -371,7 +361,7 @@ def transform_constants(S: StructureConstants, B: BasisChange) -> StructureConst
         raise ContractError(f"constants are tagged {S.basis_tag!r}, change expects {B.from_tag!r}")
     if S.n != B.n:
         raise ContractError("dimension mismatch in constants transform")
-    p_new = np.einsum("kl,lmr,mi,rj->kij", B.s, S.p.astype(float), B.s_inv, B.s_inv)
+    p_new = np.einsum("kl,lmr,mi,rj->kij", B.s, S.p, B.s_inv, B.s_inv)
     unit_new = None
     unit_index = None
     old_unit = S.unit_element

@@ -5,7 +5,8 @@ key order and floats printed at 17 significant digits, so identical configs
 produce byte-identical artifacts; trajectories can be written as CSV.
 
 Exit codes: 0 all checks passed, 1 a tolerance check failed, 2 malformed
-config, 3 a runtime domain error (partial results are still flushed).
+config, 3 a runtime domain error or a non-finite residual (partial results
+are still flushed).  Non-finite floats are written as null.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -119,7 +121,7 @@ def _write_json(obj, out: io.TextIOBase, indent: int = 0):
     elif isinstance(obj, int):
         out.write(str(obj))
     elif isinstance(obj, float):
-        out.write(format(obj, ".17g"))
+        out.write(format(obj, ".17g") if math.isfinite(obj) else "null")
     else:
         out.write(json.dumps(obj))
 
@@ -364,7 +366,7 @@ def _cmd_algebra_check(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
         "q_matrix": qt.q.tolist(),
         "q_singular": qt.q_inv is None,
     }
-    worst = max(report.commutativity, report.associativity, report.unit)
+    worst = fl.grid_max([report.commutativity, report.associativity, report.unit])
     return {"results": results, "max_residual": worst}, report.passed
 
 
@@ -373,29 +375,11 @@ def _cmd_cr_residual(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
     pair = _make_pair(cfg, S)
     points = _make_grid(cfg.get("grid", {}), S.n)
     diff = fl.DiffConfig(scheme=cfg.get("scheme", "central-2"), tol_residual=tol)
-    entries = []
-    values = []
-    failures = 0
-    for x in points:
-        entry = {"point": [float(v) for v in x]}
-        try:
-            r = float(np.max(np.abs(fl.cr_residual(pair, x, diff))))
-            entry["max_abs"] = r
-            values.append(r)
-        except (DomainError, SingularQError, ZeroDivisorError) as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-            failures += 1
-        entries.append(entry)
-    results = {
-        "points": entries,
-        "grid_max": max(values) if values else 0.0,
-        "grid_mean": (sum(values) / len(values)) if values else 0.0,
-        "failed_points": failures,
-    }
-    grid_max = results["grid_max"]
-    if failures:
-        raise RuntimeFailure({"results": results, "max_residual": grid_max})
-    return {"results": results, "max_residual": grid_max}, grid_max <= tol
+    results = fl.residual_grid_report(pair, points, diff)
+    payload = {"results": results, "max_residual": results["grid_max"]}
+    if results["failed_points"]:
+        raise RuntimeFailure(payload)
+    return payload, results["grid_max"] <= tol
 
 
 def _cmd_pair_ops(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
@@ -404,8 +388,8 @@ def _cmd_pair_ops(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
     points = _make_grid(cfg.get("grid", {}), S.n)
     diff = fl.DiffConfig(tol_residual=tol)
     unit = S.unit()
-    worst = {"product_residual": 0.0, "combine_residual": 0.0,
-             "product_rule": 0.0, "quotient_roundtrip": 0.0, "compose_vs_product": 0.0}
+    samples = {"product_residual": [], "combine_residual": [],
+               "product_rule": [], "quotient_roundtrip": [], "compose_vs_product": []}
     for _ in range(count):
         f1 = fl.random_smooth_field(S.n, rng, amplitude=0.5)
         g1 = fl.random_smooth_field(S.n, rng, amplitude=0.5)
@@ -416,48 +400,29 @@ def _cmd_pair_ops(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
         prod = fl.pair_product(p1, p2)
         comb = fl.pair_combine(1.0, p1, -2.0, p2)
         x = points[int(rng.integers(0, points.shape[0]))]
-        worst["product_residual"] = max(
-            worst["product_residual"], float(np.max(np.abs(fl.cr_residual(prod, x, diff))))
-        )
-        worst["combine_residual"] = max(
-            worst["combine_residual"], float(np.max(np.abs(fl.cr_residual(comb, x, diff))))
-        )
+        samples["product_residual"].append(float(np.max(np.abs(fl.cr_residual(prod, x, diff)))))
+        samples["combine_residual"].append(float(np.max(np.abs(fl.cr_residual(comb, x, diff)))))
         d_rule = fl.derivative(prod, x, diff) - (
             alg.multiply(fl.derivative(p1, x, diff), S.element(p2.f(x)), S)
             + alg.multiply(S.element(p1.f(x)), fl.derivative(p2, x, diff), S)
         )
-        worst["product_rule"] = max(worst["product_rule"], float(np.max(np.abs(d_rule.coords))))
+        samples["product_rule"].append(float(np.max(np.abs(d_rule.coords))))
         # denominator near the unit stays invertible on the sample box
         den_f = fl.pair_combine(0.15, p1, 1.0, fl.GAPair(
             fl.constant_field(unit.coords), fl.zero_gamma(S.n), S))
         num = fl.pair_product(den_f, p2)
         value, deriv = fl.pair_quotient(num, den_f, x, diff)
-        worst["quotient_roundtrip"] = max(
-            worst["quotient_roundtrip"],
+        samples["quotient_roundtrip"] += [
             float(np.max(np.abs(value.coords - p2.f(x)))),
             float(np.max(np.abs(deriv.coords - fl.derivative(p2, x, diff).coords))),
-        )
-        chain = fl.pair_compose(_square_pair(S), p1, x, diff)
+        ]
+        chain = fl.pair_compose(fl.square_pair(S), p1, x, diff)
         product_route = fl.derivative(fl.pair_product(p1, p1), x, diff)
-        worst["compose_vs_product"] = max(
-            worst["compose_vs_product"], float(np.max(np.abs(chain.coords - product_route.coords)))
-        )
-    grid_max = max(worst.values())
-    results = dict(worst)
+        samples["compose_vs_product"].append(float(np.max(np.abs(chain.coords - product_route.coords))))
+    results = {key: fl.grid_max(values) for key, values in samples.items()}
+    worst = fl.grid_max(results.values())
     results["count"] = count
-    return {"results": results, "max_residual": grid_max}, grid_max <= tol
-
-
-def _square_pair(S: alg.StructureConstants) -> fl.GAPair:
-    p = S.p.astype(float)
-
-    def func(x):
-        return np.einsum("kij,i,j->k", p, x, x)
-
-    def jac(x):
-        return 2.0 * np.einsum("kij,i->kj", p, x)
-
-    return fl.GAPair(fl.VectorField(S.n, func, jacobian=jac), fl.zero_gamma(S.n), S)
+    return {"results": results, "max_residual": worst}, worst <= tol
 
 
 def _cmd_line_integral(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
@@ -540,10 +505,10 @@ def _cmd_family_verify(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
     spec = _make_family_spec(cfg)
     points = _make_grid(cfg.get("grid", {}), 4)
     report = h4.family_residual(spec, points)
-    compat_max = 0.0
     kappa_field = spec.kappa_field()
-    for xi in points:
-        compat_max = max(compat_max, float(np.max(np.abs(h4.compatibility_residual(kappa_field, xi)))))
+    compat_max = fl.grid_max(
+        float(np.max(np.abs(h4.compatibility_residual(kappa_field, xi)))) for xi in points
+    )
     gamma_needed = h4.analytic_gamma_max(spec, points)
     best = report.residuals[report.selected]
     results = {
@@ -611,7 +576,9 @@ def run(command: str, config: dict, output: str | None = None, fmt: str | None =
         return EXIT_RUNTIME
     trajectory = payload.pop("trajectory", None)
     report.update(payload)
-    report["pass"] = bool(passed)
+    worst = report["max_residual"]
+    non_finite = isinstance(worst, float) and not math.isfinite(worst)
+    report["pass"] = bool(passed) and not non_finite
     if fmt == "csv":
         if trajectory is None:
             raise ConfigError(f"command {command!r} produces no CSV trajectory")
@@ -623,20 +590,10 @@ def run(command: str, config: dict, output: str | None = None, fmt: str | None =
         _write_output(buf.getvalue(), output)
     else:
         if trajectory is not None:
-            if isinstance(trajectory, geo.ExtremalTrajectory):
-                report["results"]["trajectory"] = {
-                    "tau": trajectory.tau.tolist(),
-                    "xi": trajectory.xi.tolist(),
-                    "p": trajectory.p.tolist(),
-                    "constraint_residual": trajectory.drift.tolist(),
-                }
-            else:
-                report["results"]["trajectory"] = {
-                    "tau": trajectory.sigma.tolist(),
-                    "xi": trajectory.x.tolist(),
-                    "v": trajectory.v.tolist(),
-                }
+            report["results"]["trajectory"] = trajectory.columns()
         _write_output(render_report(report), output)
+    if non_finite:
+        return EXIT_RUNTIME
     return EXIT_OK if passed else EXIT_TOL
 
 

@@ -21,7 +21,7 @@ from .algebra import (
     multiply,
     transform_constants,
 )
-from .errors import ContractError, DomainError, SingularQError
+from .errors import ContractError, DomainError, SingularQError, ZeroDivisorError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -93,43 +93,30 @@ class Box:
         return Box(np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi))
 
 
+def _fd_column(func, x: np.ndarray, h: np.ndarray, k: int, scheme: str) -> np.ndarray:
+    """Central difference of func along coordinate k with the steps h."""
+    e = np.zeros_like(x)
+    e[k] = h[k]
+
+    def at(y):
+        return np.asarray(func(y), dtype=float)
+
+    if scheme == "central-4":
+        return (-at(x + 2 * e) + 8 * at(x + e) - 8 * at(x - e) + at(x - 2 * e)) / (12 * h[k])
+    return (at(x + e) - at(x - e)) / (2 * h[k])
+
+
 def fd_jacobian(func, x: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
     """Finite-difference Jacobian J[i, k] = d func_i / d x_k."""
     x = np.asarray(x, dtype=float)
     h = cfg.step(x)
-    cols = []
-    for k in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[k] = h[k]
-        if cfg.scheme == "central-4":
-            col = (
-                -np.asarray(func(x + 2 * e), dtype=float)
-                + 8 * np.asarray(func(x + e), dtype=float)
-                - 8 * np.asarray(func(x - e), dtype=float)
-                + np.asarray(func(x - 2 * e), dtype=float)
-            ) / (12 * h[k])
-        else:
-            col = (
-                np.asarray(func(x + e), dtype=float) - np.asarray(func(x - e), dtype=float)
-            ) / (2 * h[k])
-        cols.append(col)
-    return np.stack(cols, axis=-1)
+    return np.stack([_fd_column(func, x, h, k, cfg.scheme) for k in range(x.shape[0])], axis=-1)
 
 
 def fd_partial(func, x: np.ndarray, axis: int, cfg: DiffConfig = DEFAULT_DIFF):
     """Single directional partial derivative of a vector- or array-valued map."""
     x = np.asarray(x, dtype=float)
-    h = cfg.step(x)[axis]
-    e = np.zeros_like(x)
-    e[axis] = h
-    if cfg.scheme == "central-4":
-        return (
-            -np.asarray(func(x + 2 * e), dtype=float)
-            + 8 * np.asarray(func(x + e), dtype=float)
-            - 8 * np.asarray(func(x - e), dtype=float)
-            + np.asarray(func(x - 2 * e), dtype=float)
-        ) / (12 * h)
-    return (np.asarray(func(x + e), dtype=float) - np.asarray(func(x - e), dtype=float)) / (2 * h)
+    return _fd_column(func, x, cfg.step(x), axis, cfg.scheme)
 
 
 class VectorField:
@@ -205,9 +192,8 @@ def covariant_derivative(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.
     return pair.f.jac(x, cfg) + pair.gamma(x)
 
 
-def _derivative_coords(pair: GAPair, x, cfg: DiffConfig, form: str = "auto") -> np.ndarray:
-    D = covariant_derivative(pair, x, cfg)
-    S = pair.S
+def _derivative_coords(S: StructureConstants, D: np.ndarray, form: str = "auto") -> np.ndarray:
+    """Coordinates of f' read off a covariant derivative matrix D."""
     if form == "auto":
         form = "unit" if S.unit_index is not None else "invariant"
     if form == "unit":
@@ -218,9 +204,9 @@ def _derivative_coords(pair: GAPair, x, cfg: DiffConfig, form: str = "auto") -> 
         qt = S.qtensor
         if qt.q_inv is None:
             raise SingularQError(
-                f"q-tensor of algebra {S.basis_tag!r} is singular; invariant derivative undefined"
+                f"q-tensor of algebra {S.basis_tag!r} is singular; residual needs a unit element"
             )
-        return np.einsum("is,rsm,mr->i", qt.q_inv, S.p.astype(float), D)
+        return np.einsum("is,rsm,mr->i", qt.q_inv, S.p, D)
     raise ContractError(f"unknown derivative form {form!r}")
 
 
@@ -231,7 +217,8 @@ def derivative(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF, form: str = "aut
     form "invariant" contracts with the inverse q-tensor and works in any
     basis with nonsingular q; "auto" picks whichever is available.
     """
-    return PolyNumber(_derivative_coords(pair, x, cfg, form), pair.S.basis_tag)
+    D = covariant_derivative(pair, x, cfg)
+    return PolyNumber(_derivative_coords(pair.S, D, form), pair.S.basis_tag)
 
 
 def cr_residual(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
@@ -243,30 +230,43 @@ def cr_residual(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
     this is exactly the analyticity residual of the plain theory.
     """
     D = covariant_derivative(pair, x, cfg)
-    S = pair.S
-    if S.unit_index is not None:
-        fp = D[:, S.unit_index]
-    else:
-        qt = S.qtensor
-        if qt.q_inv is None:
-            raise SingularQError(
-                f"q-tensor of algebra {S.basis_tag!r} is singular; residual needs a unit element"
-            )
-        fp = np.einsum("is,rsm,mr->i", qt.q_inv, S.p.astype(float), D)
-    return D - np.einsum("ikj,j->ik", S.p.astype(float), fp)
+    return D - np.einsum("ikj,j->ik", pair.S.p, _derivative_coords(pair.S, D))
+
+
+def grid_max(values) -> float:
+    """Largest of the values; NaN if any value is NaN, 0.0 when there are none."""
+    values = list(values)
+    return float(np.max(values)) if values else 0.0
 
 
 def residual_grid_report(pair: GAPair, points: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> dict:
-    """Max-abs Cauchy-Riemann residual per point, plus grid max and mean."""
-    per_point = []
+    """Max-abs Cauchy-Riemann residual per point, plus grid max and mean.
+
+    A point where the residual cannot be evaluated (outside the domain, no
+    usable derivative form, a zero divisor) or is not finite gets an
+    "error" entry instead of "max_abs" and counts in "failed_points"; the
+    grid max and mean summarize the remaining points.
+    """
+    entries = []
+    values = []
     for x in points:
-        r = float(np.max(np.abs(cr_residual(pair, x, cfg))))
-        per_point.append({"point": [float(v) for v in x], "max_abs": r})
-    values = [e["max_abs"] for e in per_point]
+        entry = {"point": [float(v) for v in x]}
+        try:
+            r = float(np.max(np.abs(cr_residual(pair, x, cfg))))
+        except (DomainError, SingularQError, ZeroDivisorError) as exc:
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            if np.isfinite(r):
+                entry["max_abs"] = r
+                values.append(r)
+            else:
+                entry["error"] = f"non-finite residual {r}"
+        entries.append(entry)
     return {
-        "points": per_point,
-        "grid_max": max(values) if values else 0.0,
+        "points": entries,
+        "grid_max": grid_max(values),
         "grid_mean": (sum(values) / len(values)) if values else 0.0,
+        "failed_points": len(entries) - len(values),
     }
 
 
@@ -280,10 +280,8 @@ def gamma_from_prescribed(
     """
     if f.n != S.n or fprime.n != S.n:
         raise ContractError("field dimensions disagree with the algebra")
-    p = S.p.astype(float)
-
     def gamma_func(x):
-        return -f.jac(x, cfg) + np.einsum("ikj,j->ik", p, fprime(x))
+        return -f.jac(x, cfg) + np.einsum("ikj,j->ik", S.p, fprime(x))
 
     return GAPair(f, GammaField(S.n, gamma_func), S)
 
@@ -317,7 +315,7 @@ def pair_product(p1: GAPair, p2: GAPair) -> GAPair:
     """
     _same_algebra(p1, p2)
     S = p1.S
-    p = S.p.astype(float)
+    p = S.p
     n = p1.n
 
     def func(x):
@@ -344,7 +342,7 @@ def product_compatibility_residual(Gamma, S: StructureConstants, x=None) -> np.n
     """Residual of the frame condition under which the product rule survives a
     position-dependent connection.  Zero identically for the constant frame."""
     G = Gamma(x) if callable(Gamma) else np.asarray(Gamma, dtype=float)
-    p = S.p.astype(float)
+    p = S.p
     return (
         np.einsum("ikm,mab->ikab", G, p)
         - np.einsum("mka,imb->ikab", G, p)
@@ -380,6 +378,19 @@ def pair_compose(outer: GAPair, inner: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF
     d_outer = derivative(outer, y, cfg)
     d_inner = derivative(inner, x, cfg)
     return multiply(d_outer, d_inner, inner.S)
+
+
+def square_pair(S: StructureConstants) -> GAPair:
+    """The analytic pair (X^2, 0) with its exact Jacobian 2 p . X."""
+    p = S.p
+
+    def func(x):
+        return np.einsum("kij,i,j->k", p, x, x)
+
+    def jac(x):
+        return 2.0 * np.einsum("kij,i->kj", p, x)
+
+    return GAPair(VectorField(S.n, func, jacobian=jac), zero_gamma(S.n), S)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +448,19 @@ def linear_diffeo(m: np.ndarray, offset=None) -> Diffeo:
     )
 
 
+def _transport(diffeo: Diffeo, x: np.ndarray, fval: np.ndarray, gval: np.ndarray):
+    """The Jacobian A of the map at x, its inverse B, and gamma in the new
+    coordinates: A gamma B minus the inhomogeneous Hessian term (H . f) B."""
+    a = diffeo.jac(x)
+    try:
+        b = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise ContractError("coordinate map has singular Jacobian") from exc
+    h = diffeo.hess(x)
+    gamma = np.einsum("Ii,ik,kK->IK", a, gval, b) - np.einsum("Iki,i,kK->IK", h, fval, b)
+    return a, b, gamma
+
+
 def gamma_transform(pair: GAPair, diffeo: Diffeo, x, cfg: DiffConfig = DEFAULT_DIFF):
     """Pointwise transform of (f, gamma, covariant derivative) under a coordinate change.
 
@@ -445,18 +469,9 @@ def gamma_transform(pair: GAPair, diffeo: Diffeo, x, cfg: DiffConfig = DEFAULT_D
     returns the transformed triple at the image point.
     """
     x = np.asarray(x, dtype=float)
-    a = diffeo.jac(x)
-    try:
-        b = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise ContractError("coordinate map has singular Jacobian") from exc
-    h = diffeo.hess(x)
     fval = pair.f(x)
-    gval = pair.gamma(x)
-    f_new = a @ fval
-    gamma_new = np.einsum("Ii,ik,kK->IK", a, gval, b) - np.einsum("Iki,i,kK->IK", h, fval, b)
-    nabla_new = a @ covariant_derivative(pair, x, cfg) @ b
-    return f_new, gamma_new, nabla_new
+    a, b, gamma_new = _transport(diffeo, x, fval, pair.gamma(x))
+    return a @ fval, gamma_new, a @ covariant_derivative(pair, x, cfg) @ b
 
 
 def transform_pair(pair: GAPair, diffeo: Diffeo) -> GAPair:
@@ -469,13 +484,7 @@ def transform_pair(pair: GAPair, diffeo: Diffeo) -> GAPair:
 
     def gamma_new(y):
         u = diffeo.inverse_point(y)
-        a = diffeo.jac(u)
-        b = np.linalg.inv(a)
-        h = diffeo.hess(u)
-        return (
-            np.einsum("Ii,ik,kK->IK", a, pair.gamma(u), b)
-            - np.einsum("Iki,i,kK->IK", h, pair.f(u), b)
-        )
+        return _transport(diffeo, u, pair.f(u), pair.gamma(u))[2]
 
     return GAPair(VectorField(n, f_new), GammaField(n, gamma_new), pair.S)
 
@@ -505,7 +514,7 @@ def pair_change_basis(pair: GAPair, B) -> GAPair:
 # connection-driven chains
 # ---------------------------------------------------------------------------
 
-class ConnectionSlice:
+class ConnectionField:
     """Position-dependent coefficients, point -> (n, n, n) array G[i, k, j]."""
 
     def __init__(self, n: int, func: Callable):
@@ -516,13 +525,13 @@ class ConnectionSlice:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
 
 
-def connection_residual(pair: GAPair, Gamma: ConnectionSlice, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
+def connection_residual(pair: GAPair, Gamma: ConnectionField, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
     """Residual of gamma[i, k] = G[i, k, j] f_j, linking a pair to a shared connection."""
     x = np.asarray(x, dtype=float)
     return np.einsum("ikj,j->ik", Gamma(x), pair.f(x)) - pair.gamma(x)
 
 
-def chain_conditions(Gamma: ConnectionSlice, S: StructureConstants, x, cfg: DiffConfig = DEFAULT_DIFF):
+def chain_conditions(Gamma: ConnectionField, S: StructureConstants, x, cfg: DiffConfig = DEFAULT_DIFF):
     """Residual arrays of the two closure conditions under which repeated
     unit-direction derivatives of a pair stay generalized-analytic.
 
@@ -535,7 +544,7 @@ def chain_conditions(Gamma: ConnectionSlice, S: StructureConstants, x, cfg: Diff
         raise ContractError("chain conditions need an algebra with a unit basis element")
     u = S.unit_index
     x = np.asarray(x, dtype=float)
-    p = S.p.astype(float)
+    p = S.p
     G = Gamma(x)
     G1 = G[:, u, :]
     res_a = np.einsum("ij,jkr->ikr", G1, p) - np.einsum("ikj,jr->ikr", p, G1)
@@ -551,7 +560,7 @@ def chain_conditions(Gamma: ConnectionSlice, S: StructureConstants, x, cfg: Diff
     return res_a, res_b
 
 
-def derivative_chain(pair: GAPair, Gamma: ConnectionSlice, m: int, cfg: DiffConfig = DEFAULT_DIFF) -> GAPair:
+def derivative_chain(pair: GAPair, Gamma: ConnectionField, m: int, cfg: DiffConfig = DEFAULT_DIFF) -> GAPair:
     """m-fold unit-direction derivative of the pair, re-paired with gamma = G . f.
 
     Each step maps f to df/dx_unit + G[:, unit, :] f; when the chain
@@ -574,7 +583,7 @@ def derivative_chain(pair: GAPair, Gamma: ConnectionSlice, m: int, cfg: DiffConf
     return GAPair(f, GammaField(S.n, gamma_func), S)
 
 
-def _chain_step(f: VectorField, Gamma: ConnectionSlice, u: int, cfg: DiffConfig) -> VectorField:
+def _chain_step(f: VectorField, Gamma: ConnectionField, u: int, cfg: DiffConfig) -> VectorField:
     def func(x, f=f):
         if f.jacobian is not None:
             df = f.jac(x)[:, u]
@@ -613,8 +622,7 @@ class Path:
     def vel(self, tau: float) -> np.ndarray:
         if self.velocity is not None:
             return np.asarray(self.velocity(float(tau)), dtype=float)
-        h = 1e-7
-        return (self(tau + h) - self(tau - h)) / (2 * h)
+        return fd_partial(lambda t: self(t[0]), [tau], 0, DiffConfig(h=1e-7))
 
 
 def straight_path(x0, x1) -> Path:
@@ -664,7 +672,7 @@ def line_integral(F: VectorField, path: Path, S: StructureConstants, cfg: DiffCo
     """
     if F.n != S.n:
         raise ContractError("field dimension disagrees with the algebra")
-    p = S.p.astype(float)
+    p = S.p
     total = np.zeros(S.n)
     knots = [0.0, *path.breakpoints, 1.0]
     for a, b in zip(knots[:-1], knots[1:]):
@@ -694,7 +702,7 @@ def path_independence_residual(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) 
     """
     x = np.asarray(x, dtype=float)
     J = pair.f.jac(x, cfg)
-    p = pair.S.p.astype(float)
+    p = pair.S.p
     return np.einsum("ikj,jm->ikm", p, J) - np.einsum("imj,jk->ikm", p, J)
 
 

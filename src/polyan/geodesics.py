@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConeError, ContractError, IntegrationError
+from .fields import ConnectionField
 from .h4 import FinslerConfig, ScalarField, gamma_matrices
 
 __all__ = [
@@ -39,24 +39,13 @@ __all__ = [
 ]
 
 
-class ConnectionField:
-    """Position-dependent coefficients, point -> (n, n, n) array G[i, k, j]."""
-
-    def __init__(self, n: int, func: Callable):
-        self.n = int(n)
-        self.func = func
-
-    def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
-
-
 def zero_connection(n: int) -> ConnectionField:
     return ConnectionField(n, lambda x: np.zeros((n, n, n)))
 
 
 def connection_from_structure(S, scale: float = 1.0) -> ConnectionField:
     """Constant connection proportional to the structure constants."""
-    g = scale * S.p.astype(float)
+    g = scale * S.p
     return ConnectionField(S.n, lambda x: g)
 
 
@@ -108,18 +97,35 @@ class IntegratorConfig:
             raise ContractError(f"unknown integration method {self.method!r}")
 
 
-def geodesic_rhs(Gamma: ConnectionField, s: GeodesicState) -> np.ndarray:
-    """Acceleration a_i = -G[i, k, j] v_k v_j."""
-    g = Gamma(s.x)
-    return -np.einsum("ikj,k,j->i", g, s.v, s.v)
+def geodesic_rhs(Gamma: ConnectionField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Acceleration a_i = -G[i, k, j] v_k v_j at position x and velocity v."""
+    return -np.einsum("ikj,k,j->i", Gamma(x), v, v)
 
 
-def _rk4_step(rhs, y, h):
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(rhs, t0: float, y0: np.ndarray, cfg: IntegratorConfig, what: str, clock: str, cone=None):
+    """Fixed-step RK4 of y' = rhs(y): sample times and states, one row per
+    step plus the start.
+
+    Aborts when a state becomes non-finite, or when the components selected
+    by cone leave the positive cone.
+    """
+    h = cfg.t_end / cfg.steps
+    ys = np.empty((cfg.steps + 1, y0.shape[0]))
+    ys[0] = y0
+    for m in range(cfg.steps):
+        y = ys[m]
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        ys[m + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(ys[m + 1])):
+            raise IntegrationError(
+                f"{what} state became non-finite at step {m + 1} ({clock}={(m + 1) * h:g})"
+            )
+        if cone is not None and np.any(ys[m + 1, cone] <= 0):
+            raise ConeError(f"momenta left the positive cone at step {m + 1} ({clock}={(m + 1) * h:g})")
+    return t0 + h * np.arange(cfg.steps + 1), ys
 
 
 @dataclass(frozen=True)
@@ -131,12 +137,9 @@ class GeodesicTrajectory:
     def __len__(self):
         return self.sigma.shape[0]
 
-    def state(self, idx: int) -> GeodesicState:
-        return GeodesicState(self.x[idx], self.v[idx], float(self.sigma[idx]))
-
-    @property
-    def final(self) -> GeodesicState:
-        return self.state(len(self) - 1)
+    def columns(self) -> dict:
+        """The samples by name, in report order."""
+        return {"tau": self.sigma, "xi": self.x, "v": self.v}
 
 
 def integrate_geodesic(Gamma: ConnectionField, s0: GeodesicState, cfg: IntegratorConfig) -> GeodesicTrajectory:
@@ -144,22 +147,12 @@ def integrate_geodesic(Gamma: ConnectionField, s0: GeodesicState, cfg: Integrato
     n = s0.x.shape[0]
     if Gamma.n != n:
         raise ContractError("connection dimension disagrees with the state")
-    h = cfg.t_end / cfg.steps
 
     def rhs(y):
         x, v = y[:n], y[n:]
-        a = -np.einsum("ikj,k,j->i", Gamma(x), v, v)
-        return np.concatenate([v, a])
+        return np.concatenate([v, geodesic_rhs(Gamma, x, v)])
 
-    ys = np.empty((cfg.steps + 1, 2 * n))
-    ys[0] = np.concatenate([s0.x, s0.v])
-    for m in range(cfg.steps):
-        ys[m + 1] = _rk4_step(rhs, ys[m], h)
-        if not np.all(np.isfinite(ys[m + 1])):
-            raise IntegrationError(
-                f"geodesic state became non-finite at step {m + 1} (sigma={(m + 1) * h:g})"
-            )
-    sigma = s0.sigma + h * np.arange(cfg.steps + 1)
+    sigma, ys = _rk4(rhs, s0.sigma, np.concatenate([s0.x, s0.v]), cfg, "geodesic", "sigma")
     return GeodesicTrajectory(sigma=sigma, x=ys[:, :n].copy(), v=ys[:, n:].copy())
 
 
@@ -177,12 +170,9 @@ class ExtremalTrajectory:
     def max_drift(self) -> float:
         return float(np.max(np.abs(self.drift)))
 
-    def state(self, idx: int) -> ExtremalState:
-        return ExtremalState(self.xi[idx], self.p[idx], float(self.tau[idx]))
-
-    @property
-    def final(self) -> ExtremalState:
-        return self.state(len(self) - 1)
+    def columns(self) -> dict:
+        """The samples by name, in report order."""
+        return {"tau": self.tau, "xi": self.xi, "p": self.p, "constraint_residual": self.drift}
 
 
 def _relative_indicatrix(xi, p, metric: FinslerConfig) -> float:
@@ -211,8 +201,6 @@ def integrate_extremal(
         raise ContractError(
             f"initial state violates the indicatrix constraint (relative residual {drift0:.3e})"
         )
-    h = cfg.t_end / cfg.steps
-
     def rhs(y):
         xi, p = y[:4], y[4:]
         lv = lam(xi)
@@ -221,20 +209,9 @@ def integrate_extremal(
         dp = (kv / 4.0) ** 4 * (4.0 * metric.kappa.gradient(xi) / kv) * lv
         return np.concatenate([dxi, dp])
 
-    ys = np.empty((cfg.steps + 1, 8))
-    drift = np.empty(cfg.steps + 1)
-    ys[0] = np.concatenate([e0.xi, e0.p])
-    drift[0] = drift0
-    for m in range(cfg.steps):
-        ys[m + 1] = _rk4_step(rhs, ys[m], h)
-        if not np.all(np.isfinite(ys[m + 1])):
-            raise IntegrationError(
-                f"extremal state became non-finite at step {m + 1} (tau={(m + 1) * h:g})"
-            )
-        if np.any(ys[m + 1, 4:] <= 0):
-            raise ConeError(f"momenta left the positive cone at step {m + 1} (tau={(m + 1) * h:g})")
-        drift[m + 1] = _relative_indicatrix(ys[m + 1, :4], ys[m + 1, 4:], metric)
-    tau = e0.tau + h * np.arange(cfg.steps + 1)
+    tau, ys = _rk4(rhs, e0.tau, np.concatenate([e0.xi, e0.p]), cfg, "extremal", "tau",
+                   cone=slice(4, None))
+    drift = np.array([drift0] + [_relative_indicatrix(y[:4], y[4:], metric) for y in ys[1:]])
     return ExtremalTrajectory(tau=tau, xi=ys[:, :4].copy(), p=ys[:, 4:].copy(), drift=drift)
 
 

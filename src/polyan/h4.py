@@ -18,37 +18,24 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (
-    H4_E_TO_PSI_MATRIX,
-    BasisChange,
-    StructureConstants,
-    builtin_algebra,
-    h4_basis_change,
-)
+from .algebra import builtin_algebra
 from .errors import ConeError, ContractError
-from .fields import DEFAULT_DIFF, DiffConfig, GAPair, GammaField, VectorField, cr_residual
+from .fields import (
+    DEFAULT_DIFF,
+    DiffConfig,
+    GAPair,
+    GammaField,
+    VectorField,
+    cr_residual,
+    fd_jacobian,
+    grid_max,
+    zero_gamma,
+)
 
 _EPS = float(np.finfo(float).eps)
 
 CONVENTIONS = ("as-printed", "reciprocal")
 ORIENTATIONS = ("as-printed", "transposed")
-
-
-@dataclass(frozen=True)
-class H4Constants:
-    """The diagonalizing matrix together with both structure-constant tables."""
-
-    s: np.ndarray
-    psi_constants: StructureConstants
-    e_constants: StructureConstants
-
-
-def h4_constants() -> H4Constants:
-    return H4Constants(
-        s=H4_E_TO_PSI_MATRIX.astype(float),
-        psi_constants=builtin_algebra("h4-psi"),
-        e_constants=builtin_algebra("h4-e"),
-    )
 
 
 class ScalarField:
@@ -66,14 +53,7 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         if self._grad is not None:
             return np.asarray(self._grad(x), dtype=float)
-        h = _EPS ** (1.0 / 3.0) * np.maximum(1.0, np.abs(x))
-        h = (x + h) - x
-        out = np.zeros_like(x)
-        for k in range(x.shape[0]):
-            e = np.zeros_like(x)
-            e[k] = h[k]
-            out[k] = (self.func(x + e) - self.func(x - e)) / (2 * h[k])
-        return out
+        return fd_jacobian(self.func, x)
 
 
 @dataclass(frozen=True)
@@ -242,16 +222,6 @@ def indicatrix(p, xi, cfg: FinslerConfig) -> float:
     return float(np.prod(p)) - (kap / 4.0) ** 4
 
 
-def log_sigma_gradient(xi, cfg: FinslerConfig) -> np.ndarray:
-    """Gradient of log((kappa/4)^4 * lam), the momentum-scale logarithm."""
-    xi = np.asarray(xi, dtype=float)
-    kap = cfg.kappa(xi)
-    lam = cfg.lam(xi)
-    if kap <= 0 or lam <= 0:
-        raise ContractError("kappa and the gauge must stay positive")
-    return 4.0 * cfg.kappa.gradient(xi) / kap + cfg.lam.gradient(xi) / lam
-
-
 def gamma_matrices(xi, cfg: FinslerConfig, orientation: str = "transposed") -> np.ndarray:
     """Connection coefficients of the quartic metric, G[i, k, j].
 
@@ -283,15 +253,6 @@ def gamma_matrices(xi, cfg: FinslerConfig, orientation: str = "transposed") -> n
 # the closed-form family
 # ---------------------------------------------------------------------------
 
-def family_kappa(a_funcs, kappa0: float, xi) -> float:
-    """kappa0 * exp(sum_m a_m(xi_m) / 4) for four single-variable profiles."""
-    xi = np.asarray(xi, dtype=float)
-    a_funcs = tuple(a_funcs)
-    if len(a_funcs) != 4:
-        raise ContractError("need exactly four profile functions")
-    return float(kappa0) * math.exp(sum(a_funcs[m](xi[m]) for m in range(4)) / 4.0)
-
-
 def compatibility_residual(kappa_field: ScalarField, xi, h: float | None = None) -> np.ndarray:
     """Mixed second derivatives of 4*log(kappa), by central cross differences.
 
@@ -300,9 +261,7 @@ def compatibility_residual(kappa_field: ScalarField, xi, h: float | None = None)
     """
     xi = np.asarray(xi, dtype=float)
     n = xi.shape[0]
-    base = _EPS ** 0.25 if h is None else float(h)
-    steps = base * np.maximum(1.0, np.abs(xi))
-    steps = (xi + steps) - xi
+    steps = DiffConfig(h=_EPS ** 0.25 if h is None else float(h)).step(xi)
 
     def logk4(x):
         return 4.0 * math.log(kappa_field(x))
@@ -444,14 +403,6 @@ class FamilyReport:
     selected: str
     n_points: int
 
-    def as_dict(self) -> dict:
-        return {
-            "residual_as_printed": self.residuals["as-printed"],
-            "residual_reciprocal": self.residuals["reciprocal"],
-            "selected_convention": self.selected,
-            "n_points": self.n_points,
-        }
-
 
 def _family_relation_residual(spec: H4FamilySpec, field: VectorField, metric: FinslerConfig,
                               xi: np.ndarray, conv: str, cfg: DiffConfig) -> float:
@@ -478,10 +429,9 @@ def family_residual(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIFF,
     residuals = {}
     for conv in CONVENTIONS:
         field = family_field(spec, conv, analytic_jacobian=not use_fd)
-        worst = 0.0
-        for xi in points:
-            worst = max(worst, _family_relation_residual(spec, field, metric, xi, conv, cfg))
-        residuals[conv] = worst
+        residuals[conv] = grid_max(
+            _family_relation_residual(spec, field, metric, xi, conv, cfg) for xi in points
+        )
     selected = min(CONVENTIONS, key=lambda c: (residuals[c], CONVENTIONS.index(c)))
     return FamilyReport(residuals=residuals, selected=selected, n_points=points.shape[0])
 
@@ -495,14 +445,5 @@ def analytic_gamma_max(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIF
     function, as happens under the reciprocal-quartic gauge.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    field = family_field(spec, convention)
-    bare = GAPair(field, GammaField(4, lambda x: np.zeros((4, 4))), builtin_algebra("h4-psi"))
-    worst = 0.0
-    for xi in points:
-        worst = max(worst, float(np.max(np.abs(cr_residual(bare, xi, cfg)))))
-    return worst
-
-
-def psi_to_e_change() -> BasisChange:
-    """Coordinate change from the componentwise basis back to the e-basis."""
-    return h4_basis_change().inverse()
+    bare = GAPair(family_field(spec, convention), zero_gamma(4), builtin_algebra("h4-psi"))
+    return grid_max(float(np.max(np.abs(cr_residual(bare, xi, cfg)))) for xi in points)

@@ -29,7 +29,6 @@ from polyan.fields import (
     DiffConfig,
     Diffeo,
     GAPair,
-    VectorField,
     constant_field,
     covariant_derivative,
     gamma_from_prescribed,
@@ -39,6 +38,7 @@ from polyan.fields import (
     path_independence_residual,
     polyline_path,
     random_smooth_field,
+    square_pair,
     straight_path,
     transform_pair,
     zero_gamma,
@@ -156,20 +156,10 @@ def test_criterion_3_pair_calculus_closure():
         worst = max(worst, float(np.max(np.abs(deriv.coords - derivative(p2, x).coords))))
         # composition: squaring chain against the product route
         sq = pair_product(p1, p1)
-        chain = pair_compose(_square_pair(algebra), p1, x)
+        chain = pair_compose(square_pair(algebra), p1, x)
         worst = max(worst, float(np.max(np.abs(chain.coords - derivative(sq, x).coords))))
     ok = worst < 1e-7
     _report("3 pair-calculus", ok, f"max residual {worst:.2e}")
-
-
-def _square_pair(S):
-    p = S.p.astype(float)
-    f = VectorField(
-        4,
-        lambda x: np.einsum("kij,i,j->k", p, x, x),
-        jacobian=lambda x: 2.0 * np.einsum("kij,i->kj", p, x),
-    )
-    return GAPair(f, zero_gamma(4), S)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,30 @@ def test_zero_component_is_zero_divisor(h4_psi):
         invert(a, h4_psi)
 
 
+@pytest.mark.parametrize("name", ("complex", "c3", "h4-e", "h4-psi"))
+def test_invert_small_multiple_of_unit(name):
+    S = builtin_algebra(name)
+    inv = invert(S.scalar(1e-4), S)
+    assert np.allclose(inv.coords, S.scalar(1e4).coords, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ("complex", "c3", "h4-e", "h4-psi"))
+@pytest.mark.parametrize("scale", (1e-6, 1e6))
+def test_zero_divisor_test_is_scale_invariant(name, scale, rng):
+    S = builtin_algebra(name)
+    elements = [S.element(rng.uniform(-2, 2, S.n)) for _ in range(10)]
+    elements += [S.scalar(1.0), S.element(np.zeros(S.n))]
+    if name == "h4-psi":
+        elements.append(S.element([1, 0, 1, 1]))
+    for a in elements:
+        assert is_zero_divisor(scale * a, S) == is_zero_divisor(a, S)
+
+
+def test_zero_and_zero_component_stay_zero_divisors(h4_psi):
+    for coords in ([0, 0, 0, 0], [1, 0, 1, 1], [1e-6, 0, 1e-6, 1e-6]):
+        assert is_zero_divisor(h4_psi.element(coords), h4_psi)
+
+
 def test_invert_is_componentwise_reciprocal(h4_psi):
     a = h4_psi.element([2, 4, 1, 5])
     assert np.allclose(invert(a, h4_psi).coords, [0.5, 0.25, 1.0, 0.2], atol=1e-14)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from polyan import cli
 from polyan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_TOL, main
 
 
@@ -104,6 +105,36 @@ def test_cr_residual_partial_results_on_domain_error(tmp_path):
     assert any("error" in e for e in entries)
     assert any("max_abs" in e for e in entries)
     assert report["results"]["grid_max"] < 1e-8
+
+
+def test_cr_residual_nonfinite_points_fail_loudly(tmp_path):
+    # x^-1 on the default 3^4 grid: the 65 points with a zero coordinate
+    # have non-finite residuals
+    config = {"algebra": "h4-psi", "field": {"kind": "componentwise-power", "power": -1}}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code, text = run_cli(tmp_path, "cr-residual", config)
+    assert code == EXIT_RUNTIME
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(text, parse_constant=reject)
+    assert report["pass"] is False
+    assert report["results"]["failed_points"] == 65
+    assert sum("error" in e for e in report["results"]["points"]) == 65
+
+
+def test_nonfinite_max_residual_is_runtime_error(tmp_path, monkeypatch):
+    def nan_check(cfg, tol, rng):
+        return {"results": {"value": float("inf")}, "max_residual": float("nan")}, True
+
+    monkeypatch.setitem(cli._HANDLERS, "algebra-check", nan_check)
+    code, text = run_cli(tmp_path, "algebra-check", {"algebra": "h4-psi"})
+    assert code == EXIT_RUNTIME
+    report = json.loads(text, parse_constant=lambda token: pytest.fail(token))
+    assert report["max_residual"] is None
+    assert report["results"]["value"] is None
+    assert report["pass"] is False
 
 
 def test_cr_residual_prescribed_gamma(tmp_path):

@@ -25,6 +25,9 @@ from polyan.fields import (
     componentwise_exp_field,
     componentwise_power_field,
     constant_field,
+    fd_jacobian,
+    fd_partial,
+    grid_max,
     linear_field,
     monomial_field,
     random_smooth_field,
@@ -262,6 +265,24 @@ def test_constant_field_curl_exactly_zero(h4_e):
 # ---------------------------------------------------------------------------
 # configs
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme", ("central-2", "central-4"))
+def test_fd_partial_is_a_jacobian_column(scheme):
+    field = family_test_field()
+    cfg = DiffConfig(scheme=scheme)
+    x = np.array([0.1, -0.2, 0.3, 0.4])
+    jac = fd_jacobian(field.func, x, cfg)
+    for k in range(4):
+        assert np.array_equal(fd_partial(field.func, x, k, cfg), jac[:, k])
+
+
+def test_grid_max_propagates_nan():
+    assert grid_max([]) == 0.0
+    assert grid_max([0.5, 2.0, 1.0]) == 2.0
+    assert np.isnan(grid_max([1.0, float("nan"), 3.0]))
+    assert np.isnan(grid_max([float("nan"), 1.0]))
+    assert np.isnan(grid_max(v for v in (3.0, 1.0, float("nan"))))
+
 
 def test_diffconfig_validation():
     with pytest.raises(ContractError):

@@ -50,8 +50,8 @@ def gaussian_start(metric):
 # ---------------------------------------------------------------------------
 
 def test_zero_connection_rhs_vanishes():
-    s = GeodesicState(np.zeros(4), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.array_equal(geodesic_rhs(zero_connection(4), s), np.zeros(4))
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(geodesic_rhs(zero_connection(4), np.zeros(4), v), np.zeros(4))
 
 
 def test_gaussian_connection_rhs_oracle():
@@ -59,8 +59,8 @@ def test_gaussian_connection_rhs_oracle():
     # contributing slot is the mixed first-second one with value 2
     conn = finsler_connection(gaussian_metric(1.0))
     xi = np.array([0.0, 1.0, 0.0, 0.0])
-    a_pure = geodesic_rhs(conn, GeodesicState(xi, np.array([1.0, 0, 0, 0])))
-    a_mixed = geodesic_rhs(conn, GeodesicState(xi, np.array([1.0, 1.0, 0, 0])))
+    a_pure = geodesic_rhs(conn, xi, np.array([1.0, 0, 0, 0]))
+    a_mixed = geodesic_rhs(conn, xi, np.array([1.0, 1.0, 0, 0]))
     assert np.allclose(a_pure, np.zeros(4), atol=1e-13)
     assert np.allclose(a_mixed, [2.0, 0.0, 0.0, 0.0], atol=1e-12)
 
@@ -69,9 +69,7 @@ def test_gaussian_connection_rhs_oracle():
 @given(c=st.floats(-3.0, 3.0, allow_nan=False))
 def test_rhs_is_quadratic_in_velocity(c):
     conn = finsler_connection(gaussian_metric(1.0))
-    s = GeodesicState(XI0, DXI0)
-    scaled = GeodesicState(XI0, c * DXI0)
-    assert np.allclose(geodesic_rhs(conn, scaled), c * c * geodesic_rhs(conn, s), atol=1e-9)
+    assert np.allclose(geodesic_rhs(conn, XI0, c * DXI0), c * c * geodesic_rhs(conn, XI0, DXI0), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyan import ConeError, ContractError
-from polyan.algebra import h4_basis_change
+from polyan.algebra import H4_E_TO_PSI_MATRIX, builtin_algebra, h4_basis_change
 from polyan.h4 import (
     FinslerConfig,
+    ScalarField,
     compatibility_residual,
+    constant_b,
     constant_kappa,
     constant_lambda,
     cross_term_kappa,
-    family_kappa,
     finsler_length,
     gamma_matrices,
+    gaussian_b,
     gaussian_kappa,
-    h4_constants,
     indicatrix,
     kappa_from_b,
     momenta,
@@ -32,15 +33,16 @@ positive = st.floats(0.1, 4.0, allow_nan=False)
 
 
 def test_h4_constants_invariants():
-    c = h4_constants()
-    assert np.array_equal(c.s @ c.s, 4.0 * np.eye(4))
+    s = H4_E_TO_PSI_MATRIX
+    assert np.array_equal(s @ s, 4 * np.eye(4))
     # componentwise table: one exactly where all three indices coincide
+    psi = builtin_algebra("h4-psi")
     for k in range(4):
         for i in range(4):
             for j in range(4):
                 expected = 1 if i == j == k else 0
-                assert c.psi_constants.p[k, i, j] == expected
-    assert c.e_constants.unit_index == 0
+                assert psi.p[k, i, j] == expected
+    assert builtin_algebra("h4-e").unit_index == 0
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +148,16 @@ def test_gauge_enters_only_diagonal_slots():
 # ---------------------------------------------------------------------------
 
 def test_family_kappa_constant_profiles():
-    assert family_kappa([lambda t: 0.0] * 4, 2.5, XI) == pytest.approx(2.5)
+    # the family's separable scale kappa0 * prod |b_i|^(1/4) with b_i = 1
+    assert kappa_from_b([constant_b(1.0)] * 4, 2.5)(XI) == pytest.approx(2.5)
 
 
 def test_family_kappa_quadratic_profiles_match_gaussian():
-    prof = [lambda t: t * t] * 4
+    # b_i = exp(t^2) gives exp(sum xi_m^2 / 4), the radial Gaussian profile
+    kappa = kappa_from_b([gaussian_b(1.0)] * 4, 1.0)
     gauss = gaussian_kappa(1.0)
     for point in (XI, np.array([0.4, -0.2, 0.3, 0.1])):
-        assert family_kappa(prof, 1.0, point) == pytest.approx(gauss(point), rel=1e-14)
+        assert kappa(point) == pytest.approx(gauss(point), rel=1e-14)
 
 
 def test_kappa_from_b_gradient_is_analytic():
@@ -165,6 +169,22 @@ def test_kappa_from_b_gradient_is_analytic():
         e[k] = h
         num[k] = (kappa(XI + e) - kappa(XI - e)) / (2 * h)
     assert np.max(np.abs(kappa.gradient(XI) - num)) < 1e-8
+
+
+def test_fd_gradient_matches_per_coordinate_loop():
+    # the central-2 loop ScalarField.gradient used to carry, kept as reference
+    kappa = gaussian_kappa(1.0, 0.7)
+    bare = ScalarField(kappa.func)
+    eps = float(np.finfo(float).eps)
+    for x in (XI, np.array([1.5, -2.0, 0.3, 40.0])):
+        h = eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(x))
+        h = (x + h) - x
+        expected = np.zeros_like(x)
+        for k in range(4):
+            e = np.zeros_like(x)
+            e[k] = h[k]
+            expected[k] = (kappa.func(x + e) - kappa.func(x - e)) / (2 * h[k])
+        assert np.array_equal(bare.gradient(x), expected)
 
 
 def test_compatibility_residual_zero_for_separable():

@@ -24,6 +24,7 @@ from polyan.fields import (
     constant_field,
     fd_partial,
     identity_field,
+    square_pair,
     zero_gamma,
 )
 
@@ -32,16 +33,6 @@ GRID = Box([-0.5] * 4, [0.5] * 4).grid(3)
 
 def analytic_identity_pair(S):
     return GAPair(identity_field(S.n), zero_gamma(S.n), S)
-
-
-def square_pair(S):
-    p = S.p.astype(float)
-    f = VectorField(
-        S.n,
-        lambda x: np.einsum("kij,i,j->k", p, x, x),
-        jacobian=lambda x: 2.0 * np.einsum("kij,i->kj", p, x),
-    )
-    return GAPair(f, zero_gamma(S.n), S)
 
 
 def unit_pair(S):

@@ -6,20 +6,19 @@ import pytest
 from polyan import ContractError, builtin_algebra, cr_residual, derivative
 from polyan.fields import (
     Box,
-    ConnectionSlice,
+    ConnectionField,
     DiffConfig,
     Diffeo,
-    GAPair,
-    VectorField,
     chain_conditions,
     covariant_derivative,
     derivative_chain,
     gamma_transform,
     linear_diffeo,
     product_compatibility_residual,
+    square_pair,
     transform_pair,
-    zero_gamma,
 )
+from polyan.geodesics import zero_connection
 
 X0 = np.array([0.1, -0.3, 0.2, 0.4])
 
@@ -109,18 +108,14 @@ def test_inverse_point_newton_fallback(rng):
 # chain conditions and derivative chains
 # ---------------------------------------------------------------------------
 
-def zero_connection_slice(n):
-    return ConnectionSlice(n, lambda x: np.zeros((n, n, n)))
-
-
 def test_zero_connection_passes_both_conditions(h4_e):
-    res_a, res_b = chain_conditions(zero_connection_slice(4), h4_e, X0)
+    res_a, res_b = chain_conditions(zero_connection(4), h4_e, X0)
     assert np.array_equal(res_a, np.zeros((4, 4, 4)))
     assert np.max(np.abs(res_b)) < 1e-9
 
 
 def test_structure_proportional_connection_is_compatible(h4_e):
-    G = ConnectionSlice(4, lambda x: 0.3 * h4_e.p.astype(float))
+    G = ConnectionField(4, lambda x: 0.3 * h4_e.p.astype(float))
     res_a, res_b = chain_conditions(G, h4_e, X0)
     assert np.max(np.abs(res_a)) < 1e-14
     assert np.max(np.abs(res_b)) < 1e-9
@@ -128,7 +123,7 @@ def test_structure_proportional_connection_is_compatible(h4_e):
 
 def test_perturbed_connection_fails_conditions(h4_e, rng):
     noise = rng.uniform(-0.2, 0.2, (4, 4, 4))
-    G = ConnectionSlice(4, lambda x: 0.3 * h4_e.p.astype(float) + noise)
+    G = ConnectionField(4, lambda x: 0.3 * h4_e.p.astype(float) + noise)
     res_a, res_b = chain_conditions(G, h4_e, X0)
     assert np.max(np.abs(res_a)) > 1e-3
     assert np.max(np.abs(res_b)) > 1e-3
@@ -136,15 +131,9 @@ def test_perturbed_connection_fails_conditions(h4_e, rng):
 
 def test_chain_of_polynomial_field_stays_analytic(h4_e):
     # f = X^2 with zero connection: the iterates are 2X and twice the unit
-    p = h4_e.p.astype(float)
-    f = VectorField(
-        4,
-        lambda x: np.einsum("kij,i,j->k", p, x, x),
-        jacobian=lambda x: 2.0 * np.einsum("kij,i->kj", p, x),
-    )
-    pair = GAPair(f, zero_gamma(4), h4_e)
-    first = derivative_chain(pair, zero_connection_slice(4), 1)
-    second = derivative_chain(pair, zero_connection_slice(4), 2)
+    pair = square_pair(h4_e)
+    first = derivative_chain(pair, zero_connection(4), 1)
+    second = derivative_chain(pair, zero_connection(4), 2)
     assert np.max(np.abs(first.f(X0) - 2 * X0)) < 1e-12
     assert np.max(np.abs(second.f(X0) - 2 * h4_e.unit().coords)) < 1e-7
     assert np.max(np.abs(cr_residual(first, X0))) < 1e-12
@@ -152,15 +141,9 @@ def test_chain_of_polynomial_field_stays_analytic(h4_e):
 
 
 def test_chain_iterates_fail_for_bad_connection(h4_e, rng):
-    p = h4_e.p.astype(float)
-    f = VectorField(
-        4,
-        lambda x: np.einsum("kij,i,j->k", p, x, x),
-        jacobian=lambda x: 2.0 * np.einsum("kij,i->kj", p, x),
-    )
-    pair = GAPair(f, zero_gamma(4), h4_e)
+    pair = square_pair(h4_e)
     noise = rng.uniform(-0.5, 0.5, (4, 4, 4))
-    G = ConnectionSlice(4, lambda x: noise)
+    G = ConnectionField(4, lambda x: noise)
     chained = derivative_chain(pair, G, 1)
     assert np.max(np.abs(cr_residual(chained, X0))) > 1e-3
 
@@ -168,14 +151,14 @@ def test_chain_iterates_fail_for_bad_connection(h4_e, rng):
 def test_chain_requires_unit_basis_element(h4_psi, pair_factory, rng):
     pair = pair_factory(h4_psi, rng)
     with pytest.raises(ContractError):
-        derivative_chain(pair, zero_connection_slice(4), 1)
+        derivative_chain(pair, zero_connection(4), 1)
 
 
 def test_derivative_of_prescribed_chain_matches(h4_e, pair_factory, rng):
     # with the zero connection the first chain iterate is the plain
     # unit-direction derivative of the pair's field
     pair = pair_factory(h4_e, rng)
-    chained = derivative_chain(pair, zero_connection_slice(4), 1)
+    chained = derivative_chain(pair, zero_connection(4), 1)
     expected = pair.f.jac(X0)[:, h4_e.unit_index]
     assert np.max(np.abs(chained.f(X0) - expected)) < 1e-9
 
@@ -211,8 +194,8 @@ def test_connection_residual_links_pair_to_shared_coefficients():
     )
     pair = family_pair(spec)
     metric = spec.finsler()
-    matched = ConnectionSlice(4, lambda x: gamma_matrices(x, metric, "transposed"))
-    mismatched = ConnectionSlice(4, lambda x: gamma_matrices(x, metric, "as-printed"))
+    matched = ConnectionField(4, lambda x: gamma_matrices(x, metric, "transposed"))
+    mismatched = ConnectionField(4, lambda x: gamma_matrices(x, metric, "as-printed"))
     xi = np.array([0.2, -0.3, 0.1, 0.4])
     assert np.max(np.abs(connection_residual(pair, matched, xi))) < 1e-14
     assert np.max(np.abs(connection_residual(pair, mismatched, xi))) > 1e-3
