@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from . import fields as fl
 from . import geodesics as geo
 from . import h4
 from .errors import (
-    ConeError,
     ContractError,
     DomainError,
     IntegrationError,
@@ -56,6 +56,9 @@ _DEFAULT_TOL = {
     "extremal": 1e-6,
     "family-verify": 1e-7,
 }
+
+
+_Compute = Callable[[], "tuple[dict, bool]"]
 
 
 class ConfigError(Exception):
@@ -145,17 +148,9 @@ def _require(cfg: dict, key: str, what: str = "config"):
 
 def _make_algebra(spec) -> alg.StructureConstants:
     if isinstance(spec, str):
-        try:
-            return alg.builtin_algebra(spec)
-        except ContractError as exc:
-            raise ConfigError(str(exc)) from exc
+        return alg.builtin_algebra(spec)
     if isinstance(spec, dict):
-        try:
-            if "file" in spec:
-                return alg.load_algebra(spec["file"])
-            return alg.algebra_from_dict(spec)
-        except (OSError, json.JSONDecodeError, ContractError) as exc:
-            raise ConfigError(f"cannot load algebra: {exc}") from exc
+        return alg.load_algebra(spec["file"]) if "file" in spec else alg.algebra_from_dict(spec)
     raise ConfigError("algebra must be a built-in name or a document")
 
 
@@ -172,8 +167,7 @@ def _make_field(spec: dict, n: int) -> fl.VectorField:
         a = np.asarray(_require(spec, "matrix", "linear field"), dtype=float)
         if a.shape != (n, n):
             raise ConfigError("linear field matrix has wrong shape")
-        off = spec.get("offset")
-        return fl.linear_field(a, None if off is None else np.asarray(off, dtype=float))
+        return fl.linear_field(a, spec.get("offset"))
     if kind == "identity":
         return fl.identity_field(n)
     if kind == "componentwise-power":
@@ -189,8 +183,7 @@ def _make_field(spec: dict, n: int) -> fl.VectorField:
     if kind == "h4-family":
         if n != 4:
             raise ConfigError("the family field is four-dimensional")
-        spec_obj = _make_family_spec(spec.get("family", spec))
-        return h4.family_field(spec_obj)
+        return h4.family_field(_make_family_spec(spec.get("family", spec)))
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
@@ -202,11 +195,7 @@ def _with_domain(field: fl.VectorField, spec: dict, n: int) -> fl.VectorField:
     hi = np.asarray(dom.get("max", [1.0] * n), dtype=float)
     if lo.shape != (n,) or hi.shape != (n,):
         raise ConfigError("field domain bounds have wrong length")
-    try:
-        box = fl.Box(lo, hi)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
-    return fl.VectorField(field.n, field.func, jacobian=field.jacobian, domain=box)
+    return fl.VectorField(field.n, field.func, jacobian=field.jacobian, domain=fl.Box(lo, hi))
 
 
 def _make_pair(cfg: dict, S: alg.StructureConstants) -> fl.GAPair:
@@ -232,25 +221,26 @@ def _make_grid(spec: dict, n: int) -> np.ndarray:
         raise ConfigError("grid bounds have wrong length")
     if points < 1:
         raise ConfigError("points_per_axis must be positive")
-    try:
-        return fl.Box(lo, hi).grid(points)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
+    return fl.Box(lo, hi).grid(points)
 
 
-def _make_path(spec: dict) -> fl.Path:
+def _make_path(spec: dict, n: int) -> fl.Path:
     kind = _require(spec, "kind", "path spec")
     if kind == "straight":
-        return fl.straight_path(_require(spec, "from", "path"), _require(spec, "to", "path"))
-    if kind == "polyline":
-        return fl.polyline_path(_require(spec, "vertices", "path"))
-    if kind == "rectangle":
-        return fl.rectangle_loop(
+        path = fl.straight_path(_require(spec, "from", "path"), _require(spec, "to", "path"))
+    elif kind == "polyline":
+        path = fl.polyline_path(_require(spec, "vertices", "path"))
+    elif kind == "rectangle":
+        path = fl.rectangle_loop(
             _require(spec, "origin", "path"),
             _require(spec, "edge1", "path"),
             _require(spec, "edge2", "path"),
         )
-    raise ConfigError(f"unknown path kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown path kind {kind!r}")
+    if path.start.shape != (n,):
+        raise ConfigError("path points have wrong length")
+    return path
 
 
 def _make_b(spec: dict) -> h4.ScalarFunc1D:
@@ -290,8 +280,6 @@ def _make_lambda(spec: dict, kappa: h4.ScalarField, kappa0: float, lambda0: floa
 
 
 def _make_family_spec(cfg: dict) -> h4.H4FamilySpec:
-    phi0 = np.asarray(cfg.get("phi0", [1.0, 1.0, 1.0, 1.0]), dtype=float)
-    mu = np.asarray(cfg.get("mu", [0.0, 0.0, 0.0, 0.0]), dtype=float)
     b_specs = cfg.get("b", {"kind": "constant", "c": 1.0})
     if isinstance(b_specs, dict):
         b_specs = [b_specs] * 4
@@ -301,25 +289,13 @@ def _make_family_spec(cfg: dict) -> h4.H4FamilySpec:
     kappa0 = float(cfg.get("kappa0", 1.0))
     lambda0 = float(cfg.get("lambda0", 1.0))
     kappa_spec = cfg.get("kappa")
-    kappa = None
-    if kappa_spec is not None and kappa_spec.get("kind", "from-b") != "from-b":
-        kappa = _make_kappa(kappa_spec, kappa0, b_funcs)
-    kappa_for_lambda = kappa if kappa is not None else h4.kappa_from_b(b_funcs, kappa0)
-    lam = _make_lambda(cfg.get("lam", {"kind": "constant"}), kappa_for_lambda, kappa0, lambda0)
-    convention = cfg.get("convention", "reciprocal")
-    try:
-        return h4.H4FamilySpec(
-            phi0=phi0,
-            mu=mu,
-            b=b_funcs,
-            lam=lam,
-            kappa0=kappa0,
-            lambda0=lambda0,
-            convention=convention,
-            kappa=kappa,
-        )
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
+    kappa = _make_kappa({} if kappa_spec is None else kappa_spec, kappa0, b_funcs)
+    lam = _make_lambda(cfg.get("lam", {"kind": "constant"}), kappa, kappa0, lambda0)
+    return h4.H4FamilySpec(
+        phi0=cfg.get("phi0", [1.0, 1.0, 1.0, 1.0]), mu=cfg.get("mu", [0.0, 0.0, 0.0, 0.0]),
+        b=b_funcs, lam=lam, kappa0=kappa0, lambda0=lambda0,
+        convention=cfg.get("convention", "reciprocal"), kappa=kappa,
+    )
 
 
 def _make_metric(cfg: dict) -> h4.FinslerConfig:
@@ -349,131 +325,143 @@ def _make_connection(spec: dict) -> geo.ConnectionField:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each builds every input from the config, then hands back the
+# computation, so that a bad value fails before anything is computed
 # ---------------------------------------------------------------------------
 
-def _cmd_algebra_check(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
+def _cmd_algebra_check(cfg: dict, tol: float, rng) -> _Compute:
     S = _make_algebra(_require(cfg, "algebra"))
-    report = alg.verify_structure(S, tol=tol)
-    qt = alg.q_tensor(S)
-    results = {
-        "algebra": S.basis_tag,
-        "n": S.n,
-        "commutativity_residual": report.commutativity,
-        "associativity_residual": report.associativity,
-        "unit_residual": report.unit,
-        "q_det": qt.det,
-        "q_matrix": qt.q.tolist(),
-        "q_singular": qt.q_inv is None,
-    }
-    worst = fl.grid_max([report.commutativity, report.associativity, report.unit])
-    return {"results": results, "max_residual": worst}, report.passed
+
+    def compute():
+        report = alg.verify_structure(S, tol=tol)
+        qt = alg.q_tensor(S)
+        results = {
+            "algebra": S.basis_tag,
+            "n": S.n,
+            "commutativity_residual": report.commutativity,
+            "associativity_residual": report.associativity,
+            "unit_residual": report.unit,
+            "q_det": qt.det,
+            "q_matrix": qt.q.tolist(),
+            "q_singular": qt.q_inv is None,
+        }
+        worst = fl.grid_max([report.commutativity, report.associativity, report.unit])
+        return {"results": results, "max_residual": worst}, report.passed
+    return compute
 
 
-def _cmd_cr_residual(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
+def _cmd_cr_residual(cfg: dict, tol: float, rng) -> _Compute:
     S = _make_algebra(_require(cfg, "algebra"))
     pair = _make_pair(cfg, S)
     points = _make_grid(cfg.get("grid", {}), S.n)
-    diff = fl.DiffConfig(scheme=cfg.get("scheme", "central-2"), tol_residual=tol)
-    results = fl.residual_grid_report(pair, points, diff)
-    payload = {"results": results, "max_residual": results["grid_max"]}
-    if results["failed_points"]:
-        raise RuntimeFailure(payload)
-    return payload, results["grid_max"] <= tol
+    diff = fl.DiffConfig(scheme=cfg.get("scheme", "central-2"))
+
+    def compute():
+        results = fl.residual_grid_report(pair, points, diff)
+        payload = {"results": results, "max_residual": results["grid_max"]}
+        if results["failed_points"]:
+            raise RuntimeFailure(payload)
+        return payload, results["grid_max"] <= tol
+    return compute
 
 
-def _cmd_pair_ops(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
+def _cmd_pair_ops(cfg: dict, tol: float, rng) -> _Compute:
     S = _make_algebra(_require(cfg, "algebra"))
     count = int(cfg.get("count", 10))
+    if count < 1:
+        raise ConfigError("count must be positive")
     points = _make_grid(cfg.get("grid", {}), S.n)
-    diff = fl.DiffConfig(tol_residual=tol)
-    unit = S.unit()
-    samples = {"product_residual": [], "combine_residual": [],
-               "product_rule": [], "quotient_roundtrip": [], "compose_vs_product": []}
-    for _ in range(count):
-        f1 = fl.random_smooth_field(S.n, rng, amplitude=0.5)
-        g1 = fl.random_smooth_field(S.n, rng, amplitude=0.5)
-        f2 = fl.random_smooth_field(S.n, rng, amplitude=0.5)
-        g2 = fl.random_smooth_field(S.n, rng, amplitude=0.5)
-        p1 = fl.gamma_from_prescribed(f1, g1, S)
-        p2 = fl.gamma_from_prescribed(f2, g2, S)
-        prod = fl.pair_product(p1, p2)
-        comb = fl.pair_combine(1.0, p1, -2.0, p2)
-        x = points[int(rng.integers(0, points.shape[0]))]
-        samples["product_residual"].append(float(np.max(np.abs(fl.cr_residual(prod, x, diff)))))
-        samples["combine_residual"].append(float(np.max(np.abs(fl.cr_residual(comb, x, diff)))))
-        d_rule = fl.derivative(prod, x, diff) - (
-            alg.multiply(fl.derivative(p1, x, diff), S.element(p2.f(x)), S)
-            + alg.multiply(S.element(p1.f(x)), fl.derivative(p2, x, diff), S)
-        )
-        samples["product_rule"].append(float(np.max(np.abs(d_rule.coords))))
-        # denominator near the unit stays invertible on the sample box
-        den_f = fl.pair_combine(0.15, p1, 1.0, fl.GAPair(
-            fl.constant_field(unit.coords), fl.zero_gamma(S.n), S))
-        num = fl.pair_product(den_f, p2)
-        value, deriv = fl.pair_quotient(num, den_f, x, diff)
-        samples["quotient_roundtrip"] += [
-            float(np.max(np.abs(value.coords - p2.f(x)))),
-            float(np.max(np.abs(deriv.coords - fl.derivative(p2, x, diff).coords))),
-        ]
-        chain = fl.pair_compose(fl.square_pair(S), p1, x, diff)
-        product_route = fl.derivative(fl.pair_product(p1, p1), x, diff)
-        samples["compose_vs_product"].append(float(np.max(np.abs(chain.coords - product_route.coords))))
-    results = {key: fl.grid_max(values) for key, values in samples.items()}
-    worst = fl.grid_max(results.values())
-    results["count"] = count
-    return {"results": results, "max_residual": worst}, worst <= tol
+    diff = fl.DiffConfig()
+
+    def compute():
+        unit = S.unit()
+        samples = {"product_residual": [], "combine_residual": [],
+                   "product_rule": [], "quotient_roundtrip": [], "compose_vs_product": []}
+        for _ in range(count):
+            f1 = fl.random_smooth_field(S.n, rng, amplitude=0.5)
+            g1 = fl.random_smooth_field(S.n, rng, amplitude=0.5)
+            f2 = fl.random_smooth_field(S.n, rng, amplitude=0.5)
+            g2 = fl.random_smooth_field(S.n, rng, amplitude=0.5)
+            p1 = fl.gamma_from_prescribed(f1, g1, S)
+            p2 = fl.gamma_from_prescribed(f2, g2, S)
+            prod = fl.pair_product(p1, p2)
+            comb = fl.pair_combine(1.0, p1, -2.0, p2)
+            x = points[int(rng.integers(0, points.shape[0]))]
+            samples["product_residual"].append(float(np.max(np.abs(fl.cr_residual(prod, x, diff)))))
+            samples["combine_residual"].append(float(np.max(np.abs(fl.cr_residual(comb, x, diff)))))
+            d_rule = fl.derivative(prod, x, diff) - (
+                alg.multiply(fl.derivative(p1, x, diff), S.element(p2.f(x)), S)
+                + alg.multiply(S.element(p1.f(x)), fl.derivative(p2, x, diff), S)
+            )
+            samples["product_rule"].append(float(np.max(np.abs(d_rule.coords))))
+            # denominator near the unit stays invertible on the sample box
+            den_f = fl.pair_combine(0.15, p1, 1.0, fl.GAPair(
+                fl.constant_field(unit.coords), fl.zero_gamma(S.n), S))
+            num = fl.pair_product(den_f, p2)
+            value, deriv = fl.pair_quotient(num, den_f, x, diff)
+            samples["quotient_roundtrip"] += [
+                float(np.max(np.abs(value.coords - p2.f(x)))),
+                float(np.max(np.abs(deriv.coords - fl.derivative(p2, x, diff).coords))),
+            ]
+            chain = fl.pair_compose(fl.square_pair(S), p1, x, diff)
+            product_route = fl.derivative(fl.pair_product(p1, p1), x, diff)
+            samples["compose_vs_product"].append(float(np.max(np.abs(chain.coords - product_route.coords))))
+        results = {key: fl.grid_max(values) for key, values in samples.items()}
+        worst = fl.grid_max(results.values())
+        results["count"] = count
+        return {"results": results, "max_residual": worst}, worst <= tol
+    return compute
 
 
-def _cmd_line_integral(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
+def _cmd_line_integral(cfg: dict, tol: float, rng) -> _Compute:
     S = _make_algebra(_require(cfg, "algebra"))
     field = _make_field(_require(cfg, "field"), S.n)
-    path = _make_path(_require(cfg, "path"))
+    path = _make_path(_require(cfg, "path"), S.n)
+    path_b = _make_path(cfg["path_b"], S.n) if "path_b" in cfg else None
     diff = fl.DiffConfig(quadrature_segments=int(cfg.get("segments", 512)))
-    value = fl.line_integral(field, path, S, diff)
-    results = {"integral": value.coords.tolist()}
-    passed = True
-    max_residual = 0.0
-    if "path_b" in cfg:
-        other = fl.line_integral(field, _make_path(cfg["path_b"]), S, diff)
-        difference = float(np.max(np.abs(value.coords - other.coords)))
-        results["integral_b"] = other.coords.tolist()
-        results["difference"] = difference
-        expect = cfg.get("expect", "equal")
+    expect = cfg.get("expect", "equal")
+    if expect not in ("equal", "different"):
+        raise ConfigError(f"unknown expectation {expect!r}")
+    min_gap = float(cfg.get("min_difference", 1e-3))
+
+    def compute():
+        values = [fl.line_integral(field, p, S, diff).coords for p in (path, path_b) if p is not None]
+        results = {"integral": values[0].tolist()}
+        if path_b is not None:
+            difference = float(np.max(np.abs(values[0] - values[1])))
+            results["integral_b"] = values[1].tolist()
+            results["difference"] = difference
+        if not np.all(np.isfinite(values)):
+            raise RuntimeFailure({"results": results})
+        if path_b is None:
+            return {"results": results, "max_residual": 0.0}, True
         if expect == "equal":
-            max_residual = difference
-            passed = difference <= tol
-        elif expect == "different":
-            min_gap = float(cfg.get("min_difference", 1e-3))
-            results["min_difference"] = min_gap
-            passed = difference > min_gap
-        else:
-            raise ConfigError(f"unknown expectation {expect!r}")
-    return {"results": results, "max_residual": max_residual}, passed
+            return {"results": results, "max_residual": difference}, difference <= tol
+        results["min_difference"] = min_gap
+        return {"results": results, "max_residual": 0.0}, difference > min_gap
+    return compute
 
 
-def _cmd_geodesic(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
+def _cmd_geodesic(cfg: dict, tol: float, rng) -> _Compute:
     gamma = _make_connection(_require(cfg, "connection"))
-    x0 = np.asarray(_require(cfg, "x0"), dtype=float)
-    v0 = np.asarray(_require(cfg, "v0"), dtype=float)
-    icfg = geo.IntegratorConfig(
-        steps=int(cfg.get("steps", 1000)), t_end=float(cfg.get("t_end", 1.0))
-    )
-    try:
-        s0 = geo.GeodesicState(x0, v0)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
-    traj = geo.integrate_geodesic(gamma, s0, icfg)
-    results = {
-        "steps": icfg.steps,
-        "samples": len(traj),
-        "final_x": traj.x[-1].tolist(),
-        "final_v": traj.v[-1].tolist(),
-    }
-    return {"results": results, "max_residual": None, "trajectory": traj}, True
+    s0 = geo.GeodesicState(_require(cfg, "x0"), _require(cfg, "v0"))
+    if gamma.n != s0.x.shape[0]:
+        raise ConfigError("connection dimension disagrees with x0")
+    icfg = geo.IntegratorConfig(steps=int(cfg.get("steps", 1000)), t_end=float(cfg.get("t_end", 1.0)))
+
+    def compute():
+        traj = geo.integrate_geodesic(gamma, s0, icfg)
+        results = {
+            "steps": icfg.steps,
+            "samples": len(traj),
+            "final_x": traj.x[-1].tolist(),
+            "final_v": traj.v[-1].tolist(),
+        }
+        return {"results": results, "max_residual": None, "trajectory": traj}, True
+    return compute
 
 
-def _cmd_extremal(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
+def _cmd_extremal(cfg: dict, tol: float, rng) -> _Compute:
     metric = _make_metric(cfg)
     xi0 = np.asarray(_require(cfg, "xi0"), dtype=float)
     icfg = geo.IntegratorConfig(
@@ -481,45 +469,43 @@ def _cmd_extremal(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
         t_end=float(cfg.get("t_end", 1.0)),
         drift_tol=tol,
     )
-    if "p0" in cfg:
-        p0 = np.asarray(cfg["p0"], dtype=float)
-    else:
-        dxi0 = np.asarray(_require(cfg, "dxi0"), dtype=float)
-        p0 = h4.momenta(dxi0, xi0, metric)
-    try:
-        e0 = geo.ExtremalState(xi0, p0)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
-    traj = geo.integrate_extremal(metric, e0, icfg)
-    results = {
-        "steps": icfg.steps,
-        "samples": len(traj),
-        "final_xi": traj.xi[-1].tolist(),
-        "final_p": traj.p[-1].tolist(),
-        "max_drift": traj.max_drift,
-    }
-    return {"results": results, "max_residual": traj.max_drift, "trajectory": traj}, traj.max_drift <= tol
+    p0 = cfg["p0"] if "p0" in cfg else h4.momenta(_require(cfg, "dxi0"), xi0, metric)
+    e0 = geo.ExtremalState(xi0, p0)
+
+    def compute():
+        traj = geo.integrate_extremal(metric, e0, icfg)
+        results = {
+            "steps": icfg.steps,
+            "samples": len(traj),
+            "final_xi": traj.xi[-1].tolist(),
+            "final_p": traj.p[-1].tolist(),
+            "max_drift": traj.max_drift,
+        }
+        return {"results": results, "max_residual": traj.max_drift, "trajectory": traj}, traj.max_drift <= tol
+    return compute
 
 
-def _cmd_family_verify(cfg: dict, tol: float, rng) -> tuple[dict, bool]:
+def _cmd_family_verify(cfg: dict, tol: float, rng) -> _Compute:
     spec = _make_family_spec(cfg)
     points = _make_grid(cfg.get("grid", {}), 4)
-    report = h4.family_residual(spec, points)
-    kappa_field = spec.kappa_field()
-    compat_max = fl.grid_max(
-        float(np.max(np.abs(h4.compatibility_residual(kappa_field, xi)))) for xi in points
-    )
-    gamma_needed = h4.analytic_gamma_max(spec, points)
-    best = report.residuals[report.selected]
-    results = {
-        "residual_as_printed": report.residuals["as-printed"],
-        "residual_reciprocal": report.residuals["reciprocal"],
-        "selected_convention": report.selected,
-        "compatibility_max": compat_max,
-        "analytic_gamma_max": gamma_needed,
-        "n_points": report.n_points,
-    }
-    return {"results": results, "max_residual": best}, best <= tol
+
+    def compute():
+        report = h4.family_residual(spec, points)
+        compat_max = fl.grid_max(
+            float(np.max(np.abs(h4.compatibility_residual(spec.kappa, xi)))) for xi in points
+        )
+        gamma_needed = h4.analytic_gamma_max(spec, points)
+        best = report.residuals[report.selected]
+        results = {
+            "residual_as_printed": report.residuals["as-printed"],
+            "residual_reciprocal": report.residuals["reciprocal"],
+            "selected_convention": report.selected,
+            "compatibility_max": compat_max,
+            "analytic_gamma_max": gamma_needed,
+            "n_points": report.n_points,
+        }
+        return {"results": results, "max_residual": best}, best <= tol
+    return compute
 
 
 _HANDLERS = {
@@ -547,7 +533,11 @@ def _write_output(text: str, output: str | None):
 
 def run(command: str, config: dict, output: str | None = None, fmt: str | None = None,
         tol: float | None = None, seed: int = 0) -> int:
-    """Execute one command against a parsed config; returns the exit code."""
+    """Execute one command against a parsed config; returns the exit code.
+
+    A value the command cannot build its inputs from raises ConfigError;
+    a domain error while computing flushes a partial report and returns 3.
+    """
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
     tol = _DEFAULT_TOL[command] if tol is None else float(tol)
@@ -555,6 +545,8 @@ def run(command: str, config: dict, output: str | None = None, fmt: str | None =
         fmt = "csv" if command in ("geodesic", "extremal") else "json"
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {fmt!r}")
+    if fmt == "csv" and command not in ("geodesic", "extremal"):
+        raise ConfigError(f"command {command!r} produces no CSV trajectory")
     rng = np.random.default_rng(seed)
     report = {
         "command": command,
@@ -564,13 +556,19 @@ def run(command: str, config: dict, output: str | None = None, fmt: str | None =
         "pass": False,
     }
     try:
-        payload, passed = _HANDLERS[command](config, tol, rng)
+        try:
+            compute = _HANDLERS[command](config, tol, rng)
+        except DomainError:
+            raise
+        except (ContractError, ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
+            raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
+        payload, passed = compute()
     except RuntimeFailure as exc:
         report.update(exc.payload)
         _write_output(render_report(report), output)
         return EXIT_RUNTIME
-    except (DomainError, ConeError, ZeroDivisorError, SingularQError, IntegrationError,
-            ContractError) as exc:
+    except (DomainError, ZeroDivisorError, SingularQError, IntegrationError, ContractError,
+            OverflowError) as exc:
         report["results"] = {"error": f"{type(exc).__name__}: {exc}"}
         _write_output(render_report(report), output)
         return EXIT_RUNTIME
@@ -580,8 +578,6 @@ def run(command: str, config: dict, output: str | None = None, fmt: str | None =
     non_finite = isinstance(worst, float) and not math.isfinite(worst)
     report["pass"] = bool(passed) and not non_finite
     if fmt == "csv":
-        if trajectory is None:
-            raise ConfigError(f"command {command!r} produces no CSV trajectory")
         buf = io.StringIO()
         if isinstance(trajectory, geo.ExtremalTrajectory):
             geo.write_extremal_csv(trajectory, buf)

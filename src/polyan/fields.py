@@ -37,7 +37,6 @@ class DiffConfig:
 
     h: float | None = None
     scheme: str = "central-2"
-    tol_residual: float = 1e-7
     quadrature_segments: int = 512
 
     def __post_init__(self):
@@ -77,9 +76,10 @@ class Box:
         self.hi = hi
         self.n = lo.shape[0]
 
-    def contains(self, x, pad: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
+        """Whether x lies in the box, up to a margin of 1e-9."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - pad) and np.all(x <= self.hi + pad))
+        return bool(np.all(x >= self.lo - 1e-9) and np.all(x <= self.hi + 1e-9))
 
     def grid(self, points_per_axis: int) -> np.ndarray:
         """All grid points as an (m, n) array, fastest index last."""
@@ -129,7 +129,7 @@ class VectorField:
         self.domain = domain
 
     def check_point(self, x: np.ndarray):
-        if self.domain is not None and not self.domain.contains(x, pad=1e-9):
+        if self.domain is not None and not self.domain.contains(x):
             raise DomainError(f"point {np.asarray(x).tolist()} outside field domain")
 
     def __call__(self, x) -> np.ndarray:
@@ -226,8 +226,9 @@ def cr_residual(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
 
     R = D - p . f', with f' eliminated through the unit direction when the
     algebra has one and through the invariant q-form otherwise.  The pair is
-    generalized-analytic at x iff max|R| <= cfg.tol_residual.  With gamma = 0
-    this is exactly the analyticity residual of the plain theory.
+    generalized-analytic at x iff R vanishes; callers compare max|R| with
+    their own tolerance.  With gamma = 0 this is exactly the analyticity
+    residual of the plain theory.
     """
     D = covariant_derivative(pair, x, cfg)
     return D - np.einsum("ikj,j->ik", pair.S.p, _derivative_coords(pair.S, D))
@@ -338,10 +339,11 @@ def pair_product(p1: GAPair, p2: GAPair) -> GAPair:
     return GAPair(f, GammaField(n, gamma_func), S)
 
 
-def product_compatibility_residual(Gamma, S: StructureConstants, x=None) -> np.ndarray:
-    """Residual of the frame condition under which the product rule survives a
-    position-dependent connection.  Zero identically for the constant frame."""
-    G = Gamma(x) if callable(Gamma) else np.asarray(Gamma, dtype=float)
+def product_compatibility_residual(Gamma, S: StructureConstants) -> np.ndarray:
+    """Residual of the frame condition under which the product rule survives
+    connection coefficients Gamma[i, k, j] at one point.  Zero identically for
+    the constant frame."""
+    G = np.asarray(Gamma, dtype=float)
     p = S.p
     return (
         np.einsum("ikm,mab->ikab", G, p)
@@ -421,14 +423,15 @@ class Diffeo:
     def hess(self, x):
         return np.asarray(self.hessian(np.asarray(x, dtype=float)), dtype=float)
 
-    def inverse_point(self, y, tol: float = 1e-13, maxiter: int = 60) -> np.ndarray:
+    def inverse_point(self, y) -> np.ndarray:
+        """The point mapped to y; Newton stops at a relative residual of 1e-13."""
         y = np.asarray(y, dtype=float)
         if self._inverse is not None:
             return np.asarray(self._inverse(y), dtype=float)
         u = y.copy()
-        for _ in range(maxiter):
+        for _ in range(60):
             r = self(u) - y
-            if np.max(np.abs(r)) <= tol * max(1.0, float(np.max(np.abs(y)))):
+            if np.max(np.abs(r)) <= 1e-13 * max(1.0, float(np.max(np.abs(y)))):
                 return u
             u = u - np.linalg.solve(self.jac(u), r)
         raise ContractError("diffeomorphism inverse did not converge")
@@ -525,7 +528,7 @@ class ConnectionField:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
 
 
-def connection_residual(pair: GAPair, Gamma: ConnectionField, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
+def connection_residual(pair: GAPair, Gamma: ConnectionField, x) -> np.ndarray:
     """Residual of gamma[i, k] = G[i, k, j] f_j, linking a pair to a shared connection."""
     x = np.asarray(x, dtype=float)
     return np.einsum("ikj,j->ik", Gamma(x), pair.f(x)) - pair.gamma(x)
@@ -606,13 +609,12 @@ class Path:
     differences in the parameter are used.
     """
 
-    def __init__(self, func, velocity=None, breakpoints=(), name="path"):
+    def __init__(self, func, velocity=None, breakpoints=()):
         self.func = func
         self.velocity = velocity
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
         if any(not 0.0 < b < 1.0 for b in self.breakpoints):
             raise ContractError("breakpoints must lie strictly inside (0, 1)")
-        self.name = name
         self.start = np.asarray(func(0.0), dtype=float)
         self.end = np.asarray(func(1.0), dtype=float)
 
@@ -629,14 +631,14 @@ def straight_path(x0, x1) -> Path:
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     d = x1 - x0
-    return Path(lambda t: x0 + t * d, velocity=lambda t: d, name="straight")
+    return Path(lambda t: x0 + t * d, velocity=lambda t: d)
 
 
 def polyline_path(vertices) -> Path:
     """Straight legs through the vertices, equal parameter share per leg."""
-    verts = [np.asarray(v, dtype=float) for v in vertices]
-    if len(verts) < 2:
-        raise ContractError("polyline needs at least two vertices")
+    verts = np.asarray(vertices, dtype=float)
+    if verts.ndim != 2 or len(verts) < 2:
+        raise ContractError("polyline needs at least two vertices of equal length")
     m = len(verts) - 1
 
     def func(t):
@@ -651,7 +653,7 @@ def polyline_path(vertices) -> Path:
         return m * (verts[leg + 1] - verts[leg])
 
     breaks = [i / m for i in range(1, m)]
-    return Path(func, velocity=velocity, breakpoints=breaks, name="polyline")
+    return Path(func, velocity=velocity, breakpoints=breaks)
 
 
 def rectangle_loop(origin, edge1, edge2) -> Path:
@@ -659,9 +661,7 @@ def rectangle_loop(origin, edge1, edge2) -> Path:
     o = np.asarray(origin, dtype=float)
     u = np.asarray(edge1, dtype=float)
     v = np.asarray(edge2, dtype=float)
-    p = polyline_path([o, o + u, o + u + v, o + v, o])
-    p.name = "rectangle"
-    return p
+    return polyline_path([o, o + u, o + u + v, o + v, o])
 
 
 def line_integral(F: VectorField, path: Path, S: StructureConstants, cfg: DiffConfig = DEFAULT_DIFF) -> PolyNumber:
@@ -720,6 +720,8 @@ def linear_field(a, offset=None) -> VectorField:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     off = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
+    if a.shape != (n, n) or off.shape != (n,):
+        raise ContractError("linear field needs a square matrix and an offset of matching length")
     return VectorField(n, lambda x: a @ x + off, jacobian=lambda x: a)
 
 
@@ -772,7 +774,7 @@ def monomial_field(n: int, component: int, exponents) -> VectorField:
     return VectorField(n, func, jacobian=jac)
 
 
-def random_smooth_field(n: int, rng: np.random.Generator, amplitude: float = 1.0, trig: bool = True) -> VectorField:
+def random_smooth_field(n: int, rng: np.random.Generator, amplitude: float = 1.0) -> VectorField:
     """Random field with linear, componentwise-quadratic and sine terms.
 
     Coefficients are bounded by the amplitude so finite differences of the
@@ -781,12 +783,8 @@ def random_smooth_field(n: int, rng: np.random.Generator, amplitude: float = 1.0
     a = rng.uniform(-amplitude, amplitude, size=(n, n))
     b = rng.uniform(-amplitude, amplitude, size=n)
     q = rng.uniform(-amplitude, amplitude, size=(n, n))
-    if trig:
-        t = rng.uniform(-0.5 * amplitude, 0.5 * amplitude, size=(n, n))
-        ph = rng.uniform(0.0, 2 * np.pi, size=(n, n))
-    else:
-        t = np.zeros((n, n))
-        ph = np.zeros((n, n))
+    t = rng.uniform(-0.5 * amplitude, 0.5 * amplitude, size=(n, n))
+    ph = rng.uniform(0.0, 2 * np.pi, size=(n, n))
 
     def func(x):
         return a @ x + b + q @ (x * x) + np.sum(t * np.sin(x[None, :] + ph), axis=1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConeError, ContractError, IntegrationError
 from .fields import ConnectionField
-from .h4 import FinslerConfig, ScalarField, gamma_matrices
+from .h4 import FinslerConfig, gamma_matrices
 
 __all__ = [
     "ConnectionField",
@@ -57,7 +57,6 @@ def finsler_connection(metric: FinslerConfig, orientation: str = "transposed") -
 class GeodesicState:
     x: np.ndarray
     v: np.ndarray
-    sigma: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -72,7 +71,6 @@ class GeodesicState:
 class ExtremalState:
     xi: np.ndarray
     p: np.ndarray
-    tau: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
@@ -87,14 +85,11 @@ class ExtremalState:
 class IntegratorConfig:
     steps: int = 1000
     t_end: float = 1.0
-    method: str = "rk4"
     drift_tol: float = 1e-6
 
     def __post_init__(self):
         if self.steps < 1:
             raise ContractError("need at least one step")
-        if self.method != "rk4":
-            raise ContractError(f"unknown integration method {self.method!r}")
 
 
 def geodesic_rhs(Gamma: ConnectionField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -102,9 +97,9 @@ def geodesic_rhs(Gamma: ConnectionField, x: np.ndarray, v: np.ndarray) -> np.nda
     return -np.einsum("ikj,k,j->i", Gamma(x), v, v)
 
 
-def _rk4(rhs, t0: float, y0: np.ndarray, cfg: IntegratorConfig, what: str, clock: str, cone=None):
-    """Fixed-step RK4 of y' = rhs(y): sample times and states, one row per
-    step plus the start.
+def _rk4(rhs, y0: np.ndarray, cfg: IntegratorConfig, what: str, clock: str, cone=None):
+    """Fixed-step RK4 of y' = rhs(y) from time 0: sample times and states,
+    one row per step plus the start.
 
     Aborts when a state becomes non-finite, or when the components selected
     by cone leave the positive cone.
@@ -125,7 +120,7 @@ def _rk4(rhs, t0: float, y0: np.ndarray, cfg: IntegratorConfig, what: str, clock
             )
         if cone is not None and np.any(ys[m + 1, cone] <= 0):
             raise ConeError(f"momenta left the positive cone at step {m + 1} ({clock}={(m + 1) * h:g})")
-    return t0 + h * np.arange(cfg.steps + 1), ys
+    return h * np.arange(cfg.steps + 1), ys
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,7 @@ def integrate_geodesic(Gamma: ConnectionField, s0: GeodesicState, cfg: Integrato
         x, v = y[:n], y[n:]
         return np.concatenate([v, geodesic_rhs(Gamma, x, v)])
 
-    sigma, ys = _rk4(rhs, s0.sigma, np.concatenate([s0.x, s0.v]), cfg, "geodesic", "sigma")
+    sigma, ys = _rk4(rhs, np.concatenate([s0.x, s0.v]), cfg, "geodesic", "sigma")
     return GeodesicTrajectory(sigma=sigma, x=ys[:, :n].copy(), v=ys[:, n:].copy())
 
 
@@ -180,12 +175,7 @@ def _relative_indicatrix(xi, p, metric: FinslerConfig) -> float:
     return (float(np.prod(p)) - scale) / scale
 
 
-def integrate_extremal(
-    metric: FinslerConfig,
-    e0: ExtremalState,
-    cfg: IntegratorConfig,
-    lambda_gauge: ScalarField | None = None,
-) -> ExtremalTrajectory:
+def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: IntegratorConfig) -> ExtremalTrajectory:
     """Momentum-form extremal flow with the indicatrix constraint monitored.
 
     The velocities are the partial products of the momenta times the gauge,
@@ -193,7 +183,6 @@ def integrate_extremal(
     the indicatrix exactly, so the logged relative drift measures integration
     error.  Leaving the momentum cone aborts.
     """
-    lam = lambda_gauge if lambda_gauge is not None else metric.lam
     if np.any(e0.p <= 0):
         raise ConeError("initial momenta are outside the positive cone")
     drift0 = _relative_indicatrix(e0.xi, e0.p, metric)
@@ -203,24 +192,23 @@ def integrate_extremal(
         )
     def rhs(y):
         xi, p = y[:4], y[4:]
-        lv = lam(xi)
+        lv = metric.lam(xi)
         kv = metric.kappa(xi)
         dxi = np.prod(p) / p * lv
         dp = (kv / 4.0) ** 4 * (4.0 * metric.kappa.gradient(xi) / kv) * lv
         return np.concatenate([dxi, dp])
 
-    tau, ys = _rk4(rhs, e0.tau, np.concatenate([e0.xi, e0.p]), cfg, "extremal", "tau",
+    tau, ys = _rk4(rhs, np.concatenate([e0.xi, e0.p]), cfg, "extremal", "tau",
                    cone=slice(4, None))
     drift = np.array([drift0] + [_relative_indicatrix(y[:4], y[4:], metric) for y in ys[1:]])
     return ExtremalTrajectory(tau=tau, xi=ys[:, :4].copy(), p=ys[:, 4:].copy(), drift=drift)
 
 
-def extremal_velocity(metric: FinslerConfig, e0: ExtremalState, lambda_gauge: ScalarField | None = None) -> np.ndarray:
-    """Coordinate velocity implied by an extremal state under a gauge."""
-    lam = lambda_gauge if lambda_gauge is not None else metric.lam
+def extremal_velocity(metric: FinslerConfig, e0: ExtremalState) -> np.ndarray:
+    """Coordinate velocity implied by an extremal state under the metric's gauge."""
     if np.any(e0.p <= 0):
         raise ConeError("momenta are outside the positive cone")
-    return np.prod(e0.p) / e0.p * lam(e0.xi)
+    return np.prod(e0.p) / e0.p * metric.lam(e0.xi)
 
 
 @dataclass(frozen=True)
@@ -230,23 +218,13 @@ class CrossCheckResult:
     geodesic: GeodesicTrajectory
 
 
-def cross_check_forms(
-    metric: FinslerConfig,
-    e0: ExtremalState,
-    cfg: IntegratorConfig,
-    lambda_gauge: ScalarField | None = None,
-) -> CrossCheckResult:
+def cross_check_forms(metric: FinslerConfig, e0: ExtremalState, cfg: IntegratorConfig) -> CrossCheckResult:
     """Integrate the same extremal by the momentum flow and by the second-order
-    connection form, under one shared gauge, and report the largest pointwise
-    position discrepancy."""
-    lam = lambda_gauge if lambda_gauge is not None else metric.lam
-    traj_h = integrate_extremal(metric, e0, cfg, lambda_gauge=lam)
-    v0 = extremal_velocity(metric, e0, lambda_gauge=lam)
-    gauge_metric = FinslerConfig(
-        kappa=metric.kappa, lam=lam, kappa0=metric.kappa0, lambda0=metric.lambda0
-    )
-    gamma = finsler_connection(gauge_metric)
-    traj_g = integrate_geodesic(gamma, GeodesicState(e0.xi, v0, e0.tau), cfg)
+    connection form of the metric, and report the largest pointwise position
+    discrepancy."""
+    traj_h = integrate_extremal(metric, e0, cfg)
+    v0 = extremal_velocity(metric, e0)
+    traj_g = integrate_geodesic(finsler_connection(metric), GeodesicState(e0.xi, v0), cfg)
     disc = float(np.max(np.abs(traj_h.xi - traj_g.x)))
     return CrossCheckResult(discrepancy=disc, extremal=traj_h, geodesic=traj_g)
 

@@ -13,7 +13,7 @@ function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -41,10 +41,9 @@ ORIENTATIONS = ("as-printed", "transposed")
 class ScalarField:
     """Positive scalar function of a point, with analytic or FD gradient."""
 
-    def __init__(self, func: Callable, grad: Callable | None = None, name: str = "scalar"):
+    def __init__(self, func: Callable, grad: Callable | None = None):
         self.func = func
         self._grad = grad
-        self.name = name
 
     def __call__(self, x) -> float:
         return float(self.func(np.asarray(x, dtype=float)))
@@ -62,7 +61,6 @@ class ScalarFunc1D:
 
     func: Callable
     deriv: Callable
-    name: str = "b"
 
     def __call__(self, t: float) -> float:
         return float(self.func(float(t)))
@@ -73,12 +71,12 @@ class ScalarFunc1D:
 
 def constant_b(c: float = 1.0) -> ScalarFunc1D:
     c = float(c)
-    return ScalarFunc1D(lambda t: c, lambda t: 0.0, name=f"constant({c:g})")
+    return ScalarFunc1D(lambda t: c, lambda t: 0.0)
 
 
 def quadratic_b(c: float) -> ScalarFunc1D:
     c = float(c)
-    return ScalarFunc1D(lambda t: 1.0 + c * t * t, lambda t: 2.0 * c * t, name=f"quadratic({c:g})")
+    return ScalarFunc1D(lambda t: 1.0 + c * t * t, lambda t: 2.0 * c * t)
 
 
 def gaussian_b(c: float = 1.0) -> ScalarFunc1D:
@@ -86,7 +84,6 @@ def gaussian_b(c: float = 1.0) -> ScalarFunc1D:
     return ScalarFunc1D(
         lambda t: math.exp(c * t * t),
         lambda t: 2.0 * c * t * math.exp(c * t * t),
-        name=f"gaussian({c:g})",
     )
 
 
@@ -94,7 +91,7 @@ def constant_kappa(value: float = 1.0) -> ScalarField:
     v = float(value)
     if v <= 0:
         raise ContractError("kappa must be positive")
-    return ScalarField(lambda x: v, lambda x: np.zeros_like(x), name=f"constant({v:g})")
+    return ScalarField(lambda x: v, lambda x: np.zeros_like(x))
 
 
 def gaussian_kappa(kappa0: float = 1.0, c: float = 1.0) -> ScalarField:
@@ -108,7 +105,7 @@ def gaussian_kappa(kappa0: float = 1.0, c: float = 1.0) -> ScalarField:
     def grad(x):
         return func(x) * c * x / 2.0
 
-    return ScalarField(func, grad, name=f"gaussian({k0:g},{c:g})")
+    return ScalarField(func, grad)
 
 
 def kappa_from_b(b_funcs, kappa0: float = 1.0) -> ScalarField:
@@ -131,14 +128,19 @@ def kappa_from_b(b_funcs, kappa0: float = 1.0) -> ScalarField:
         val = func(x)
         return val * np.array([bs[i].d(x[i]) / bs[i](x[i]) for i in range(4)]) / 4.0
 
-    return ScalarField(func, grad, name="separable")
+    return ScalarField(func, grad)
 
 
 def cross_term_kappa(kappa0: float = 1.0, c: float = 1.0, axes=(0, 1)) -> ScalarField:
-    """kappa0 * exp(c * x_a x_b / 4); its mixed log second derivative is c."""
+    """kappa0 * exp(c * x_a x_b / 4); its mixed log second derivative is c.
+
+    The axes are two different coordinate indices in 0..3.
+    """
     k0 = float(kappa0)
     c = float(c)
     a, b = int(axes[0]), int(axes[1])
+    if not (0 <= a < 4 and 0 <= b < 4 and a != b):
+        raise ContractError(f"cross-term axes must be two different indices in 0..3, got {a}, {b}")
 
     def func(x):
         return k0 * math.exp(c * x[a] * x[b] / 4.0)
@@ -150,14 +152,14 @@ def cross_term_kappa(kappa0: float = 1.0, c: float = 1.0, axes=(0, 1)) -> Scalar
         g[b] = v * c * x[a] / 4.0
         return g
 
-    return ScalarField(func, grad, name=f"cross-term({c:g})")
+    return ScalarField(func, grad)
 
 
 def constant_lambda(value: float = 1.0) -> ScalarField:
     v = float(value)
     if v <= 0:
         raise ContractError("gauge must be positive")
-    return ScalarField(lambda x: v, lambda x: np.zeros_like(x), name=f"constant({v:g})")
+    return ScalarField(lambda x: v, lambda x: np.zeros_like(x))
 
 
 def reciprocal_quartic_lambda(kappa: ScalarField, kappa0: float, lambda0: float) -> ScalarField:
@@ -170,28 +172,22 @@ def reciprocal_quartic_lambda(kappa: ScalarField, kappa0: float, lambda0: float)
     def grad(x):
         return -4.0 * func(x) * kappa.gradient(x) / kappa(x)
 
-    return ScalarField(func, grad, name="kappa-reciprocal")
+    return ScalarField(func, grad)
 
 
 @dataclass(frozen=True)
 class FinslerConfig:
-    """Quartic metric data: the scale kappa, the gauge lam, reference constants.
-
-    sigma0 defaults to (kappa0/4)^4 * lambda0 so that all logarithms vanish
-    at the reference configuration.
-    """
+    """Quartic metric data: the scale kappa, the gauge lam, and the positive
+    reference constants kappa0 and lambda0."""
 
     kappa: ScalarField
     lam: ScalarField
     kappa0: float = 1.0
     lambda0: float = 1.0
-    sigma0: float | None = None
 
     def __post_init__(self):
         if self.kappa0 <= 0 or self.lambda0 <= 0:
             raise ContractError("reference constants must be positive")
-        if self.sigma0 is None:
-            object.__setattr__(self, "sigma0", (self.kappa0 / 4.0) ** 4 * self.lambda0)
 
 
 def finsler_length(dxi, xi, cfg: FinslerConfig) -> float:
@@ -253,15 +249,16 @@ def gamma_matrices(xi, cfg: FinslerConfig, orientation: str = "transposed") -> n
 # the closed-form family
 # ---------------------------------------------------------------------------
 
-def compatibility_residual(kappa_field: ScalarField, xi, h: float | None = None) -> np.ndarray:
-    """Mixed second derivatives of 4*log(kappa), by central cross differences.
+def compatibility_residual(kappa_field: ScalarField, xi) -> np.ndarray:
+    """Mixed second derivatives of 4*log(kappa), by central cross differences
+    with base step eps^(1/4).
 
     The off-diagonal entries must vanish for the separable closed-form family
     to exist; the diagonal is reported as zero.
     """
     xi = np.asarray(xi, dtype=float)
     n = xi.shape[0]
-    steps = DiffConfig(h=_EPS ** 0.25 if h is None else float(h)).step(xi)
+    steps = DiffConfig(h=_EPS ** 0.25).step(xi)
 
     def logk4(x):
         return 4.0 * math.log(kappa_field(x))
@@ -291,8 +288,9 @@ class H4FamilySpec:
     multiplier element, b the four single-variable profiles (nonvanishing on
     the domain), lam the positive gauge field.  convention selects where the
     profile enters the component formula, 'reciprocal' being the placement
-    that satisfies the defining system for generic profiles.  kappa, when
-    given, overrides the separable profile built from b.
+    that satisfies the defining system for generic profiles.  kappa is the
+    scale profile; left as None it becomes the separable profile built from
+    b and kappa0.
     """
 
     phi0: np.ndarray
@@ -318,17 +316,16 @@ class H4FamilySpec:
             raise ContractError(f"convention must be one of {CONVENTIONS}")
         if self.kappa0 <= 0 or self.lambda0 <= 0:
             raise ContractError("reference constants must be positive")
-
-    def kappa_field(self) -> ScalarField:
-        return self.kappa if self.kappa is not None else kappa_from_b(self.b, self.kappa0)
+        if self.kappa is None:
+            object.__setattr__(self, "kappa", kappa_from_b(self.b, self.kappa0))
 
     def finsler(self) -> FinslerConfig:
         return FinslerConfig(
-            kappa=self.kappa_field(), lam=self.lam, kappa0=self.kappa0, lambda0=self.lambda0
+            kappa=self.kappa, lam=self.lam, kappa0=self.kappa0, lambda0=self.lambda0
         )
 
 
-def _profile_factors(spec: H4FamilySpec, xi: np.ndarray, convention: str):
+def _profile_factors(spec: H4FamilySpec, xi: np.ndarray):
     """Values and log-derivatives of the placed profiles B_i(xi_i)."""
     vals = np.empty(4)
     dlog = np.empty(4)
@@ -337,7 +334,7 @@ def _profile_factors(spec: H4FamilySpec, xi: np.ndarray, convention: str):
         if bv == 0.0:
             raise ContractError("profile function vanishes on the evaluation point")
         bd = spec.b[i].d(xi[i])
-        if convention == "reciprocal":
+        if spec.convention == "reciprocal":
             vals[i] = 1.0 / bv
             dlog[i] = -bd / bv
         else:
@@ -346,51 +343,42 @@ def _profile_factors(spec: H4FamilySpec, xi: np.ndarray, convention: str):
     return vals, dlog
 
 
-def family_phi(spec: H4FamilySpec, xi, convention: str | None = None) -> np.ndarray:
+def family_phi(spec: H4FamilySpec, xi) -> np.ndarray:
     """Component values phi_i = phi0_i (kappa/kappa0)^4 (lam/lambda0) B_i exp(mu_i xi_i)."""
-    conv = convention or spec.convention
-    if conv not in CONVENTIONS:
-        raise ContractError(f"convention must be one of {CONVENTIONS}")
     xi = np.asarray(xi, dtype=float)
-    kap = spec.kappa_field()
-    k4 = (kap(xi) / spec.kappa0) ** 4
+    k4 = (spec.kappa(xi) / spec.kappa0) ** 4
     lr = spec.lam(xi) / spec.lambda0
-    bvals, _ = _profile_factors(spec, xi, conv)
+    bvals, _ = _profile_factors(spec, xi)
     return spec.phi0 * k4 * lr * bvals * np.exp(spec.mu * xi)
 
 
-def family_field(spec: H4FamilySpec, convention: str | None = None, analytic_jacobian: bool = True) -> VectorField:
+def family_field(spec: H4FamilySpec) -> VectorField:
     """The family as a vector field over psi-coordinates, with exact Jacobian."""
-    conv = convention or spec.convention
-    kap = spec.kappa_field()
 
     def func(xi):
-        return family_phi(spec, xi, conv)
+        return family_phi(spec, xi)
 
-    jac = None
-    if analytic_jacobian:
-        def jac(xi):
-            phi = family_phi(spec, xi, conv)
-            kv = kap(xi)
-            lv = spec.lam(xi)
-            common = 4.0 * kap.gradient(xi) / kv + spec.lam.gradient(xi) / lv
-            _, dlog = _profile_factors(spec, xi, conv)
-            out = phi[:, None] * common[None, :]
-            out[np.arange(4), np.arange(4)] += phi * (dlog + spec.mu)
-            return out
+    def jac(xi):
+        phi = family_phi(spec, xi)
+        kv = spec.kappa(xi)
+        lv = spec.lam(xi)
+        common = 4.0 * spec.kappa.gradient(xi) / kv + spec.lam.gradient(xi) / lv
+        _, dlog = _profile_factors(spec, xi)
+        out = phi[:, None] * common[None, :]
+        out[np.arange(4), np.arange(4)] += phi * (dlog + spec.mu)
+        return out
 
     return VectorField(4, func, jacobian=jac)
 
 
-def family_pair(spec: H4FamilySpec, convention: str | None = None) -> GAPair:
+def family_pair(spec: H4FamilySpec) -> GAPair:
     """The family paired with gamma = G . phi, G the transposed connection matrices."""
-    conv = convention or spec.convention
     metric = spec.finsler()
-    field = family_field(spec, conv)
+    field = family_field(spec)
 
     def gamma_func(xi):
         g = gamma_matrices(xi, metric, orientation="transposed")
-        return np.einsum("ikj,j->ik", g, family_phi(spec, xi, conv))
+        return np.einsum("ikj,j->ik", g, family_phi(spec, xi))
 
     return GAPair(field, GammaField(4, gamma_func), builtin_algebra("h4-psi"))
 
@@ -405,10 +393,10 @@ class FamilyReport:
 
 
 def _family_relation_residual(spec: H4FamilySpec, field: VectorField, metric: FinslerConfig,
-                              xi: np.ndarray, conv: str, cfg: DiffConfig) -> float:
+                              xi: np.ndarray, cfg: DiffConfig) -> float:
     """Max-abs mismatch of gamma from the constant-multiplier construction
     against gamma from the shared transposed connection, at one point."""
-    phi = family_phi(spec, xi, conv)
+    phi = family_phi(spec, xi)
     jac = field.jac(xi, cfg)
     gamma_mult = -jac + np.diag(spec.mu * phi)
     g = gamma_matrices(xi, metric, orientation="transposed")
@@ -422,22 +410,25 @@ def family_residual(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIFF,
 
     The residual compares the gamma-object demanded by the constant-multiplier
     requirement with the one induced by the shared connection; the convention
-    with the smaller grid maximum is reported as selected.
+    with the smaller grid maximum is reported as selected.  use_fd replaces
+    the exact Jacobian by finite differences.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     metric = spec.finsler()
     residuals = {}
     for conv in CONVENTIONS:
-        field = family_field(spec, conv, analytic_jacobian=not use_fd)
+        placed = replace(spec, convention=conv)
+        field = family_field(placed)
+        if use_fd:
+            field = field.without_jacobian()
         residuals[conv] = grid_max(
-            _family_relation_residual(spec, field, metric, xi, conv, cfg) for xi in points
+            _family_relation_residual(placed, field, metric, xi, cfg) for xi in points
         )
     selected = min(CONVENTIONS, key=lambda c: (residuals[c], CONVENTIONS.index(c)))
     return FamilyReport(residuals=residuals, selected=selected, n_points=points.shape[0])
 
 
-def analytic_gamma_max(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIFF,
-                       convention: str | None = None) -> float:
+def analytic_gamma_max(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIFF) -> float:
     """Largest gamma-object entry the bare field would need to be analytic.
 
     Reconstructed as minus the plain-analyticity residual of the pair
@@ -445,5 +436,5 @@ def analytic_gamma_max(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIF
     function, as happens under the reciprocal-quartic gauge.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    bare = GAPair(family_field(spec, convention), zero_gamma(4), builtin_algebra("h4-psi"))
+    bare = GAPair(family_field(spec), zero_gamma(4), builtin_algebra("h4-psi"))
     return grid_max(float(np.max(np.abs(cr_residual(bare, xi, cfg)))) for xi in points)

@@ -33,6 +33,7 @@ from polyan.fields import (
     covariant_derivative,
     gamma_from_prescribed,
     gamma_transform,
+    grid_max,
     identity_field,
     monomial_field,
     path_independence_residual,
@@ -102,14 +103,15 @@ def test_criterion_2_construction_identity():
     grids = {S.basis_tag: Box([-0.5] * S.n, [0.5] * S.n).grid(3) for S in algebras}
     cfg = DiffConfig(scheme="central-2")
     t0 = time.perf_counter()
-    worst = 0.0
+    residuals = []
     for trial in range(1000):
         S = algebras[trial % len(algebras)]
         f = random_smooth_field(S.n, rng, amplitude=0.8)
         fprime = random_smooth_field(S.n, rng, amplitude=0.8)
         pair = GAPair(f.without_jacobian(), gamma_from_prescribed(f, fprime, S).gamma, S)
         for x in grids[S.basis_tag]:
-            worst = max(worst, float(np.max(np.abs(cr_residual(pair, x, cfg)))))
+            residuals.append(float(np.max(np.abs(cr_residual(pair, x, cfg)))))
+    worst = grid_max(residuals)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-7 and elapsed < 30.0
     _report("2 construction-identity", ok, f"max residual {worst:.2e}, runtime {elapsed:.1f}s")
@@ -124,7 +126,7 @@ def test_criterion_3_pair_calculus_closure():
     S = builtin_algebra("h4-psi")
     E = builtin_algebra("h4-e")
     grid = Box([-0.5] * 4, [0.5] * 4).grid(3)
-    worst = 0.0
+    residuals = []
     for algebra in (S, E):
         p1 = gamma_from_prescribed(
             random_smooth_field(4, rng), random_smooth_field(4, rng), algebra
@@ -135,13 +137,13 @@ def test_criterion_3_pair_calculus_closure():
         prod = pair_product(p1, p2)
         comb = pair_combine(0.7, p1, -1.2, p2)
         for x in grid[::5]:
-            worst = max(worst, float(np.max(np.abs(cr_residual(prod, x)))))
-            worst = max(worst, float(np.max(np.abs(cr_residual(comb, x)))))
+            residuals.append(float(np.max(np.abs(cr_residual(prod, x)))))
+            residuals.append(float(np.max(np.abs(cr_residual(comb, x)))))
             rule = derivative(prod, x) - (
                 multiply(derivative(p1, x), algebra.element(p2.f(x)), algebra)
                 + multiply(algebra.element(p1.f(x)), derivative(p2, x), algebra)
             )
-            worst = max(worst, float(np.max(np.abs(rule.coords))))
+            residuals.append(float(np.max(np.abs(rule.coords))))
         # quotient: divide the product back out against a unit-anchored factor
         den = pair_combine(
             1.0,
@@ -152,12 +154,13 @@ def test_criterion_3_pair_calculus_closure():
         num = pair_product(den, p2)
         x = np.array([0.2, -0.3, 0.1, 0.25])
         value, deriv = pair_quotient(num, den, x)
-        worst = max(worst, float(np.max(np.abs(value.coords - p2.f(x)))))
-        worst = max(worst, float(np.max(np.abs(deriv.coords - derivative(p2, x).coords))))
+        residuals.append(float(np.max(np.abs(value.coords - p2.f(x)))))
+        residuals.append(float(np.max(np.abs(deriv.coords - derivative(p2, x).coords))))
         # composition: squaring chain against the product route
         sq = pair_product(p1, p1)
         chain = pair_compose(square_pair(algebra), p1, x)
-        worst = max(worst, float(np.max(np.abs(chain.coords - derivative(sq, x).coords))))
+        residuals.append(float(np.max(np.abs(chain.coords - derivative(sq, x).coords))))
+    worst = grid_max(residuals)
     ok = worst < 1e-7
     _report("3 pair-calculus", ok, f"max residual {worst:.2e}")
 
@@ -172,7 +175,7 @@ def test_criterion_4_tensoriality():
     pair = gamma_from_prescribed(
         random_smooth_field(4, rng), random_smooth_field(4, rng), S
     )
-    worst = 0.0
+    mismatches = []
     for _ in range(20):
         alpha = rng.uniform(-0.04, 0.04, (4, 4))
         phase = rng.uniform(0, 2 * np.pi, (4, 4))
@@ -194,7 +197,8 @@ def test_criterion_4_tensoriality():
         x = rng.uniform(-0.4, 0.4, 4)
         _, _, transported = gamma_transform(pair, diffeo, x)
         direct = covariant_derivative(transform_pair(pair, diffeo), diffeo(x))
-        worst = max(worst, float(np.max(np.abs(direct - transported))))
+        mismatches.append(float(np.max(np.abs(direct - transported))))
+    worst = grid_max(mismatches)
     ok = worst < 1e-6
     _report("4 tensoriality", ok, f"max transport mismatch {worst:.2e} over 20 diffeos")
 
@@ -213,8 +217,8 @@ def test_criterion_5_path_independence():
     v1 = line_integral(analytic, straight, S)
     v2 = line_integral(analytic, bent, S)
     expected = np.array([0.5, 2.0, 4.5, 8.0])
-    agree = max(
-        float(np.max(np.abs(v1.coords - expected))), float(np.max(np.abs(v2.coords - expected)))
+    agree = grid_max(
+        [float(np.max(np.abs(v1.coords - expected))), float(np.max(np.abs(v2.coords - expected)))]
     )
 
     crooked = monomial_field(4, 0, [0, 1, 0, 0])
@@ -287,7 +291,7 @@ def test_criterion_7_h4_family():
         phi0=[1, 1, 1, 1], mu=[1, 0, 0, 0],
         b=tuple(constant_b(1.0) for _ in range(4)), lam=constant_lambda(1.0),
     )
-    trivial_res = max(family_residual(trivial, grid, use_fd=True).residuals.values())
+    trivial_res = grid_max(family_residual(trivial, grid, use_fd=True).residuals.values())
 
     b = tuple(quadratic_b(0.25) for _ in range(4))
     reduced = H4FamilySpec(

@@ -1,9 +1,12 @@
 """End-to-end runs of the batch front end: exit codes, artifacts, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyan import cli
 from polyan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_TOL, main
@@ -126,7 +129,7 @@ def test_cr_residual_nonfinite_points_fail_loudly(tmp_path):
 
 def test_nonfinite_max_residual_is_runtime_error(tmp_path, monkeypatch):
     def nan_check(cfg, tol, rng):
-        return {"results": {"value": float("inf")}, "max_residual": float("nan")}, True
+        return lambda: ({"results": {"value": float("inf")}, "max_residual": float("nan")}, True)
 
     monkeypatch.setitem(cli._HANDLERS, "algebra-check", nan_check)
     code, text = run_cli(tmp_path, "algebra-check", {"algebra": "h4-psi"})
@@ -199,6 +202,21 @@ def test_line_integral_path_dependence_detected(tmp_path):
     assert json.loads(text)["results"]["difference"] > 1e-3
 
 
+def test_line_integral_nonfinite_is_runtime_error(tmp_path):
+    # 1/x on a path through the origin: the integral is not a number
+    config = {
+        "algebra": "h4-psi",
+        "field": {"kind": "componentwise-power", "power": -1},
+        "path": {"kind": "straight", "from": [-1, -1, -1, -1], "to": [1, 1, 1, 1]},
+    }
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code, text = run_cli(tmp_path, "line-integral", config)
+    assert code == EXIT_RUNTIME
+    report = json.loads(text, parse_constant=lambda token: pytest.fail(token))
+    assert report["pass"] is False
+    assert report["results"]["integral"] == [None] * 4
+
+
 # ---------------------------------------------------------------------------
 # geodesic and extremal trajectories
 # ---------------------------------------------------------------------------
@@ -262,6 +280,22 @@ def test_extremal_cone_violation_is_runtime_error(tmp_path):
     assert code == EXIT_RUNTIME
     report = json.loads(text)
     assert "ConeError" in report["results"]["error"]
+    assert report["pass"] is False
+
+
+def test_extremal_overflow_is_runtime_error(tmp_path):
+    config = {
+        "kappa": {"kind": "gaussian", "c": 1.0},
+        "lam": {"kind": "constant", "value": 16.0},
+        "xi0": [0.05, 0.1, 0.15, 0.2],
+        "dxi0": [1.0, 1.2, 0.8, 1.1],
+        "steps": 200,
+        "t_end": 50.0,
+    }
+    code, text = run_cli(tmp_path, "extremal", config, extra=["--format", "json"])
+    assert code == EXIT_RUNTIME
+    report = json.loads(text)
+    assert "OverflowError" in report["results"]["error"]
     assert report["pass"] is False
 
 
@@ -376,3 +410,127 @@ def test_stdout_output_when_no_file(tmp_path, capsys):
     code = main(["algebra-check", "--config", str(cfg_path)])
     assert code == EXIT_OK
     assert '"command": "algebra-check"' in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# malformed configs: exit 2 at the build step, never a traceback
+# ---------------------------------------------------------------------------
+
+_CR = {"algebra": "h4-psi", "field": {"kind": "componentwise-exp"}}
+_FAMILY = {"phi0": [1, 0.5, 2, 1], "mu": [0.3, -0.2, 0.1, 0.4],
+           "b": {"kind": "quadratic", "c": 0.25}, "lam": {"kind": "kappa-reciprocal"}}
+_ZERO = {"connection": {"kind": "zero", "n": 4}, "x0": [0, 0, 0, 0], "v0": [1, 1, 1, 1]}
+_STRAIGHT = {"kind": "straight", "from": [0, 0, 0, 0], "to": [1, 2, 3, 4]}
+_EXTREMAL = {"kappa": {"kind": "gaussian", "c": 1.0}, "lam": {"kind": "constant", "value": 16.0},
+             "xi0": [0.05, 0.1, 0.15, 0.2], "dxi0": [1.0, 1.2, 0.8, 1.1], "steps": 10}
+
+MALFORMED = [
+    ("cr-residual", dict(_CR, grid={"points_per_axis": "x"})),
+    ("cr-residual", dict(_CR, gamma="zero")),
+    ("cr-residual", dict(_CR, field={"kind": "componentwise-exp", "domain": "box"})),
+    ("cr-residual", dict(_CR, field={"kind": "componentwise-power", "power": "two"})),
+    ("pair-ops", {"algebra": "h4-e", "count": "ten"}),
+    ("line-integral", {"algebra": "h4-psi", "field": {"kind": "identity"},
+                       "path": dict(_STRAIGHT, to=[1, 2])}),
+    ("family-verify", dict(_FAMILY, kappa="gaussian")),
+    ("family-verify", dict(_FAMILY, kappa={"kind": "cross-term", "axes": [5, 6]})),
+    ("geodesic", dict(_ZERO, steps="many")),
+    ("geodesic", dict(_ZERO, x0=["a", 0, 0, 0])),
+    ("cr-residual", dict(_CR, scheme="forward")),
+    ("cr-residual", dict(_CR, field={"kind": "monomial", "component": 1, "exponents": [1, 2]})),
+    ("geodesic", dict(_ZERO, steps=0)),
+    ("line-integral", {"algebra": "h4-psi", "field": {"kind": "identity"}, "path": _STRAIGHT,
+                       "segments": 0}),
+    ("line-integral", {"algebra": "h4-psi", "field": {"kind": "identity"},
+                       "path": {"kind": "polyline", "vertices": [[0, 0, 0, 0]]}}),
+    ("extremal", dict(_EXTREMAL, kappa={"kind": "constant", "value": -1})),
+    ("extremal", dict(_EXTREMAL, kappa0=-1)),
+]
+
+
+@pytest.mark.parametrize("command, config", MALFORMED)
+def test_malformed_config_value_is_config_error(tmp_path, capsys, command, config):
+    code, text = run_cli(tmp_path, command, config)
+    assert code == EXIT_CONFIG
+    assert text == ""
+    assert "config error:" in capsys.readouterr().err
+
+
+# Config fuzz: one leaf or sub-object of a small well-formed config per
+# command is replaced by a wrong-typed value.
+_B4 = [{"kind": "gaussian", "c": 0.2}, {"kind": "quadratic", "c": 0.3},
+       {"kind": "constant", "c": 2.0}, {"kind": "quadratic", "c": 0.1}]
+FUZZ_BASES = [
+    ("algebra-check", {"algebra": "complex"}),
+    ("cr-residual", {"algebra": "complex",
+                     "field": {"kind": "linear", "matrix": [[1, 0], [0, 1]], "offset": [0, 1],
+                               "domain": {"min": [-1, -1], "max": [1, 1]}},
+                     "gamma": {"kind": "prescribed", "fprime": {"kind": "constant", "value": [1, 0]}},
+                     "grid": {"min": [-0.5, -0.5], "max": [0.5, 0.5], "points_per_axis": 2},
+                     "scheme": "central-4"}),
+    ("cr-residual", {"algebra": {"n": 2, "unit_index": 1,
+                                 "entries": [{"k": 1, "i": 1, "j": 1, "value": 1},
+                                             {"k": 2, "i": 1, "j": 2, "value": 1},
+                                             {"k": 2, "i": 2, "j": 1, "value": 1}]},
+                     "field": {"kind": "monomial", "component": 2, "exponents": [1, 2]},
+                     "grid": {"points_per_axis": 2}}),
+    ("cr-residual", {"algebra": "h4-psi", "field": {"kind": "h4-family", "family": {
+        "phi0": [1, 1, 1, 1], "mu": [0.1, 0, 0, 0], "b": {"kind": "constant", "c": 1.0}}},
+        "grid": {"points_per_axis": 2}}),
+    ("pair-ops", {"algebra": "complex", "count": 1, "grid": {"points_per_axis": 2}}),
+    ("line-integral", {"algebra": "complex", "field": {"kind": "componentwise-power", "power": 2},
+                       "path": {"kind": "straight", "from": [0, 0], "to": [1, 1]},
+                       "path_b": {"kind": "rectangle", "origin": [0, 0], "edge1": [1, 0],
+                                  "edge2": [0, 1]},
+                       "expect": "equal", "segments": 4}),
+    ("line-integral", {"algebra": "complex", "field": {"kind": "identity"},
+                       "path": {"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1]]},
+                       "segments": 4}),
+    ("geodesic", {"connection": {"kind": "finsler", "orientation": "as-printed",
+                                 "kappa": {"kind": "cross-term", "c": 0.5, "axes": [1, 2]},
+                                 "lam": {"kind": "kappa-reciprocal"}},
+                  "x0": [0.1, 0.1, 0.1, 0.1], "v0": [0.2, 0.2, 0.2, 0.2], "steps": 4, "t_end": 0.1}),
+    ("geodesic", {"connection": {"kind": "structure-scaled", "algebra": "complex", "scale": 0.5},
+                  "x0": [0, 0], "v0": [1, 1], "steps": 4}),
+    ("extremal", {"kappa0": 1.0, "lambda0": 1.0, "b": _B4, "kappa": {"kind": "from-b"},
+                  "lam": {"kind": "constant", "value": 16.0}, "xi0": [0.05, 0.1, 0.15, 0.2],
+                  "dxi0": [1.0, 1.2, 0.8, 1.1], "steps": 4, "t_end": 0.01}),
+    ("extremal", {"kappa": {"kind": "constant", "value": 4.0}, "lam": {"kind": "constant"},
+                  "xi0": [0, 0, 0, 0], "p0": [1, 1, 1, 1], "steps": 4, "t_end": 0.01}),
+    ("family-verify", {"phi0": [1, 0.5, 2, 1], "mu": [0.3, -0.2, 0.1, 0.4], "b": _B4,
+                       "kappa0": 1.0, "lambda0": 1.0, "lam": {"kind": "kappa-reciprocal"},
+                       "convention": "reciprocal", "grid": {"points_per_axis": 2}}),
+    ("family-verify", {"b": {"kind": "gaussian", "c": 0.5}, "kappa": {"kind": "gaussian", "c": 0.5},
+                       "lam": {"kind": "constant", "value": 1.0}, "grid": {"points_per_axis": 2}}),
+]
+FUZZ_VALUES = ["x", [], [[1.0]], {}, {"kind": "x"}, None, -1, 0]
+
+
+def _node_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+FUZZ_CASES = [(command, base, path) for command, base in FUZZ_BASES for path in _node_paths(base)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(FUZZ_VALUES))
+def test_config_fuzz_keeps_exit_code_contract(tmp_path_factory, case, value):
+    command, base, path = case
+    config = json.loads(json.dumps(base))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    with np.errstate(all="ignore"):
+        code, text = run_cli(tmp, command, config, extra=["--format", "json"])
+    assert code in (EXIT_OK, EXIT_TOL, EXIT_CONFIG, EXIT_RUNTIME)
+    if code == EXIT_TOL:
+        report = json.loads(text)
+        worst = report["max_residual"]
+        assert worst is not None and math.isfinite(worst)  # 17g writes 2.0 as 2
+        assert worst > report["config_echo"]["tol"]

