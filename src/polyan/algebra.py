@@ -42,7 +42,7 @@ __all__ = [
     "verify_structure",
 ]
 
-_ZERO_DIVISOR_TOL = 1e-12
+_SINGULAR_TOL = 1e-12  # relative determinant threshold of the singularity tests
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -268,12 +268,12 @@ class QTensor:
     q_inv: np.ndarray | None
 
 
-def q_tensor(S: StructureConstants, tol: float = 1e-12) -> QTensor:
+def q_tensor(S: StructureConstants) -> QTensor:
     """Double contraction of the structure constants; q_inv present iff nonsingular."""
     q = np.einsum("rim,mrj->ij", S.p, S.p)
     det = float(np.linalg.det(q))
     scale = max(1.0, float(np.max(np.abs(q)))) ** S.n
-    if abs(det) > tol * scale:
+    if abs(det) > _SINGULAR_TOL * scale:
         q_inv = np.linalg.inv(q)
     else:
         q_inv = None
@@ -286,16 +286,16 @@ def mult_operator(a: PolyNumber, S: StructureConstants) -> np.ndarray:
     return np.einsum("ijk,k->ij", S.p, a.coords)
 
 
-def is_zero_divisor(a: PolyNumber, S: StructureConstants, tol: float = _ZERO_DIVISOR_TOL) -> bool:
+def is_zero_divisor(a: PolyNumber, S: StructureConstants) -> bool:
     """Scale-invariant singularity test of the multiplication operator.
 
-    Flags a when |det M(a)| <= tol * |a|^n.  Both sides scale as c^n under
+    Flags a when |det M(a)| <= 1e-12 * |a|^n.  Both sides scale as c^n under
     a -> c a, so the verdict does not depend on the size of a; zero itself
     counts as a zero divisor for the purpose of guarding division.
     """
     m = mult_operator(a, S)
     norm = float(np.linalg.norm(a.coords))
-    return abs(float(np.linalg.det(m))) <= tol * norm ** S.n
+    return abs(float(np.linalg.det(m))) <= _SINGULAR_TOL * norm ** S.n
 
 
 def invert(a: PolyNumber, S: StructureConstants) -> PolyNumber:

@@ -37,16 +37,6 @@ EXIT_TOL = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-COMMANDS = (
-    "algebra-check",
-    "cr-residual",
-    "pair-ops",
-    "line-integral",
-    "geodesic",
-    "extremal",
-    "family-verify",
-)
-
 _DEFAULT_TOL = {
     "algebra-check": 1e-12,
     "cr-residual": 1e-7,
@@ -77,61 +67,43 @@ class RuntimeFailure(Exception):
 # deterministic JSON writer (stable key order, fixed float format)
 # ---------------------------------------------------------------------------
 
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _write_json(obj, out: io.TextIOBase, indent: int = 0):
-    pad = "  " * indent
-    if isinstance(obj, dict):
+    """Write obj in one pass; numpy arrays and scalars, tuples and non-string
+    keys are written as the Python values they convert to."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        out.write(format(obj, ".17g") if math.isfinite(obj) else "null")
+    elif isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        opening, closing = "{}" if is_dict else "[]"
         if not obj:
-            out.write("{}")
+            out.write(opening + closing)
             return
-        out.write("{\n")
-        for idx, (k, v) in enumerate(obj.items()):
-            out.write(f'{pad}  {json.dumps(k)}: ')
+        pad = "  " * indent
+        keys = [f"{json.dumps(str(k))}: " for k in obj] if is_dict else [""] * len(obj)
+        sep = opening + "\n"
+        for key, v in zip(keys, obj.values() if is_dict else obj):
+            out.write(f"{sep}{pad}  {key}")
             _write_json(v, out, indent + 1)
-            out.write(",\n" if idx < len(obj) - 1 else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for idx, v in enumerate(obj):
-            out.write(pad + "  ")
-            _write_json(v, out, indent + 1)
-            out.write(",\n" if idx < len(obj) - 1 else "\n")
-        out.write(pad + "]")
-    elif isinstance(obj, bool):
+            sep = ",\n"
+        out.write(f"\n{pad}{closing}")
+    elif isinstance(obj, (bool, np.bool_)):
         out.write("true" if obj else "false")
     elif obj is None:
         out.write("null")
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif isinstance(obj, float):
-        out.write(format(obj, ".17g") if math.isfinite(obj) else "null")
-    else:
+    elif isinstance(obj, (int, np.integer)):
+        out.write(str(int(obj)))
+    elif isinstance(obj, str):
         out.write(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def render_report(report: dict) -> str:
     buf = io.StringIO()
-    _write_json(_clean(report), buf)
+    _write_json(report, buf)
     buf.write("\n")
     return buf.getvalue()
 
@@ -342,7 +314,7 @@ def _cmd_algebra_check(cfg: dict, tol: float, rng) -> _Compute:
             "associativity_residual": report.associativity,
             "unit_residual": report.unit,
             "q_det": qt.det,
-            "q_matrix": qt.q.tolist(),
+            "q_matrix": qt.q,
             "q_singular": qt.q_inv is None,
         }
         worst = fl.grid_max([report.commutativity, report.associativity, report.unit])
@@ -426,10 +398,10 @@ def _cmd_line_integral(cfg: dict, tol: float, rng) -> _Compute:
 
     def compute():
         values = [fl.line_integral(field, p, S, diff).coords for p in (path, path_b) if p is not None]
-        results = {"integral": values[0].tolist()}
+        results = {"integral": values[0]}
         if path_b is not None:
             difference = float(np.max(np.abs(values[0] - values[1])))
-            results["integral_b"] = values[1].tolist()
+            results["integral_b"] = values[1]
             results["difference"] = difference
         if not np.all(np.isfinite(values)):
             raise RuntimeFailure({"results": results})
@@ -454,8 +426,8 @@ def _cmd_geodesic(cfg: dict, tol: float, rng) -> _Compute:
         results = {
             "steps": icfg.steps,
             "samples": len(traj),
-            "final_x": traj.x[-1].tolist(),
-            "final_v": traj.v[-1].tolist(),
+            "final_x": traj.x[-1],
+            "final_v": traj.v[-1],
         }
         return {"results": results, "max_residual": None, "trajectory": traj}, True
     return compute
@@ -471,14 +443,15 @@ def _cmd_extremal(cfg: dict, tol: float, rng) -> _Compute:
     )
     p0 = cfg["p0"] if "p0" in cfg else h4.momenta(_require(cfg, "dxi0"), xi0, metric)
     e0 = geo.ExtremalState(xi0, p0)
+    geo._check_start(metric, e0, icfg.drift_tol)
 
     def compute():
         traj = geo.integrate_extremal(metric, e0, icfg)
         results = {
             "steps": icfg.steps,
             "samples": len(traj),
-            "final_xi": traj.xi[-1].tolist(),
-            "final_p": traj.p[-1].tolist(),
+            "final_xi": traj.xi[-1],
+            "final_p": traj.p[-1],
             "max_drift": traj.max_drift,
         }
         return {"results": results, "max_residual": traj.max_drift, "trajectory": traj}, traj.max_drift <= tol
@@ -599,7 +572,7 @@ def main(argv=None) -> int:
         description="Verification and integration runs for poly-number field calculus.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in COMMANDS:
+    for name in _HANDLERS:
         sp = sub.add_parser(name, help=f"run the {name} command")
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--output", default=None, help="artifact path (default stdout)")

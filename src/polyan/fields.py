@@ -70,6 +70,8 @@ class Box:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ContractError("box bounds must be equal-length vectors")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ContractError("box bounds must be finite")
         if np.any(hi < lo):
             raise ContractError("box upper bound below lower bound")
         self.lo = lo

@@ -9,7 +9,6 @@ drift is logged as a correctness signal and never projected away.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +174,18 @@ def _relative_indicatrix(xi, p, metric: FinslerConfig) -> float:
     return (float(np.prod(p)) - scale) / scale
 
 
+def _check_start(metric: FinslerConfig, e0: ExtremalState, drift_tol: float) -> None:
+    """A start state must lie in the momentum cone (else ConeError) and on the
+    indicatrix within drift_tol (else ContractError)."""
+    if np.any(e0.p <= 0):
+        raise ConeError("initial momenta are outside the positive cone")
+    drift0 = _relative_indicatrix(e0.xi, e0.p, metric)
+    if abs(drift0) > drift_tol:
+        raise ContractError(
+            f"initial state violates the indicatrix constraint (relative residual {drift0:.3e})"
+        )
+
+
 def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: IntegratorConfig) -> ExtremalTrajectory:
     """Momentum-form extremal flow with the indicatrix constraint monitored.
 
@@ -183,13 +194,8 @@ def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: Integrator
     the indicatrix exactly, so the logged relative drift measures integration
     error.  Leaving the momentum cone aborts.
     """
-    if np.any(e0.p <= 0):
-        raise ConeError("initial momenta are outside the positive cone")
-    drift0 = _relative_indicatrix(e0.xi, e0.p, metric)
-    if abs(drift0) > cfg.drift_tol:
-        raise ContractError(
-            f"initial state violates the indicatrix constraint (relative residual {drift0:.3e})"
-        )
+    _check_start(metric, e0, cfg.drift_tol)
+
     def rhs(y):
         xi, p = y[:4], y[4:]
         lv = metric.lam(xi)
@@ -200,7 +206,7 @@ def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: Integrator
 
     tau, ys = _rk4(rhs, np.concatenate([e0.xi, e0.p]), cfg, "extremal", "tau",
                    cone=slice(4, None))
-    drift = np.array([drift0] + [_relative_indicatrix(y[:4], y[4:], metric) for y in ys[1:]])
+    drift = np.array([_relative_indicatrix(y[:4], y[4:], metric) for y in ys])
     return ExtremalTrajectory(tau=tau, xi=ys[:, :4].copy(), p=ys[:, 4:].copy(), drift=drift)
 
 
@@ -233,36 +239,21 @@ def cross_check_forms(metric: FinslerConfig, e0: ExtremalState, cfg: IntegratorC
 # CSV export
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_csv(columns: dict, stream) -> None:
+    """Header from the column names, vector columns numbered from 1, then one
+    row per sample with every float at 17 significant digits."""
+    header = []
+    for name, values in columns.items():
+        header += [name] if values.ndim == 1 else [f"{name}{k + 1}" for k in range(values.shape[1])]
+    stream.write(",".join(header) + "\n")
+    np.savetxt(stream, np.column_stack(list(columns.values())), fmt="%.17g", delimiter=",")
 
 
 def write_geodesic_csv(traj: GeodesicTrajectory, stream) -> None:
     """Rows tau, xi1..xin, v1..vn; one row per sample."""
-    n = traj.x.shape[1]
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        ["tau"] + [f"xi{k + 1}" for k in range(n)] + [f"v{k + 1}" for k in range(n)]
-    )
-    for m in range(len(traj)):
-        writer.writerow(
-            [_fmt(traj.sigma[m])] + [_fmt(v) for v in traj.x[m]] + [_fmt(v) for v in traj.v[m]]
-        )
+    _write_csv(traj.columns(), stream)
 
 
 def write_extremal_csv(traj: ExtremalTrajectory, stream) -> None:
     """Rows tau, xi1..xi4, p1..p4, constraint_residual; one row per sample."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        ["tau"]
-        + [f"xi{k + 1}" for k in range(4)]
-        + [f"p{k + 1}" for k in range(4)]
-        + ["constraint_residual"]
-    )
-    for m in range(len(traj)):
-        writer.writerow(
-            [_fmt(traj.tau[m])]
-            + [_fmt(v) for v in traj.xi[m]]
-            + [_fmt(v) for v in traj.p[m]]
-            + [_fmt(traj.drift[m])]
-        )
+    _write_csv(traj.columns(), stream)

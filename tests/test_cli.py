@@ -412,6 +412,23 @@ def test_stdout_output_when_no_file(tmp_path, capsys):
     assert '"command": "algebra-check"' in capsys.readouterr().out
 
 
+def test_render_report_writes_numpy_values_as_python_values():
+    report = {
+        "f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7), "flag": np.bool_(True),
+        "pair": (1, 2.5), 3: {True: None}, "matrix": np.array([[1.0, -0.0], [2.5, 1e300]]),
+        "nan": float("nan"), "inf": np.float64(-np.inf), "empty": (),
+    }
+    assert cli.render_report(report) == (
+        '{\n  "f64": 0.10000000000000001,\n  "f32": 0.10000000149011612,\n  "i64": -7,\n'
+        '  "flag": true,\n  "pair": [\n    1,\n    2.5\n  ],\n  "3": {\n    "True": null\n  },\n'
+        '  "matrix": [\n    [\n      1,\n      -0\n    ],\n    [\n      2.5,\n'
+        '      1.0000000000000001e+300\n    ]\n  ],\n  "nan": null,\n  "inf": null,\n'
+        '  "empty": []\n}\n'
+    )
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        cli.render_report({"x": object()})
+
+
 # ---------------------------------------------------------------------------
 # malformed configs: exit 2 at the build step, never a traceback
 # ---------------------------------------------------------------------------
@@ -445,6 +462,10 @@ MALFORMED = [
                        "path": {"kind": "polyline", "vertices": [[0, 0, 0, 0]]}}),
     ("extremal", dict(_EXTREMAL, kappa={"kind": "constant", "value": -1})),
     ("extremal", dict(_EXTREMAL, kappa0=-1)),
+    ("cr-residual", dict(_CR, grid={"min": [None, -0.5, -0.5, -0.5], "points_per_axis": 2})),
+    ("cr-residual", dict(_CR, field={"kind": "componentwise-exp", "domain": {"min": [None, -1, -1, -1]}},
+                         grid={"points_per_axis": 2})),
+    ("extremal", {"kappa": {"kind": "constant", "value": 1.0}, "xi0": [0, 0, 0, 0], "p0": [1, 1, 1, 1]}),
 ]
 
 

@@ -1,5 +1,6 @@
 """Geodesic and extremal integration with constraint monitoring."""
 
+import csv
 import io
 import math
 
@@ -12,7 +13,9 @@ from polyan import ConeError, ContractError, IntegrationError
 from polyan.geodesics import (
     ConnectionField,
     ExtremalState,
+    ExtremalTrajectory,
     GeodesicState,
+    GeodesicTrajectory,
     IntegratorConfig,
     connection_from_structure,
     cross_check_forms,
@@ -277,3 +280,38 @@ def test_csv_export_row_counts():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "tau,xi1,xi2,xi3,xi4,p1,p2,p3,p4,constraint_residual"
     assert len(lines) == 52
+
+
+def _reference_csv(traj) -> str:
+    """The per-row writers the CSV export replaced: csv.writer, every value at .17g."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if isinstance(traj, GeodesicTrajectory):
+        n = traj.x.shape[1]
+        writer.writerow(["tau"] + [f"xi{k + 1}" for k in range(n)] + [f"v{k + 1}" for k in range(n)])
+        for m in range(len(traj)):
+            writer.writerow([fmt(traj.sigma[m])] + [fmt(v) for v in traj.x[m]] + [fmt(v) for v in traj.v[m]])
+    else:
+        writer.writerow(["tau"] + [f"xi{k + 1}" for k in range(4)] + [f"p{k + 1}" for k in range(4)]
+                        + ["constraint_residual"])
+        for m in range(len(traj)):
+            writer.writerow([fmt(traj.tau[m])] + [fmt(v) for v in traj.xi[m]] + [fmt(v) for v in traj.p[m]]
+                            + [fmt(traj.drift[m])])
+    return buf.getvalue()
+
+
+def test_csv_writers_match_per_row_reference():
+    awkward = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, 2.0])
+    rows = np.stack([np.roll(awkward, k) for k in range(5)])
+    cases = [
+        (write_geodesic_csv, GeodesicTrajectory(sigma=awkward, x=rows[:, :4], v=rows[:, 1:])),
+        (write_extremal_csv, ExtremalTrajectory(tau=awkward, xi=rows[:, :4], p=rows[:, 1:], drift=-awkward)),
+    ]
+    for writer, traj in cases:
+        buf = io.StringIO()
+        writer(traj, buf)
+        assert buf.getvalue() == _reference_csv(traj)
+        assert "-0," in buf.getvalue() and "4.9406564584124654e-324" in buf.getvalue()
