@@ -37,17 +37,6 @@ EXIT_TOL = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_DEFAULT_TOL = {
-    "algebra-check": 1e-12,
-    "cr-residual": 1e-7,
-    "pair-ops": 1e-7,
-    "line-integral": 1e-8,
-    "geodesic": 0.0,
-    "extremal": 1e-6,
-    "family-verify": 1e-7,
-}
-
-
 _Compute = Callable[[], "tuple[dict, bool]"]
 
 
@@ -251,33 +240,34 @@ def _make_lambda(spec: dict, kappa: h4.ScalarField, kappa0: float, lambda0: floa
     raise ConfigError(f"unknown lambda kind {kind!r}")
 
 
-def _make_family_spec(cfg: dict) -> h4.H4FamilySpec:
-    b_specs = cfg.get("b", {"kind": "constant", "c": 1.0})
+def _make_profiles(b_specs) -> tuple:
     if isinstance(b_specs, dict):
         b_specs = [b_specs] * 4
     if len(b_specs) != 4:
         raise ConfigError("need one profile spec or exactly four")
-    b_funcs = tuple(_make_b(s) for s in b_specs)
+    return tuple(_make_b(s) for s in b_specs)
+
+
+def _make_metric(cfg: dict, b_funcs=None, kappa_default: str = "constant") -> h4.FinslerConfig:
+    """kappa, lam, kappa0 and lambda0; b_funcs default to the config's own profiles, if any."""
     kappa0 = float(cfg.get("kappa0", 1.0))
     lambda0 = float(cfg.get("lambda0", 1.0))
+    if b_funcs is None and cfg.get("b"):
+        b_funcs = _make_profiles(cfg["b"])
     kappa_spec = cfg.get("kappa")
-    kappa = _make_kappa({} if kappa_spec is None else kappa_spec, kappa0, b_funcs)
-    lam = _make_lambda(cfg.get("lam", {"kind": "constant"}), kappa, kappa0, lambda0)
-    return h4.H4FamilySpec(
-        phi0=cfg.get("phi0", [1.0, 1.0, 1.0, 1.0]), mu=cfg.get("mu", [0.0, 0.0, 0.0, 0.0]),
-        b=b_funcs, lam=lam, kappa0=kappa0, lambda0=lambda0,
-        convention=cfg.get("convention", "reciprocal"), kappa=kappa,
-    )
-
-
-def _make_metric(cfg: dict) -> h4.FinslerConfig:
-    kappa0 = float(cfg.get("kappa0", 1.0))
-    lambda0 = float(cfg.get("lambda0", 1.0))
-    b_specs = cfg.get("b")
-    b_funcs = tuple(_make_b(s) for s in b_specs) if b_specs else None
-    kappa = _make_kappa(cfg.get("kappa", {"kind": "constant"}), kappa0, b_funcs)
+    kappa = _make_kappa({"kind": kappa_default} if kappa_spec is None else kappa_spec, kappa0, b_funcs)
     lam = _make_lambda(cfg.get("lam", {"kind": "constant"}), kappa, kappa0, lambda0)
     return h4.FinslerConfig(kappa=kappa, lam=lam, kappa0=kappa0, lambda0=lambda0)
+
+
+def _make_family_spec(cfg: dict) -> h4.H4FamilySpec:
+    b_funcs = _make_profiles(cfg.get("b", {"kind": "constant", "c": 1.0}))
+    metric = _make_metric(cfg, b_funcs, kappa_default="from-b")
+    return h4.H4FamilySpec(
+        phi0=cfg.get("phi0", [1.0, 1.0, 1.0, 1.0]), mu=cfg.get("mu", [0.0, 0.0, 0.0, 0.0]),
+        b=b_funcs, lam=metric.lam, kappa0=metric.kappa0, lambda0=metric.lambda0,
+        convention=cfg.get("convention", "reciprocal"), kappa=metric.kappa,
+    )
 
 
 def _make_connection(spec: dict) -> geo.ConnectionField:
@@ -481,14 +471,15 @@ def _cmd_family_verify(cfg: dict, tol: float, rng) -> _Compute:
     return compute
 
 
+# command name -> (handler, default tolerance, writes a trajectory)
 _HANDLERS = {
-    "algebra-check": _cmd_algebra_check,
-    "cr-residual": _cmd_cr_residual,
-    "pair-ops": _cmd_pair_ops,
-    "line-integral": _cmd_line_integral,
-    "geodesic": _cmd_geodesic,
-    "extremal": _cmd_extremal,
-    "family-verify": _cmd_family_verify,
+    "algebra-check": (_cmd_algebra_check, 1e-12, False),
+    "cr-residual": (_cmd_cr_residual, 1e-7, False),
+    "pair-ops": (_cmd_pair_ops, 1e-7, False),
+    "line-integral": (_cmd_line_integral, 1e-8, False),
+    "geodesic": (_cmd_geodesic, 0.0, True),
+    "extremal": (_cmd_extremal, 1e-6, True),
+    "family-verify": (_cmd_family_verify, 1e-7, False),
 }
 
 
@@ -513,12 +504,13 @@ def run(command: str, config: dict, output: str | None = None, fmt: str | None =
     """
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
-    tol = _DEFAULT_TOL[command] if tol is None else float(tol)
+    handler, default_tol, writes_trajectory = _HANDLERS[command]
+    tol = default_tol if tol is None else float(tol)
     if fmt is None:
-        fmt = "csv" if command in ("geodesic", "extremal") else "json"
+        fmt = "csv" if writes_trajectory else "json"
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {fmt!r}")
-    if fmt == "csv" and command not in ("geodesic", "extremal"):
+    if fmt == "csv" and not writes_trajectory:
         raise ConfigError(f"command {command!r} produces no CSV trajectory")
     rng = np.random.default_rng(seed)
     report = {
@@ -530,12 +522,14 @@ def run(command: str, config: dict, output: str | None = None, fmt: str | None =
     }
     try:
         try:
-            compute = _HANDLERS[command](config, tol, rng)
+            compute = handler(config, tol, rng)
         except DomainError:
             raise
         except (ContractError, ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
             raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
-        payload, passed = compute()
+        # a non-finite value is reported as such; numpy's warning about it is noise
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            payload, passed = compute()
     except RuntimeFailure as exc:
         report.update(exc.payload)
         _write_output(render_report(report), output)

@@ -166,11 +166,15 @@ def reciprocal_quartic_lambda(kappa: ScalarField, kappa0: float, lambda0: float)
     """The gauge lambda0 * (kappa0 / kappa)^4 that makes the family analytic."""
     k0, l0 = float(kappa0), float(lambda0)
 
+    def value(kv):
+        return l0 * (k0 / kv) ** 4
+
     def func(x):
-        return l0 * (k0 / kappa(x)) ** 4
+        return value(kappa(x))
 
     def grad(x):
-        return -4.0 * func(x) * kappa.gradient(x) / kappa(x)
+        kv = kappa(x)
+        return -4.0 * value(kv) * kappa.gradient(x) / kv
 
     return ScalarField(func, grad)
 
@@ -218,6 +222,25 @@ def indicatrix(p, xi, cfg: FinslerConfig) -> float:
     return float(np.prod(p)) - (kap / 4.0) ** 4
 
 
+def _log_gradients(kappa: ScalarField, lam: ScalarField, xi: np.ndarray):
+    """kappa, lam, grad ln lam and grad ln sigma at one point, sigma = kappa^4 lam."""
+    lv = lam(xi)
+    kv = kappa(xi)
+    if kv <= 0 or lv <= 0:
+        raise ContractError("kappa and the gauge must stay positive")
+    dln_lam = lam.gradient(xi) / lv
+    dln_sigma = 4.0 * kappa.gradient(xi) / kv + dln_lam
+    return kv, lv, dln_lam, dln_sigma
+
+
+def _connection(dln_lam: np.ndarray, dln_sigma: np.ndarray, orientation: str) -> np.ndarray:
+    g = np.zeros((4, 4, 4))
+    for i in range(4):
+        g[i, i, :] = -dln_sigma
+        g[i, i, i] = -dln_lam[i]
+    return g.transpose(0, 2, 1) if orientation == "transposed" else g
+
+
 def gamma_matrices(xi, cfg: FinslerConfig, orientation: str = "transposed") -> np.ndarray:
     """Connection coefficients of the quartic metric, G[i, k, j].
 
@@ -229,20 +252,8 @@ def gamma_matrices(xi, cfg: FinslerConfig, orientation: str = "transposed") -> n
     """
     if orientation not in ORIENTATIONS:
         raise ContractError(f"orientation must be one of {ORIENTATIONS}")
-    xi = np.asarray(xi, dtype=float)
-    lam = cfg.lam(xi)
-    kap = cfg.kappa(xi)
-    if kap <= 0 or lam <= 0:
-        raise ContractError("kappa and the gauge must stay positive")
-    dln_lam = cfg.lam.gradient(xi) / lam
-    dln_sigma = 4.0 * cfg.kappa.gradient(xi) / kap + dln_lam
-    g = np.zeros((4, 4, 4))
-    for i in range(4):
-        g[i, i, :] = -dln_sigma
-        g[i, i, i] = -dln_lam[i]
-    if orientation == "transposed":
-        g = g.transpose(0, 2, 1)
-    return g
+    _, _, dln_lam, dln_sigma = _log_gradients(cfg.kappa, cfg.lam, np.asarray(xi, dtype=float))
+    return _connection(dln_lam, dln_sigma, orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +330,6 @@ class H4FamilySpec:
         if self.kappa is None:
             object.__setattr__(self, "kappa", kappa_from_b(self.b, self.kappa0))
 
-    def finsler(self) -> FinslerConfig:
-        return FinslerConfig(
-            kappa=self.kappa, lam=self.lam, kappa0=self.kappa0, lambda0=self.lambda0
-        )
-
 
 def _profile_factors(spec: H4FamilySpec, xi: np.ndarray):
     """Values and log-derivatives of the placed profiles B_i(xi_i)."""
@@ -343,44 +349,38 @@ def _profile_factors(spec: H4FamilySpec, xi: np.ndarray):
     return vals, dlog
 
 
+def _phi(spec: H4FamilySpec, xi: np.ndarray, kv: float, lv: float, bvals: np.ndarray) -> np.ndarray:
+    return spec.phi0 * (kv / spec.kappa0) ** 4 * (lv / spec.lambda0) * bvals * np.exp(spec.mu * xi)
+
+
 def family_phi(spec: H4FamilySpec, xi) -> np.ndarray:
     """Component values phi_i = phi0_i (kappa/kappa0)^4 (lam/lambda0) B_i exp(mu_i xi_i)."""
     xi = np.asarray(xi, dtype=float)
-    k4 = (spec.kappa(xi) / spec.kappa0) ** 4
-    lr = spec.lam(xi) / spec.lambda0
-    bvals, _ = _profile_factors(spec, xi)
-    return spec.phi0 * k4 * lr * bvals * np.exp(spec.mu * xi)
+    return _phi(spec, xi, spec.kappa(xi), spec.lam(xi), _profile_factors(spec, xi)[0])
+
+
+def _family_terms(spec: H4FamilySpec, xi: np.ndarray):
+    """phi, its exact Jacobian and gamma = G . phi (G the transposed connection
+    matrices) at one point, from one evaluation of kappa, lam and their gradients."""
+    kv, lv, dln_lam, dln_sigma = _log_gradients(spec.kappa, spec.lam, xi)
+    bvals, dlog = _profile_factors(spec, xi)
+    phi = _phi(spec, xi, kv, lv, bvals)
+    jac = phi[:, None] * dln_sigma[None, :]
+    jac[np.arange(4), np.arange(4)] += phi * (dlog + spec.mu)
+    gamma = np.einsum("ikj,j->ik", _connection(dln_lam, dln_sigma, "transposed"), phi)
+    return phi, jac, gamma
 
 
 def family_field(spec: H4FamilySpec) -> VectorField:
     """The family as a vector field over psi-coordinates, with exact Jacobian."""
-
-    def func(xi):
-        return family_phi(spec, xi)
-
-    def jac(xi):
-        phi = family_phi(spec, xi)
-        kv = spec.kappa(xi)
-        lv = spec.lam(xi)
-        common = 4.0 * spec.kappa.gradient(xi) / kv + spec.lam.gradient(xi) / lv
-        _, dlog = _profile_factors(spec, xi)
-        out = phi[:, None] * common[None, :]
-        out[np.arange(4), np.arange(4)] += phi * (dlog + spec.mu)
-        return out
-
-    return VectorField(4, func, jacobian=jac)
+    return VectorField(4, lambda xi: family_phi(spec, xi),
+                       jacobian=lambda xi: _family_terms(spec, xi)[1])
 
 
 def family_pair(spec: H4FamilySpec) -> GAPair:
     """The family paired with gamma = G . phi, G the transposed connection matrices."""
-    metric = spec.finsler()
-    field = family_field(spec)
-
-    def gamma_func(xi):
-        g = gamma_matrices(xi, metric, orientation="transposed")
-        return np.einsum("ikj,j->ik", g, family_phi(spec, xi))
-
-    return GAPair(field, GammaField(4, gamma_func), builtin_algebra("h4-psi"))
+    gamma = GammaField(4, lambda xi: _family_terms(spec, xi)[2])
+    return GAPair(family_field(spec), gamma, builtin_algebra("h4-psi"))
 
 
 @dataclass(frozen=True)
@@ -392,15 +392,14 @@ class FamilyReport:
     n_points: int
 
 
-def _family_relation_residual(spec: H4FamilySpec, field: VectorField, metric: FinslerConfig,
-                              xi: np.ndarray, cfg: DiffConfig) -> float:
+def _family_relation_residual(spec: H4FamilySpec, xi: np.ndarray, cfg: DiffConfig,
+                              use_fd: bool) -> float:
     """Max-abs mismatch of gamma from the constant-multiplier construction
     against gamma from the shared transposed connection, at one point."""
-    phi = family_phi(spec, xi)
-    jac = field.jac(xi, cfg)
+    phi, jac, gamma_conn = _family_terms(spec, xi)
+    if use_fd:
+        jac = fd_jacobian(lambda x: family_phi(spec, x), xi, cfg)
     gamma_mult = -jac + np.diag(spec.mu * phi)
-    g = gamma_matrices(xi, metric, orientation="transposed")
-    gamma_conn = np.einsum("ikj,j->ik", g, phi)
     return float(np.max(np.abs(gamma_conn - gamma_mult)))
 
 
@@ -414,16 +413,10 @@ def family_residual(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIFF,
     the exact Jacobian by finite differences.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    metric = spec.finsler()
     residuals = {}
     for conv in CONVENTIONS:
         placed = replace(spec, convention=conv)
-        field = family_field(placed)
-        if use_fd:
-            field = field.without_jacobian()
-        residuals[conv] = grid_max(
-            _family_relation_residual(placed, field, metric, xi, cfg) for xi in points
-        )
+        residuals[conv] = grid_max(_family_relation_residual(placed, xi, cfg, use_fd) for xi in points)
     selected = min(CONVENTIONS, key=lambda c: (residuals[c], CONVENTIONS.index(c)))
     return FamilyReport(residuals=residuals, selected=selected, n_points=points.shape[0])
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,8 +117,7 @@ def test_cr_residual_nonfinite_points_fail_loudly(tmp_path):
     # x^-1 on the default 3^4 grid: the 65 points with a zero coordinate
     # have non-finite residuals
     config = {"algebra": "h4-psi", "field": {"kind": "componentwise-power", "power": -1}}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        code, text = run_cli(tmp_path, "cr-residual", config)
+    code, text = run_cli(tmp_path, "cr-residual", config)
     assert code == EXIT_RUNTIME
 
     def reject(token):
@@ -131,13 +133,44 @@ def test_nonfinite_max_residual_is_runtime_error(tmp_path, monkeypatch):
     def nan_check(cfg, tol, rng):
         return lambda: ({"results": {"value": float("inf")}, "max_residual": float("nan")}, True)
 
-    monkeypatch.setitem(cli._HANDLERS, "algebra-check", nan_check)
+    monkeypatch.setitem(cli._HANDLERS, "algebra-check", (nan_check, 1e-12, False))
     code, text = run_cli(tmp_path, "algebra-check", {"algebra": "h4-psi"})
     assert code == EXIT_RUNTIME
     report = json.loads(text, parse_constant=lambda token: pytest.fail(token))
     assert report["max_residual"] is None
     assert report["results"]["value"] is None
     assert report["pass"] is False
+
+
+def test_command_added_to_the_table_alone_runs(tmp_path, monkeypatch):
+    def constant_check(cfg, tol, rng):
+        return lambda: ({"results": {"tol": tol}, "max_residual": 0.0}, True)
+
+    monkeypatch.setitem(cli._HANDLERS, "constant-check", (constant_check, 1e-9, False))
+    code, text = run_cli(tmp_path, "constant-check", {})
+    assert code == EXIT_OK
+    assert json.loads(text)["results"]["tol"] == 1e-9
+
+
+_NONFINITE_RUNS = [
+    ("cr-residual", {"algebra": "h4-psi", "field": {"kind": "componentwise-power", "power": -1}}),
+    ("line-integral", {"algebra": "h4-psi", "field": {"kind": "componentwise-power", "power": -1},
+                       "path": {"kind": "straight", "from": [-1, -1, -1, -1], "to": [1, 1, 1, 1]}}),
+]
+
+
+@pytest.mark.parametrize("command, config", _NONFINITE_RUNS)
+def test_nonfinite_runs_print_no_numpy_warnings(tmp_path, capfd, command, config):
+    # a separate interpreter, so that numpy's warnings would reach stderr
+    # instead of pytest's warning capture
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = subprocess.call([sys.executable, "-m", "polyan.cli", command, "--config", str(cfg_path),
+                            "--output", str(tmp_path / "out.json")], env=env)
+    assert code == EXIT_RUNTIME
+    assert capfd.readouterr().err == ""
 
 
 def test_cr_residual_prescribed_gamma(tmp_path):
@@ -209,8 +242,7 @@ def test_line_integral_nonfinite_is_runtime_error(tmp_path):
         "field": {"kind": "componentwise-power", "power": -1},
         "path": {"kind": "straight", "from": [-1, -1, -1, -1], "to": [1, 1, 1, 1]},
     }
-    with np.errstate(divide="ignore", invalid="ignore"):
-        code, text = run_cli(tmp_path, "line-integral", config)
+    code, text = run_cli(tmp_path, "line-integral", config)
     assert code == EXIT_RUNTIME
     report = json.loads(text, parse_constant=lambda token: pytest.fail(token))
     assert report["pass"] is False
@@ -297,6 +329,20 @@ def test_extremal_overflow_is_runtime_error(tmp_path):
     report = json.loads(text)
     assert "OverflowError" in report["results"]["error"]
     assert report["pass"] is False
+
+
+def test_extremal_takes_one_profile_for_all_four_axes(tmp_path):
+    one = {"kind": "quadratic", "c": 0.25}
+    config = {"b": one, "kappa": {"kind": "from-b"}, "lam": {"kind": "constant", "value": 16.0},
+              "xi0": [0.05, 0.1, 0.15, 0.2], "dxi0": [1.0, 1.2, 0.8, 1.1], "steps": 50}
+    code, single = run_cli(tmp_path, "extremal", config, name="single.json")
+    assert code == EXIT_OK
+    code, four = run_cli(tmp_path, "extremal", dict(config, b=[one] * 4), name="four.json")
+    assert code == EXIT_OK
+    assert single == four
+    code, text = run_cli(tmp_path, "extremal", dict(config, b=[one]), name="short.json")
+    assert code == EXIT_CONFIG
+    assert text == ""
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +593,7 @@ def test_config_fuzz_keeps_exit_code_contract(tmp_path_factory, case, value):
         node = node[key]
     node[path[-1]] = value
     tmp = tmp_path_factory.mktemp("fuzz")
-    with np.errstate(all="ignore"):
-        code, text = run_cli(tmp, command, config, extra=["--format", "json"])
+    code, text = run_cli(tmp, command, config, extra=["--format", "json"])
     assert code in (EXIT_OK, EXIT_TOL, EXIT_CONFIG, EXIT_RUNTIME)
     if code == EXIT_TOL:
         report = json.loads(text)

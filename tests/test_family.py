@@ -1,12 +1,18 @@
 """The closed-form family of generalized-analytic functions on H4."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from polyan import builtin_algebra, cr_residual, derivative
 from polyan.fields import Box, GAPair, zero_gamma
+from polyan.fields import fd_jacobian, grid_max
 from polyan.h4 import (
+    CONVENTIONS,
+    FinslerConfig,
     H4FamilySpec,
+    ScalarField,
     analytic_gamma_max,
     compatibility_residual,
     constant_b,
@@ -16,7 +22,9 @@ from polyan.h4 import (
     family_pair,
     family_phi,
     family_residual,
+    gamma_matrices,
     gaussian_b,
+    gaussian_kappa,
     kappa_from_b,
     quadratic_b,
     reciprocal_quartic_lambda,
@@ -212,3 +220,88 @@ def test_vanishing_profile_rejected_at_evaluation():
     )
     with pytest.raises(ContractError):
         family_phi(spec, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# reference formulas: phi, kappa, lam and their gradients evaluated anew for
+# the Jacobian and for the connection, as written before the family shared
+# one evaluation per point
+# ---------------------------------------------------------------------------
+
+def reference_jacobian(spec, xi):
+    phi = family_phi(spec, xi)
+    common = 4.0 * spec.kappa.gradient(xi) / spec.kappa(xi) + spec.lam.gradient(xi) / spec.lam(xi)
+    sign = -1.0 if spec.convention == "reciprocal" else 1.0
+    dlog = np.array([sign * b.d(t) / b(t) for b, t in zip(spec.b, xi)])
+    out = phi[:, None] * common[None, :]
+    out[np.arange(4), np.arange(4)] += phi * (dlog + spec.mu)
+    return out
+
+
+def reference_gamma(spec, xi):
+    metric = FinslerConfig(kappa=spec.kappa, lam=spec.lam, kappa0=spec.kappa0, lambda0=spec.lambda0)
+    return np.einsum("ikj,j->ik", gamma_matrices(xi, metric, "transposed"), family_phi(spec, xi))
+
+
+def reference_residuals(spec, points, use_fd):
+    residuals = {}
+    for conv in CONVENTIONS:
+        placed = replace(spec, convention=conv)
+        values = []
+        for xi in points:
+            phi = family_phi(placed, xi)
+            if use_fd:
+                jac = fd_jacobian(lambda x: family_phi(placed, x), xi)
+            else:
+                jac = reference_jacobian(placed, xi)
+            gamma_mult = -jac + np.diag(placed.mu * phi)
+            values.append(float(np.max(np.abs(reference_gamma(placed, xi) - gamma_mult))))
+        residuals[conv] = grid_max(values)
+    return residuals
+
+
+def reference_specs():
+    b = tuple(quadratic_b(0.25) for _ in range(4))
+    kappas = {"from-b": kappa_from_b(b, 1.5), "gaussian": gaussian_kappa(1.5, 0.7),
+              "cross-term": cross_term_kappa(1.5, 0.5, (1, 3))}
+    for kname, kappa in kappas.items():
+        lams = {"constant": constant_lambda(2.0),
+                "kappa-reciprocal": reciprocal_quartic_lambda(kappa, 1.5, 2.0)}
+        for lname, lam in lams.items():
+            yield pytest.param(H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=lam, kappa0=1.5,
+                                            lambda0=2.0, kappa=kappa), id=f"{kname}-{lname}")
+
+
+@pytest.mark.parametrize("spec", list(reference_specs()))
+def test_shared_evaluation_matches_reference_bitwise(spec):
+    for conv in CONVENTIONS:
+        placed = replace(spec, convention=conv)
+        field = family_field(placed)
+        pair = family_pair(placed)
+        for xi in GRID[::7]:
+            assert np.array_equal(field.jac(xi), reference_jacobian(placed, xi))
+            assert np.array_equal(pair.gamma(xi), reference_gamma(placed, xi))
+    for use_fd in (False, True):
+        report = family_residual(spec, GRID[::3], use_fd=use_fd)
+        assert report.residuals == reference_residuals(spec, GRID[::3], use_fd)
+
+
+def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
+    # the README family: from-b kappa and the kappa-reciprocal gauge; both
+    # conventions together make 8 calls and 6 gradients per point
+    counts = {"call": 0, "gradient": 0}
+    call, gradient = ScalarField.__call__, ScalarField.gradient
+
+    def counted_call(self, x):
+        counts["call"] += 1
+        return call(self, x)
+
+    def counted_gradient(self, x):
+        counts["gradient"] += 1
+        return gradient(self, x)
+
+    monkeypatch.setattr(ScalarField, "__call__", counted_call)
+    monkeypatch.setattr(ScalarField, "gradient", counted_gradient)
+    family_residual(reduced_spec(), GRID)
+    assert counts["call"] <= 8 * len(GRID)
+    assert counts["gradient"] <= 6 * len(GRID)

@@ -178,6 +178,7 @@ def test_connection_residual_links_pair_to_shared_coefficients():
     # residual against it, and a nonzero one against anything else
     from polyan.fields import connection_residual
     from polyan.h4 import (
+        FinslerConfig,
         H4FamilySpec,
         constant_lambda,
         family_pair,
@@ -193,7 +194,7 @@ def test_connection_residual_links_pair_to_shared_coefficients():
         lam=constant_lambda(1.0),
     )
     pair = family_pair(spec)
-    metric = spec.finsler()
+    metric = FinslerConfig(kappa=spec.kappa, lam=spec.lam, kappa0=spec.kappa0, lambda0=spec.lambda0)
     matched = ConnectionField(4, lambda x: gamma_matrices(x, metric, "transposed"))
     mismatched = ConnectionField(4, lambda x: gamma_matrices(x, metric, "as-printed"))
     xi = np.array([0.2, -0.3, 0.1, 0.4])
