@@ -56,45 +56,40 @@ class RuntimeFailure(Exception):
 # deterministic JSON writer (stable key order, fixed float format)
 # ---------------------------------------------------------------------------
 
-def _write_json(obj, out: io.TextIOBase, indent: int = 0):
-    """Write obj in one pass; numpy arrays and scalars, tuples and non-string
-    keys are written as the Python values they convert to."""
+def _json(obj, indent: int = 0) -> str:
+    """JSON text of obj, numpy arrays and scalars, tuples and non-string keys
+    as the Python values they convert to; a list of floats in one join."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (float, np.floating)):
         obj = float(obj)
-        out.write(format(obj, ".17g") if math.isfinite(obj) else "null")
-    elif isinstance(obj, (dict, list, tuple)):
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
+    if isinstance(obj, (dict, list, tuple)):
         is_dict = isinstance(obj, dict)
         opening, closing = "{}" if is_dict else "[]"
         if not obj:
-            out.write(opening + closing)
-            return
-        pad = "  " * indent
-        keys = [f"{json.dumps(str(k))}: " for k in obj] if is_dict else [""] * len(obj)
-        sep = opening + "\n"
-        for key, v in zip(keys, obj.values() if is_dict else obj):
-            out.write(f"{sep}{pad}  {key}")
-            _write_json(v, out, indent + 1)
-            sep = ",\n"
-        out.write(f"\n{pad}{closing}")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.write("true" if obj else "false")
-    elif obj is None:
-        out.write("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+            return opening + closing
+        pad = "  " * (indent + 1)
+        if is_dict:
+            items = (f"{json.dumps(str(k))}: {_json(v, indent + 1)}" for k, v in obj.items())
+        elif all(type(v) is float for v in obj):
+            items = (format(v, ".17g") if math.isfinite(v) else "null" for v in obj)
+        else:
+            items = (_json(v, indent + 1) for v in obj)
+        return f"{opening}\n{pad}" + f",\n{pad}".join(items) + f"\n{'  ' * indent}{closing}"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def render_report(report: dict) -> str:
-    buf = io.StringIO()
-    _write_json(report, buf)
-    buf.write("\n")
-    return buf.getvalue()
+    return _json(report) + "\n"
 
 
 # ---------------------------------------------------------------------------

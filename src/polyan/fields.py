@@ -520,11 +520,15 @@ def pair_change_basis(pair: GAPair, B) -> GAPair:
 # ---------------------------------------------------------------------------
 
 class ConnectionField:
-    """Position-dependent coefficients, point -> (n, n, n) array G[i, k, j]."""
+    """Position-dependent coefficients, point -> (n, n, n) array G[i, k, j].
 
-    def __init__(self, n: int, func: Callable):
+    acceleration, if given, maps (x, v) to -G[i, k, j] v_k v_j without building G.
+    """
+
+    def __init__(self, n: int, func: Callable, acceleration: Callable | None = None):
         self.n = int(n)
         self.func = func
+        self.acceleration = acceleration
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)

@@ -9,13 +9,14 @@ drift is logged as a correctness signal and never projected away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConeError, ContractError, IntegrationError
 from .fields import ConnectionField
-from .h4 import FinslerConfig, gamma_matrices
+from .h4 import ORIENTATIONS, FinslerConfig, _acceleration, gamma_matrices
 
 __all__ = [
     "ConnectionField",
@@ -49,7 +50,15 @@ def connection_from_structure(S, scale: float = 1.0) -> ConnectionField:
 
 
 def finsler_connection(metric: FinslerConfig, orientation: str = "transposed") -> ConnectionField:
-    return ConnectionField(4, lambda x: gamma_matrices(x, metric, orientation))
+    """G = gamma_matrices(x, metric, orientation), carrying the geodesic
+    acceleration in closed form, a_i = v_i (s . v - (s_i - l_i) v_i) with
+    s = grad ln sigma (sigma = kappa^4 lam) and l = grad ln lam: one kappa and
+    one lam evaluation, no (4, 4, 4) array.  Both orientations contract to this
+    same acceleration, so the orientation is checked here, when built."""
+    if orientation not in ORIENTATIONS:
+        raise ContractError(f"orientation must be one of {ORIENTATIONS}")
+    return ConnectionField(4, lambda x: gamma_matrices(x, metric, orientation),
+                           lambda x, v: _acceleration(metric, x, v))
 
 
 @dataclass(frozen=True)
@@ -104,20 +113,20 @@ def _rk4(rhs, y0: np.ndarray, cfg: IntegratorConfig, what: str, clock: str, cone
     by cone leave the positive cone.
     """
     h = cfg.t_end / cfg.steps
+    half, sixth = 0.5 * h, h / 6.0
     ys = np.empty((cfg.steps + 1, y0.shape[0]))
-    ys[0] = y0
+    ys[0] = y = y0
     for m in range(cfg.steps):
-        y = ys[m]
         k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
         k4 = rhs(y + h * k3)
-        ys[m + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(ys[m + 1])):
+        ys[m + 1] = y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
             raise IntegrationError(
                 f"{what} state became non-finite at step {m + 1} ({clock}={(m + 1) * h:g})"
             )
-        if cone is not None and np.any(ys[m + 1, cone] <= 0):
+        if cone is not None and (y[cone] <= 0).any():
             raise ConeError(f"momenta left the positive cone at step {m + 1} ({clock}={(m + 1) * h:g})")
     return h * np.arange(cfg.steps + 1), ys
 
@@ -137,14 +146,15 @@ class GeodesicTrajectory:
 
 
 def integrate_geodesic(Gamma: ConnectionField, s0: GeodesicState, cfg: IntegratorConfig) -> GeodesicTrajectory:
-    """Fixed-step RK4 trajectory with steps + 1 samples, deterministic."""
+    """Fixed-step RK4 trajectory with steps + 1 samples, deterministic; the
+    acceleration is the connection's own where it has one, else geodesic_rhs."""
     n = s0.x.shape[0]
     if Gamma.n != n:
         raise ContractError("connection dimension disagrees with the state")
+    acceleration = Gamma.acceleration or (lambda x, v: geodesic_rhs(Gamma, x, v))
 
     def rhs(y):
-        x, v = y[:n], y[n:]
-        return np.concatenate([v, geodesic_rhs(Gamma, x, v)])
+        return np.concatenate((y[n:], acceleration(y[:n], y[n:])))
 
     sigma, ys = _rk4(rhs, np.concatenate([s0.x, s0.v]), cfg, "geodesic", "sigma")
     return GeodesicTrajectory(sigma=sigma, x=ys[:, :n].copy(), v=ys[:, n:].copy())
@@ -171,7 +181,7 @@ class ExtremalTrajectory:
 
 def _relative_indicatrix(xi, p, metric: FinslerConfig) -> float:
     scale = (metric.kappa(xi) / 4.0) ** 4
-    return (float(np.prod(p)) - scale) / scale
+    return (math.prod(p.tolist()) - scale) / scale
 
 
 def _check_start(metric: FinslerConfig, e0: ExtremalState, drift_tol: float) -> None:
@@ -199,10 +209,11 @@ def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: Integrator
     def rhs(y):
         xi, p = y[:4], y[4:]
         lv = metric.lam(xi)
-        kv = metric.kappa(xi)
-        dxi = np.prod(p) / p * lv
-        dp = (kv / 4.0) ** 4 * (4.0 * metric.kappa.gradient(xi) / kv) * lv
-        return np.concatenate([dxi, dp])
+        kv, dkappa = metric.kappa.value_and_gradient(xi)
+        out = np.empty(8)
+        out[:4] = math.prod(p.tolist()) / p * lv
+        out[4:] = (kv / 4.0) ** 4 * (4.0 * dkappa / kv) * lv
+        return out
 
     tau, ys = _rk4(rhs, np.concatenate([e0.xi, e0.p]), cfg, "extremal", "tau",
                    cone=slice(4, None))

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import builtin_algebra
-from .errors import ConeError, ContractError
+from .errors import ConeError, ContractError, DomainError
 from .fields import (
     DEFAULT_DIFF,
     DiffConfig,
@@ -39,20 +39,29 @@ ORIENTATIONS = ("as-printed", "transposed")
 
 
 class ScalarField:
-    """Positive scalar function of a point, with analytic or FD gradient."""
+    """Positive scalar function of a point, with analytic or FD gradient.
 
-    def __init__(self, func: Callable, grad: Callable | None = None):
+    value_and_grad, if given, maps a point to the value and the gradient from
+    one evaluation; else the gradient is a central finite difference of func.
+    """
+
+    def __init__(self, func: Callable, value_and_grad: Callable | None = None):
         self.func = func
-        self._grad = grad
+        self._value_and_grad = value_and_grad
 
     def __call__(self, x) -> float:
         return float(self.func(np.asarray(x, dtype=float)))
 
-    def gradient(self, x) -> np.ndarray:
+    def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
+        """The value and the gradient at x; an analytic gradient reuses the value."""
         x = np.asarray(x, dtype=float)
-        if self._grad is not None:
-            return np.asarray(self._grad(x), dtype=float)
-        return fd_jacobian(self.func, x)
+        if self._value_and_grad is None:
+            return float(self.func(x)), fd_jacobian(self.func, x)
+        v, g = self._value_and_grad(x)
+        return float(v), np.asarray(g, dtype=float)
+
+    def gradient(self, x) -> np.ndarray:
+        return self.value_and_gradient(x)[1]
 
 
 @dataclass(frozen=True)
@@ -87,11 +96,19 @@ def gaussian_b(c: float = 1.0) -> ScalarFunc1D:
     )
 
 
-def constant_kappa(value: float = 1.0) -> ScalarField:
+_ZERO_GRADIENT = np.zeros(4)
+_ZERO_GRADIENT.flags.writeable = False
+
+
+def _positive_constant(value: float, what: str) -> ScalarField:
     v = float(value)
     if v <= 0:
-        raise ContractError("kappa must be positive")
-    return ScalarField(lambda x: v, lambda x: np.zeros_like(x))
+        raise ContractError(f"{what} must be positive")
+    return ScalarField(lambda x: v, lambda x: (v, _ZERO_GRADIENT))
+
+
+def constant_kappa(value: float = 1.0) -> ScalarField:
+    return _positive_constant(value, "kappa")
 
 
 def gaussian_kappa(kappa0: float = 1.0, c: float = 1.0) -> ScalarField:
@@ -102,10 +119,11 @@ def gaussian_kappa(kappa0: float = 1.0, c: float = 1.0) -> ScalarField:
     def func(x):
         return k0 * math.exp(c * float(np.dot(x, x)) / 4.0)
 
-    def grad(x):
-        return func(x) * c * x / 2.0
+    def value_and_grad(x):
+        v = func(x)
+        return v, v * c * x / 2.0
 
-    return ScalarField(func, grad)
+    return ScalarField(func, value_and_grad)
 
 
 def kappa_from_b(b_funcs, kappa0: float = 1.0) -> ScalarField:
@@ -120,15 +138,15 @@ def kappa_from_b(b_funcs, kappa0: float = 1.0) -> ScalarField:
         for i in range(4):
             v = bs[i](x[i])
             if v == 0.0:
-                raise ContractError("component function vanishes on the evaluation point")
+                raise DomainError("component function vanishes on the evaluation point")
             acc += math.log(abs(v))
         return k0 * math.exp(acc / 4.0)
 
-    def grad(x):
+    def value_and_grad(x):
         val = func(x)
-        return val * np.array([bs[i].d(x[i]) / bs[i](x[i]) for i in range(4)]) / 4.0
+        return val, val * np.array([bs[i].d(x[i]) / bs[i](x[i]) for i in range(4)]) / 4.0
 
-    return ScalarField(func, grad)
+    return ScalarField(func, value_and_grad)
 
 
 def cross_term_kappa(kappa0: float = 1.0, c: float = 1.0, axes=(0, 1)) -> ScalarField:
@@ -145,21 +163,18 @@ def cross_term_kappa(kappa0: float = 1.0, c: float = 1.0, axes=(0, 1)) -> Scalar
     def func(x):
         return k0 * math.exp(c * x[a] * x[b] / 4.0)
 
-    def grad(x):
+    def value_and_grad(x):
         g = np.zeros_like(x)
         v = func(x)
         g[a] = v * c * x[b] / 4.0
         g[b] = v * c * x[a] / 4.0
-        return g
+        return v, g
 
-    return ScalarField(func, grad)
+    return ScalarField(func, value_and_grad)
 
 
 def constant_lambda(value: float = 1.0) -> ScalarField:
-    v = float(value)
-    if v <= 0:
-        raise ContractError("gauge must be positive")
-    return ScalarField(lambda x: v, lambda x: np.zeros_like(x))
+    return _positive_constant(value, "gauge")
 
 
 def reciprocal_quartic_lambda(kappa: ScalarField, kappa0: float, lambda0: float) -> ScalarField:
@@ -172,11 +187,12 @@ def reciprocal_quartic_lambda(kappa: ScalarField, kappa0: float, lambda0: float)
     def func(x):
         return value(kappa(x))
 
-    def grad(x):
-        kv = kappa(x)
-        return -4.0 * value(kv) * kappa.gradient(x) / kv
+    def value_and_grad(x):
+        kv, dk = kappa.value_and_gradient(x)
+        lv = value(kv)
+        return lv, -4.0 * lv * dk / kv
 
-    return ScalarField(func, grad)
+    return ScalarField(func, value_and_grad)
 
 
 @dataclass(frozen=True)
@@ -224,12 +240,12 @@ def indicatrix(p, xi, cfg: FinslerConfig) -> float:
 
 def _log_gradients(kappa: ScalarField, lam: ScalarField, xi: np.ndarray):
     """kappa, lam, grad ln lam and grad ln sigma at one point, sigma = kappa^4 lam."""
-    lv = lam(xi)
-    kv = kappa(xi)
+    lv, dlam = lam.value_and_gradient(xi)
+    kv, dkappa = kappa.value_and_gradient(xi)
     if kv <= 0 or lv <= 0:
-        raise ContractError("kappa and the gauge must stay positive")
-    dln_lam = lam.gradient(xi) / lv
-    dln_sigma = 4.0 * kappa.gradient(xi) / kv + dln_lam
+        raise DomainError("kappa and the gauge must stay positive")
+    dln_lam = dlam / lv
+    dln_sigma = 4.0 * dkappa / kv + dln_lam
     return kv, lv, dln_lam, dln_sigma
 
 
@@ -239,6 +255,12 @@ def _connection(dln_lam: np.ndarray, dln_sigma: np.ndarray, orientation: str) ->
         g[i, i, :] = -dln_sigma
         g[i, i, i] = -dln_lam[i]
     return g.transpose(0, 2, 1) if orientation == "transposed" else g
+
+
+def _acceleration(cfg: FinslerConfig, xi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """-G[i, k, j] v_k v_j without building G; the same for both orientations."""
+    _, _, dln_lam, dln_sigma = _log_gradients(cfg.kappa, cfg.lam, xi)
+    return v * (dln_sigma @ v - (dln_sigma - dln_lam) * v)
 
 
 def gamma_matrices(xi, cfg: FinslerConfig, orientation: str = "transposed") -> np.ndarray:
@@ -338,7 +360,7 @@ def _profile_factors(spec: H4FamilySpec, xi: np.ndarray):
     for i in range(4):
         bv = spec.b[i](xi[i])
         if bv == 0.0:
-            raise ContractError("profile function vanishes on the evaluation point")
+            raise DomainError("profile function vanishes on the evaluation point")
         bd = spec.b[i].d(xi[i])
         if spec.convention == "reciprocal":
             vals[i] = 1.0 / bv

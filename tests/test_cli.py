@@ -113,6 +113,24 @@ def test_cr_residual_partial_results_on_domain_error(tmp_path):
     assert report["results"]["grid_max"] < 1e-8
 
 
+def test_cr_residual_vanishing_family_profile_fails_per_point(tmp_path):
+    # b = 1 - 4 t^2 vanishes on the grid's faces at +-0.5; the 2^4 inner points still report
+    config = {"algebra": "h4-psi",
+              "field": {"kind": "h4-family", "family": {"b": {"kind": "quadratic", "c": -4.0}}},
+              "grid": {"points_per_axis": 4}}
+    code, text = run_cli(tmp_path, "cr-residual", config)
+    assert code == EXIT_RUNTIME
+    results = json.loads(text)["results"]
+    on_face = [e for e in results["points"] if 0.5 in np.abs(e["point"])]
+    inner = [e for e in results["points"] if 0.5 not in np.abs(e["point"])]
+    assert len(on_face) == 4 ** 4 - 16 and len(inner) == 16
+    assert all(e["error"] == "DomainError: component function vanishes on the evaluation point"
+               and "max_abs" not in e for e in on_face)
+    assert all(math.isfinite(e["max_abs"]) and "error" not in e for e in inner)
+    assert results["failed_points"] == 4 ** 4 - 16
+    assert results["grid_max"] == max(e["max_abs"] for e in inner)
+
+
 def test_cr_residual_nonfinite_points_fail_loudly(tmp_path):
     # x^-1 on the default 3^4 grid: the 65 points with a zero coordinate
     # have non-finite residuals
@@ -331,6 +349,16 @@ def test_extremal_overflow_is_runtime_error(tmp_path):
     assert report["pass"] is False
 
 
+def test_extremal_start_on_a_zero_of_b_is_runtime_error(tmp_path):
+    # b = 1 - 4 t^2 vanishes at xi0_1 = 0.5: a property of the point, not of the config
+    config = {"b": {"kind": "quadratic", "c": -4.0}, "kappa": {"kind": "from-b"},
+              "xi0": [0.5, 0.1, 0.1, 0.1], "dxi0": [1.0, 1.0, 1.0, 1.0]}
+    code, text = run_cli(tmp_path, "extremal", config, extra=["--format", "json"])
+    assert code == EXIT_RUNTIME
+    assert json.loads(text)["results"]["error"] == (
+        "DomainError: component function vanishes on the evaluation point")
+
+
 def test_extremal_takes_one_profile_for_all_four_axes(tmp_path):
     one = {"kind": "quadratic", "c": 0.25}
     config = {"b": one, "kappa": {"kind": "from-b"}, "lam": {"kind": "constant", "value": 16.0},
@@ -463,14 +491,21 @@ def test_render_report_writes_numpy_values_as_python_values():
         "f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7), "flag": np.bool_(True),
         "pair": (1, 2.5), 3: {True: None}, "matrix": np.array([[1.0, -0.0], [2.5, 1e300]]),
         "nan": float("nan"), "inf": np.float64(-np.inf), "empty": (),
+        "awkward": np.array([[-0.0, 5e-324, 1e300], [np.nan, -np.inf, 0.5]]),
+        "no_rows": np.empty((0, 4)), "ints": np.array([3, -1]),
     }
     assert cli.render_report(report) == (
         '{\n  "f64": 0.10000000000000001,\n  "f32": 0.10000000149011612,\n  "i64": -7,\n'
         '  "flag": true,\n  "pair": [\n    1,\n    2.5\n  ],\n  "3": {\n    "True": null\n  },\n'
         '  "matrix": [\n    [\n      1,\n      -0\n    ],\n    [\n      2.5,\n'
         '      1.0000000000000001e+300\n    ]\n  ],\n  "nan": null,\n  "inf": null,\n'
-        '  "empty": []\n}\n'
+        '  "empty": [],\n  "awkward": [\n    [\n      -0,\n      4.9406564584124654e-324,\n'
+        '      1.0000000000000001e+300\n    ],\n    [\n      null,\n      null,\n      0.5\n'
+        '    ]\n  ],\n  "no_rows": [],\n  "ints": [\n    3,\n    -1\n  ]\n}\n'
     )
+    # a float array is written as the nested lists it converts to
+    for value in (report["awkward"], report["no_rows"], np.ones((2, 0)), np.arange(3.0)):
+        assert cli.render_report({"a": value}) == cli.render_report({"a": value.tolist()})
     with pytest.raises(TypeError, match="cannot serialize object"):
         cli.render_report({"x": object()})
 

@@ -211,14 +211,15 @@ def test_spec_validation():
 
 
 def test_vanishing_profile_rejected_at_evaluation():
-    from polyan import ContractError
+    # a zero of a profile is a property of the point, not of the spec
+    from polyan import DomainError
 
     spec = H4FamilySpec(
         phi0=PHI0, mu=MU,
         b=tuple(quadratic_b(-1.0) for _ in range(4)),  # zero at |t| = 1
         lam=constant_lambda(1.0),
     )
-    with pytest.raises(ContractError):
+    with pytest.raises(DomainError):
         family_phi(spec, np.array([1.0, 0.0, 0.0, 0.0]))
 
 

@@ -30,10 +30,16 @@ from polyan.geodesics import (
 )
 from polyan.h4 import (
     FinslerConfig,
+    _log_gradients,
     constant_kappa,
     constant_lambda,
+    cross_term_kappa,
+    gaussian_b,
     gaussian_kappa,
+    kappa_from_b,
     momenta,
+    quadratic_b,
+    reciprocal_quartic_lambda,
 )
 
 XI0 = np.array([0.05, 0.1, 0.15, 0.2])
@@ -250,6 +256,107 @@ def test_cross_check_discrepancy_shrinks_at_rk4_order():
     orders = [math.log2(discs[i] / discs[i + 1]) for i in range(2)]
     for order in orders:
         assert 3.5 <= order <= 4.5
+
+
+# ---------------------------------------------------------------------------
+# closed-form right-hand sides against the plain references
+# ---------------------------------------------------------------------------
+
+KAPPAS = {
+    "constant": lambda: constant_kappa(1.3),
+    "gaussian": lambda: gaussian_kappa(1.1, 0.9),
+    "cross-term": lambda: cross_term_kappa(1.1, 0.7, (1, 3)),
+    "from-b": lambda: kappa_from_b((quadratic_b(0.3), gaussian_b(0.6), quadratic_b(-0.2), gaussian_b(-0.4)), 1.1),
+}
+LAMBDAS = {
+    "constant": lambda kappa: constant_lambda(12.0),
+    "reciprocal": lambda kappa: reciprocal_quartic_lambda(kappa, 1.1, 2.0),
+}
+
+
+def make_metric(kappa_kind, lambda_kind):
+    kappa = KAPPAS[kappa_kind]()
+    return FinslerConfig(kappa=kappa, lam=LAMBDAS[lambda_kind](kappa), kappa0=1.1, lambda0=2.0)
+
+
+def reference_extremal(metric, e0, cfg):
+    """The momentum flow as written before the closed form: np.prod, separate
+    kappa() and gradient() calls, np.concatenate, and the plain RK4 loop."""
+    def rhs(y):
+        xi, p = y[:4], y[4:]
+        lv = metric.lam(xi)
+        kv = metric.kappa(xi)
+        dxi = np.prod(p) / p * lv
+        dp = (kv / 4.0) ** 4 * (4.0 * metric.kappa.gradient(xi) / kv) * lv
+        return np.concatenate([dxi, dp])
+
+    h = cfg.t_end / cfg.steps
+    ys = np.empty((cfg.steps + 1, 8))
+    ys[0] = np.concatenate([e0.xi, e0.p])
+    for m in range(cfg.steps):
+        y = ys[m]
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        ys[m + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    scale = np.array([(metric.kappa(y[:4]) / 4.0) ** 4 for y in ys])
+    drift = (np.array([float(np.prod(y[4:])) for y in ys]) - scale) / scale
+    return ys, drift
+
+
+@pytest.mark.parametrize("lambda_kind", sorted(LAMBDAS))
+@pytest.mark.parametrize("kappa_kind", ["gaussian", "cross-term", "from-b"])
+def test_extremal_matches_reference_bitwise(kappa_kind, lambda_kind):
+    metric = make_metric(kappa_kind, lambda_kind)
+    e0 = ExtremalState(XI0, momenta(DXI0, XI0, metric))
+    cfg = IntegratorConfig(steps=300, t_end=0.7)
+    traj = integrate_extremal(metric, e0, cfg)
+    ys, drift = reference_extremal(metric, e0, cfg)
+    assert np.array_equal(traj.xi, ys[:, :4])
+    assert np.array_equal(traj.p, ys[:, 4:])
+    assert np.array_equal(traj.drift, drift)
+
+
+def _random_states(rng, count):
+    for _ in range(count):
+        yield rng.uniform(-0.6, 0.6, 4), rng.uniform(-2.0, 2.0, 4)
+
+
+@pytest.mark.parametrize("orientation", ["as-printed", "transposed"])
+@pytest.mark.parametrize("lambda_kind", sorted(LAMBDAS))
+@pytest.mark.parametrize("kappa_kind", sorted(KAPPAS))
+def test_closed_form_acceleration_matches_contraction(kappa_kind, lambda_kind, orientation, rng):
+    metric = make_metric(kappa_kind, lambda_kind)
+    conn = finsler_connection(metric, orientation)
+    eps = float(np.finfo(float).eps)
+    for x, v in _random_states(rng, 20):
+        _, _, dln_lam, dln_sigma = _log_gradients(metric.kappa, metric.lam, x)
+        bound = 8.0 * eps * (np.max(np.abs(dln_sigma)) + np.max(np.abs(dln_lam))) * np.max(np.abs(v)) ** 2
+        assert np.max(np.abs(conn.acceleration(x, v) - geodesic_rhs(conn, x, v))) <= bound
+
+
+@pytest.mark.parametrize("kappa_kind, lambda_kind, orientation", [
+    ("constant", "constant", "as-printed"),
+    ("gaussian", "reciprocal", "transposed"),
+    ("cross-term", "reciprocal", "as-printed"),
+    ("from-b", "constant", "transposed"),
+])
+def test_closed_form_geodesics_match_contraction(kappa_kind, lambda_kind, orientation):
+    metric = make_metric(kappa_kind, lambda_kind)
+    conn = finsler_connection(metric, orientation)
+    contraction_only = ConnectionField(4, conn.func)
+    s0 = GeodesicState(XI0, np.array([0.6, -0.3, 0.8, 0.2]))
+    cfg = IntegratorConfig(steps=2000, t_end=0.8)
+    fast = integrate_geodesic(conn, s0, cfg)
+    ref = integrate_geodesic(contraction_only, s0, cfg)
+    assert np.max(np.abs(fast.x - ref.x)) <= 1e-13
+    assert np.max(np.abs(fast.v - ref.v)) <= 1e-13
+
+
+def test_finsler_connection_checks_orientation_when_built():
+    with pytest.raises(ContractError, match="orientation"):
+        finsler_connection(gaussian_metric(), "sideways")
 
 
 # ---------------------------------------------------------------------------

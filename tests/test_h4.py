@@ -187,6 +187,23 @@ def test_fd_gradient_matches_per_coordinate_loop():
         assert np.array_equal(bare.gradient(x), expected)
 
 
+def test_value_and_gradient_agrees_with_separate_calls(rng):
+    kappa = gaussian_kappa(1.1, 0.9)
+    gauge = reciprocal_quartic_lambda(kappa, 1.1, 2.0)
+    fields = [constant_kappa(1.3), kappa, cross_term_kappa(1.1, 0.7, (1, 3)),
+              kappa_from_b((quadratic_b(0.3), gaussian_b(0.6), quadratic_b(-0.2), gaussian_b(-0.4)), 1.1),
+              constant_lambda(2.0), gauge, ScalarField(kappa.func)]
+    for x in rng.uniform(-0.6, 0.6, (5, 4)):
+        for field in fields:
+            value, grad = field.value_and_gradient(x)
+            assert value == field(x) and np.array_equal(grad, field.gradient(x))
+        # the reciprocal gauge's gradient as written with separate kappa calls
+        kv = kappa(x)
+        assert np.array_equal(gauge.gradient(x), -4.0 * (2.0 * (1.1 / kv) ** 4) * kappa.gradient(x) / kv)
+    zero = constant_lambda(2.0).gradient(XI)
+    assert not zero.any() and not zero.flags.writeable
+
+
 def test_compatibility_residual_zero_for_separable():
     assert np.max(np.abs(compatibility_residual(constant_kappa(3.0), XI))) < 1e-12
     assert np.max(np.abs(compatibility_residual(gaussian_kappa(1.0), XI))) < 1e-7
