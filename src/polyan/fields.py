@@ -95,30 +95,34 @@ class Box:
         return Box(np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi))
 
 
-def _fd_column(func, x: np.ndarray, h: np.ndarray, k: int, scheme: str) -> np.ndarray:
-    """Central difference of func along coordinate k with the steps h."""
+def _fd_column(func, x: np.ndarray, hk, k: int, scheme: str) -> np.ndarray:
+    """Central difference of func along coordinate k with steps hk (...) at points x (..., n);
+    each point's step divides that point's values, and one point's step stays a scalar."""
     e = np.zeros_like(x)
-    e[k] = h[k]
+    e[..., k] = hk
 
     def at(y):
         return np.asarray(func(y), dtype=float)
 
     if scheme == "central-4":
-        return (-at(x + 2 * e) + 8 * at(x + e) - 8 * at(x - e) + at(x - 2 * e)) / (12 * h[k])
-    return (at(x + e) - at(x - e)) / (2 * h[k])
+        diff, denom = -at(x + 2 * e) + 8 * at(x + e) - 8 * at(x - e) + at(x - 2 * e), 12 * hk
+    else:
+        diff, denom = at(x + e) - at(x - e), 2 * hk
+    return diff / (denom.reshape(denom.shape + (1,) * (diff.ndim - denom.ndim)) if denom.ndim else denom)
 
 
 def fd_jacobian(func, x: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
-    """Finite-difference Jacobian J[i, k] = d func_i / d x_k."""
+    """Finite-difference Jacobian J[..., i, k] = d func_i / d x_k at points x (..., n)."""
     x = np.asarray(x, dtype=float)
     h = cfg.step(x)
-    return np.stack([_fd_column(func, x, h, k, cfg.scheme) for k in range(x.shape[0])], axis=-1)
+    steps = h.transpose(-1, *range(h.ndim - 1))  # steps[k] along axis k
+    return np.stack([_fd_column(func, x, hk, k, cfg.scheme) for k, hk in enumerate(steps)], axis=-1)
 
 
 def fd_partial(func, x: np.ndarray, axis: int, cfg: DiffConfig = DEFAULT_DIFF):
     """Single directional partial derivative of a vector- or array-valued map."""
     x = np.asarray(x, dtype=float)
-    return _fd_column(func, x, cfg.step(x), axis, cfg.scheme)
+    return _fd_column(func, x, cfg.step(x)[..., axis][()], axis, cfg.scheme)
 
 
 class VectorField:
@@ -195,20 +199,20 @@ def covariant_derivative(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.
 
 
 def _derivative_coords(S: StructureConstants, D: np.ndarray, form: str = "auto") -> np.ndarray:
-    """Coordinates of f' read off a covariant derivative matrix D."""
+    """Coordinates of f' read off covariant derivative matrices D (..., n, n)."""
     if form == "auto":
         form = "unit" if S.unit_index is not None else "invariant"
     if form == "unit":
         if S.unit_index is None:
             raise ContractError("unit-direction derivative needs an algebra with a unit basis element")
-        return D[:, S.unit_index].copy()
+        return D[..., :, S.unit_index].copy()
     if form == "invariant":
         qt = S.qtensor
         if qt.q_inv is None:
             raise SingularQError(
                 f"q-tensor of algebra {S.basis_tag!r} is singular; residual needs a unit element"
             )
-        return np.einsum("is,rsm,mr->i", qt.q_inv, S.p, D)
+        return np.einsum("is,rsm,...mr->...i", qt.q_inv, S.p, D)
     raise ContractError(f"unknown derivative form {form!r}")
 
 
@@ -232,14 +236,18 @@ def cr_residual(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
     their own tolerance.  With gamma = 0 this is exactly the analyticity
     residual of the plain theory.
     """
-    D = covariant_derivative(pair, x, cfg)
-    return D - np.einsum("ikj,j->ik", pair.S.p, _derivative_coords(pair.S, D))
+    return _cr_contraction(pair.S, covariant_derivative(pair, x, cfg))
+
+
+def _cr_contraction(S: StructureConstants, D: np.ndarray) -> np.ndarray:
+    """R = D - p . f' for covariant derivative matrices D (..., n, n)."""
+    return D - np.einsum("ikj,...j->...ik", S.p, _derivative_coords(S, D))
 
 
 def grid_max(values) -> float:
-    """Largest of the values; NaN if any value is NaN, 0.0 when there are none."""
-    values = list(values)
-    return float(np.max(values)) if values else 0.0
+    """Largest of the values (an iterable or an array); NaN if any is NaN, 0.0 if there are none."""
+    values = values if isinstance(values, np.ndarray) else np.asarray(list(values))
+    return float(np.max(values)) if values.size else 0.0
 
 
 def residual_grid_report(pair: GAPair, points: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> dict:

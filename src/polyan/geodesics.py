@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeError, ContractError, IntegrationError
+from .errors import ConeError, ContractError, DomainError, IntegrationError
 from .fields import ConnectionField
-from .h4 import ORIENTATIONS, FinslerConfig, _acceleration, gamma_matrices
+from .h4 import ORIENTATIONS, FinslerConfig, _acceleration, _quartic, _raise_if, gamma_matrices
 
 __all__ = [
     "ConnectionField",
@@ -154,7 +154,9 @@ def integrate_geodesic(Gamma: ConnectionField, s0: GeodesicState, cfg: Integrato
     acceleration = Gamma.acceleration or (lambda x, v: geodesic_rhs(Gamma, x, v))
 
     def rhs(y):
-        return np.concatenate((y[n:], acceleration(y[:n], y[n:])))
+        out = np.empty(2 * n)
+        out[:n], out[n:] = y[n:], acceleration(y[:n], y[n:])
+        return out
 
     sigma, ys = _rk4(rhs, np.concatenate([s0.x, s0.v]), cfg, "geodesic", "sigma")
     return GeodesicTrajectory(sigma=sigma, x=ys[:, :n].copy(), v=ys[:, n:].copy())
@@ -179,9 +181,12 @@ class ExtremalTrajectory:
         return {"tau": self.tau, "xi": self.xi, "p": self.p, "constraint_residual": self.drift}
 
 
-def _relative_indicatrix(xi, p, metric: FinslerConfig) -> float:
-    scale = (metric.kappa(xi) / 4.0) ** 4
-    return (math.prod(p.tolist()) - scale) / scale
+def _relative_indicatrix(xi, p, metric: FinslerConfig):
+    """(prod p - s) / s with s = (kappa/4)^4, at points xi and momenta p (..., 4);
+    the product runs left to right, as math.prod does."""
+    scale = _quartic(metric.kappa.func(xi) / 4.0)
+    _raise_if(scale <= 0, DomainError, "the indicatrix scale (kappa/4)^4 must stay positive")
+    return (p[..., 0] * p[..., 1] * p[..., 2] * p[..., 3] - scale) / scale
 
 
 def _check_start(metric: FinslerConfig, e0: ExtremalState, drift_tol: float) -> None:
@@ -208,8 +213,8 @@ def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: Integrator
 
     def rhs(y):
         xi, p = y[:4], y[4:]
-        lv = metric.lam(xi)
-        kv, dkappa = metric.kappa.value_and_gradient(xi)
+        lv = metric.lam.func(xi)
+        kv, dkappa = metric.kappa.value_and_grad(xi)
         out = np.empty(8)
         out[:4] = math.prod(p.tolist()) / p * lv
         out[4:] = (kv / 4.0) ** 4 * (4.0 * dkappa / kv) * lv
@@ -217,7 +222,7 @@ def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: Integrator
 
     tau, ys = _rk4(rhs, np.concatenate([e0.xi, e0.p]), cfg, "extremal", "tau",
                    cone=slice(4, None))
-    drift = np.array([_relative_indicatrix(y[:4], y[4:], metric) for y in ys])
+    drift = _relative_indicatrix(ys[:, :4], ys[:, 4:], metric)
     return ExtremalTrajectory(tau=tau, xi=ys[:, :4].copy(), p=ys[:, 4:].copy(), drift=drift)
 
 

@@ -12,7 +12,7 @@ function.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -26,10 +26,9 @@ from .fields import (
     GAPair,
     GammaField,
     VectorField,
-    cr_residual,
+    _cr_contraction,
     fd_jacobian,
     grid_max,
-    zero_gamma,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -39,26 +38,24 @@ ORIENTATIONS = ("as-printed", "transposed")
 
 
 class ScalarField:
-    """Positive scalar function of a point, with analytic or FD gradient.
+    """Positive scalar profile of points, with analytic or FD gradient.
 
-    value_and_grad, if given, maps a point to the value and the gradient from
-    one evaluation; else the gradient is a central finite difference of func.
+    func maps points (..., n) to values (...); value_and_grad, if given, maps them
+    to the values and the gradients (..., n) from one evaluation, else the gradient
+    is a central finite difference of func.  On one point the field gives a numpy float.
     """
 
     def __init__(self, func: Callable, value_and_grad: Callable | None = None):
         self.func = func
-        self._value_and_grad = value_and_grad
+        self.value_and_grad = value_and_grad or (lambda x: (func(x), fd_jacobian(func, x)))
 
-    def __call__(self, x) -> float:
-        return float(self.func(np.asarray(x, dtype=float)))
+    def __call__(self, x):
+        return self.func(np.asarray(x, dtype=float))[()]
 
-    def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
+    def value_and_gradient(self, x) -> tuple:
         """The value and the gradient at x; an analytic gradient reuses the value."""
-        x = np.asarray(x, dtype=float)
-        if self._value_and_grad is None:
-            return float(self.func(x)), fd_jacobian(self.func, x)
-        v, g = self._value_and_grad(x)
-        return float(v), np.asarray(g, dtype=float)
+        v, g = self.value_and_grad(np.asarray(x, dtype=float))
+        return v[()], g
 
     def gradient(self, x) -> np.ndarray:
         return self.value_and_gradient(x)[1]
@@ -66,21 +63,52 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class ScalarFunc1D:
-    """Scalar function of one real argument with its derivative."""
+    """Scalar function of one real argument with its derivative d, elementwise on arrays."""
 
     func: Callable
-    deriv: Callable
+    d: Callable
 
-    def __call__(self, t: float) -> float:
-        return float(self.func(float(t)))
+    def __call__(self, t):
+        return self.func(t)
 
-    def d(self, t: float) -> float:
-        return float(self.deriv(float(t)))
+
+def _raise_if(bad, error: type, message: str) -> None:
+    """Raise error(message) if bad holds anywhere (one point's numpy bool skips .any())."""
+    if bad.any() if bad.ndim else bad:
+        raise error(message)
+
+
+def _exp(t):
+    """np.exp, raising OverflowError where it overflows, as math.exp does."""
+    v = np.exp(t)
+    _raise_if(v == np.inf, OverflowError, "math range error")
+    return v
+
+
+def _quartic(t):
+    """t ** 4 as C pow computes it for a Python float, raising OverflowError
+    where it overflows; numpy's power may differ from C pow in the last bit."""
+    v = np.float_power(t, 4)
+    _raise_if(v == np.inf, OverflowError, "math range error")
+    return v
+
+
+@functools.lru_cache(maxsize=16)
+def _filled(shape: tuple, value: float):
+    """A shared read-only array of one value; a numpy float for shape ()."""
+    out = np.full(shape, value)
+    out.flags.writeable = False
+    return out[()]
+
+
+def _col(v):
+    """Values (...) as a column (..., 1); one point's stays a scalar, which numpy is faster with."""
+    return v[..., None] if v.ndim else v
 
 
 def constant_b(c: float = 1.0) -> ScalarFunc1D:
     c = float(c)
-    return ScalarFunc1D(lambda t: c, lambda t: 0.0)
+    return ScalarFunc1D(lambda t: np.full(np.shape(t), c), lambda t: np.zeros(np.shape(t)))
 
 
 def quadratic_b(c: float) -> ScalarFunc1D:
@@ -90,21 +118,15 @@ def quadratic_b(c: float) -> ScalarFunc1D:
 
 def gaussian_b(c: float = 1.0) -> ScalarFunc1D:
     c = float(c)
-    return ScalarFunc1D(
-        lambda t: math.exp(c * t * t),
-        lambda t: 2.0 * c * t * math.exp(c * t * t),
-    )
-
-
-_ZERO_GRADIENT = np.zeros(4)
-_ZERO_GRADIENT.flags.writeable = False
+    return ScalarFunc1D(lambda t: _exp(c * t * t), lambda t: 2.0 * c * t * _exp(c * t * t))
 
 
 def _positive_constant(value: float, what: str) -> ScalarField:
     v = float(value)
     if v <= 0:
         raise ContractError(f"{what} must be positive")
-    return ScalarField(lambda x: v, lambda x: (v, _ZERO_GRADIENT))
+    return ScalarField(lambda x: _filled(x.shape[:-1], v),
+                       lambda x: (_filled(x.shape[:-1], v), _filled(x.shape, 0.0)))
 
 
 def constant_kappa(value: float = 1.0) -> ScalarField:
@@ -113,15 +135,16 @@ def constant_kappa(value: float = 1.0) -> ScalarField:
 
 def gaussian_kappa(kappa0: float = 1.0, c: float = 1.0) -> ScalarField:
     """kappa0 * exp(c * sum(x_m^2) / 4), the radially quadratic log profile."""
-    k0 = float(kappa0)
-    c = float(c)
+    k0, c = float(kappa0), float(c)
+    # c/4 and c/2 are exact, so these match c * s / 4 and v * c * x / 2
+    quarter_c, half_c = c / 4.0, c / 2.0
 
     def func(x):
-        return k0 * math.exp(c * float(np.dot(x, x)) / 4.0)
+        return k0 * _exp(quarter_c * np.vecdot(x, x))
 
     def value_and_grad(x):
         v = func(x)
-        return v, v * c * x / 2.0
+        return v, _col(v * half_c) * x
 
     return ScalarField(func, value_and_grad)
 
@@ -133,20 +156,18 @@ def kappa_from_b(b_funcs, kappa0: float = 1.0) -> ScalarField:
         raise ContractError("need exactly four component functions")
     k0 = float(kappa0)
 
-    def func(x):
-        acc = 0.0
-        for i in range(4):
-            v = bs[i](x[i])
-            if v == 0.0:
-                raise DomainError("component function vanishes on the evaluation point")
-            acc += math.log(abs(v))
-        return k0 * math.exp(acc / 4.0)
+    def value_and_profiles(x):
+        v = np.stack([b(x[..., i]) for i, b in enumerate(bs)], axis=-1)
+        _raise_if(v == 0.0, DomainError, "component function vanishes on the evaluation point")
+        logs = np.log(np.abs(v))
+        return k0 * _exp((logs[..., 0] + logs[..., 1] + logs[..., 2] + logs[..., 3]) / 4.0), v
 
     def value_and_grad(x):
-        val = func(x)
-        return val, val * np.array([bs[i].d(x[i]) / bs[i](x[i]) for i in range(4)]) / 4.0
+        val, v = value_and_profiles(x)
+        d = np.stack([b.d(x[..., i]) for i, b in enumerate(bs)], axis=-1)
+        return val, _col(val) * (d / v) / 4.0
 
-    return ScalarField(func, value_and_grad)
+    return ScalarField(lambda x: value_and_profiles(x)[0], value_and_grad)
 
 
 def cross_term_kappa(kappa0: float = 1.0, c: float = 1.0, axes=(0, 1)) -> ScalarField:
@@ -154,20 +175,18 @@ def cross_term_kappa(kappa0: float = 1.0, c: float = 1.0, axes=(0, 1)) -> Scalar
 
     The axes are two different coordinate indices in 0..3.
     """
-    k0 = float(kappa0)
-    c = float(c)
+    k0, c = float(kappa0), float(c)
     a, b = int(axes[0]), int(axes[1])
     if not (0 <= a < 4 and 0 <= b < 4 and a != b):
         raise ContractError(f"cross-term axes must be two different indices in 0..3, got {a}, {b}")
 
     def func(x):
-        return k0 * math.exp(c * x[a] * x[b] / 4.0)
+        return k0 * _exp(c * x[..., a] * x[..., b] / 4.0)
 
     def value_and_grad(x):
-        g = np.zeros_like(x)
+        g = np.zeros(x.shape)
         v = func(x)
-        g[a] = v * c * x[b] / 4.0
-        g[b] = v * c * x[a] / 4.0
+        g[..., a], g[..., b] = v * c * x[..., b] / 4.0, v * c * x[..., a] / 4.0
         return v, g
 
     return ScalarField(func, value_and_grad)
@@ -182,17 +201,15 @@ def reciprocal_quartic_lambda(kappa: ScalarField, kappa0: float, lambda0: float)
     k0, l0 = float(kappa0), float(lambda0)
 
     def value(kv):
-        return l0 * (k0 / kv) ** 4
-
-    def func(x):
-        return value(kappa(x))
+        _raise_if(kv <= 0, DomainError, "kappa and the gauge must stay positive")
+        return l0 * _quartic(k0 / kv)
 
     def value_and_grad(x):
-        kv, dk = kappa.value_and_gradient(x)
+        kv, dk = kappa.value_and_grad(x)
         lv = value(kv)
-        return lv, -4.0 * lv * dk / kv
+        return lv, _col(-4.0 * lv) * dk / _col(kv)
 
-    return ScalarField(func, value_and_grad)
+    return ScalarField(lambda x: value(kappa.func(x)), value_and_grad)
 
 
 @dataclass(frozen=True)
@@ -239,13 +256,12 @@ def indicatrix(p, xi, cfg: FinslerConfig) -> float:
 
 
 def _log_gradients(kappa: ScalarField, lam: ScalarField, xi: np.ndarray):
-    """kappa, lam, grad ln lam and grad ln sigma at one point, sigma = kappa^4 lam."""
-    lv, dlam = lam.value_and_gradient(xi)
-    kv, dkappa = kappa.value_and_gradient(xi)
-    if kv <= 0 or lv <= 0:
-        raise DomainError("kappa and the gauge must stay positive")
-    dln_lam = dlam / lv
-    dln_sigma = 4.0 * dkappa / kv + dln_lam
+    """kappa, lam, grad ln lam and grad ln sigma at points (..., 4), sigma = kappa^4 lam."""
+    lv, dlam = lam.value_and_grad(xi)
+    kv, dkappa = kappa.value_and_grad(xi)
+    _raise_if((kv <= 0) | (lv <= 0), DomainError, "kappa and the gauge must stay positive")
+    dln_lam = dlam / _col(lv)
+    dln_sigma = 4.0 * dkappa / _col(kv) + dln_lam
     return kv, lv, dln_lam, dln_sigma
 
 
@@ -283,33 +299,23 @@ def gamma_matrices(xi, cfg: FinslerConfig, orientation: str = "transposed") -> n
 # ---------------------------------------------------------------------------
 
 def compatibility_residual(kappa_field: ScalarField, xi) -> np.ndarray:
-    """Mixed second derivatives of 4*log(kappa), by central cross differences
-    with base step eps^(1/4).
-
-    The off-diagonal entries must vanish for the separable closed-form family
-    to exist; the diagonal is reported as zero.
-    """
+    """Mixed second derivatives (..., 4, 4) of 4*log(kappa) at points (..., 4), by central
+    cross differences with base step eps^(1/4).  The off-diagonal entries must vanish
+    for the separable closed-form family to exist; the diagonal is reported as zero."""
     xi = np.asarray(xi, dtype=float)
-    n = xi.shape[0]
+    n = xi.shape[-1]
     steps = DiffConfig(h=_EPS ** 0.25).step(xi)
 
     def logk4(x):
-        return 4.0 * math.log(kappa_field(x))
+        return 4.0 * np.log(kappa_field(x))
 
-    out = np.zeros((n, n))
+    e = steps[..., None, :] * np.eye(n)  # e[..., i, :] steps along axis i
+    out = np.zeros(xi.shape + (n,))
     for i in range(n):
         for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = steps[i]
-            ej[j] = steps[j]
-            val = (
-                logk4(xi + ei + ej)
-                - logk4(xi + ei - ej)
-                - logk4(xi - ei + ej)
-                + logk4(xi - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-            out[i, j] = out[j, i] = val
+            a, b = e[..., i, :], e[..., j, :]
+            val = logk4(xi + a + b) - logk4(xi + a - b) - logk4(xi - a + b) + logk4(xi - a - b)
+            out[..., i, j] = out[..., j, i] = val / (4.0 * steps[..., i] * steps[..., j])
     return out
 
 
@@ -354,42 +360,40 @@ class H4FamilySpec:
 
 
 def _profile_factors(spec: H4FamilySpec, xi: np.ndarray):
-    """Values and log-derivatives of the placed profiles B_i(xi_i)."""
-    vals = np.empty(4)
-    dlog = np.empty(4)
-    for i in range(4):
-        bv = spec.b[i](xi[i])
-        if bv == 0.0:
-            raise DomainError("profile function vanishes on the evaluation point")
-        bd = spec.b[i].d(xi[i])
-        if spec.convention == "reciprocal":
-            vals[i] = 1.0 / bv
-            dlog[i] = -bd / bv
-        else:
-            vals[i] = bv
-            dlog[i] = bd / bv
-    return vals, dlog
+    """Values and log-derivatives of the placed profiles B_i(xi_i) at points (..., 4)."""
+    bv = np.stack([b(xi[..., i]) for i, b in enumerate(spec.b)], axis=-1)
+    _raise_if(bv == 0.0, DomainError, "profile function vanishes on the evaluation point")
+    bd = np.stack([b.d(xi[..., i]) for i, b in enumerate(spec.b)], axis=-1)
+    if spec.convention == "reciprocal":
+        return 1.0 / bv, -bd / bv
+    return bv, bd / bv
 
 
-def _phi(spec: H4FamilySpec, xi: np.ndarray, kv: float, lv: float, bvals: np.ndarray) -> np.ndarray:
-    return spec.phi0 * (kv / spec.kappa0) ** 4 * (lv / spec.lambda0) * bvals * np.exp(spec.mu * xi)
+def _phi(spec: H4FamilySpec, xi: np.ndarray, kv, lv, bvals: np.ndarray) -> np.ndarray:
+    return (spec.phi0 * _col(_quartic(kv / spec.kappa0)) * _col(lv / spec.lambda0)
+            * bvals * np.exp(spec.mu * xi))
 
 
 def family_phi(spec: H4FamilySpec, xi) -> np.ndarray:
-    """Component values phi_i = phi0_i (kappa/kappa0)^4 (lam/lambda0) B_i exp(mu_i xi_i)."""
+    """Components phi_i = phi0_i (kappa/kappa0)^4 (lam/lambda0) B_i exp(mu_i xi_i) at points (..., 4)."""
     xi = np.asarray(xi, dtype=float)
     return _phi(spec, xi, spec.kappa(xi), spec.lam(xi), _profile_factors(spec, xi)[0])
 
 
+_DIAG = (Ellipsis, np.arange(4), np.arange(4))
+
+
 def _family_terms(spec: H4FamilySpec, xi: np.ndarray):
-    """phi, its exact Jacobian and gamma = G . phi (G the transposed connection
-    matrices) at one point, from one evaluation of kappa, lam and their gradients."""
+    """phi, its exact Jacobian and gamma = G . phi (G the transposed connection matrices)
+    at points (..., 4), from one evaluation of kappa, lam and their gradients; gamma is
+    -phi_i d_k ln sigma off the diagonal and -phi_i d_i ln lam on it."""
     kv, lv, dln_lam, dln_sigma = _log_gradients(spec.kappa, spec.lam, xi)
     bvals, dlog = _profile_factors(spec, xi)
     phi = _phi(spec, xi, kv, lv, bvals)
-    jac = phi[:, None] * dln_sigma[None, :]
-    jac[np.arange(4), np.arange(4)] += phi * (dlog + spec.mu)
-    gamma = np.einsum("ikj,j->ik", _connection(dln_lam, dln_sigma, "transposed"), phi)
+    jac = phi[..., :, None] * dln_sigma[..., None, :]
+    gamma = -jac
+    gamma[_DIAG] = -phi * dln_lam
+    jac[_DIAG] += phi * (dlog + spec.mu)
     return phi, jac, gamma
 
 
@@ -414,42 +418,38 @@ class FamilyReport:
     n_points: int
 
 
-def _family_relation_residual(spec: H4FamilySpec, xi: np.ndarray, cfg: DiffConfig,
-                              use_fd: bool) -> float:
-    """Max-abs mismatch of gamma from the constant-multiplier construction
-    against gamma from the shared transposed connection, at one point."""
-    phi, jac, gamma_conn = _family_terms(spec, xi)
-    if use_fd:
-        jac = fd_jacobian(lambda x: family_phi(spec, x), xi, cfg)
-    gamma_mult = -jac + np.diag(spec.mu * phi)
-    return float(np.max(np.abs(gamma_conn - gamma_mult)))
-
-
 def family_residual(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIFF,
                     use_fd: bool = False) -> FamilyReport:
     """Evaluate all sixteen defining relations on a grid, for both conventions.
 
-    The residual compares the gamma-object demanded by the constant-multiplier
-    requirement with the one induced by the shared connection; the convention
-    with the smaller grid maximum is reported as selected.  use_fd replaces
-    the exact Jacobian by finite differences.
+    The residual is the max-abs mismatch of the gamma-object demanded by the
+    constant-multiplier requirement against the one induced by the shared
+    transposed connection, one pass over the (m, 4) points per convention; the
+    convention with the smaller grid maximum is selected.  use_fd replaces the
+    exact Jacobian by finite differences.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     residuals = {}
     for conv in CONVENTIONS:
         placed = replace(spec, convention=conv)
-        residuals[conv] = grid_max(_family_relation_residual(placed, xi, cfg, use_fd) for xi in points)
+        phi, jac, gamma_conn = _family_terms(placed, points)
+        if use_fd:
+            jac = fd_jacobian(lambda x: family_phi(placed, x), points, cfg)
+        gamma_mult = -jac
+        gamma_mult[_DIAG] += placed.mu * phi
+        residuals[conv] = grid_max(np.abs(gamma_conn - gamma_mult))
     selected = min(CONVENTIONS, key=lambda c: (residuals[c], CONVENTIONS.index(c)))
     return FamilyReport(residuals=residuals, selected=selected, n_points=points.shape[0])
 
 
-def analytic_gamma_max(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIFF) -> float:
+def analytic_gamma_max(spec: H4FamilySpec, points) -> float:
     """Largest gamma-object entry the bare field would need to be analytic.
 
     Reconstructed as minus the plain-analyticity residual of the pair
-    {phi, 0}; it vanishes exactly when the family reduces to an analytic
-    function, as happens under the reciprocal-quartic gauge.
+    {phi, 0}, one contraction of the exact Jacobians at all points; it vanishes
+    exactly when the family reduces to an analytic function, as happens under
+    the reciprocal-quartic gauge.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    bare = GAPair(family_field(spec), zero_gamma(4), builtin_algebra("h4-psi"))
-    return grid_max(float(np.max(np.abs(cr_residual(bare, xi, cfg)))) for xi in points)
+    jac = _family_terms(spec, points)[1]
+    return grid_max(np.abs(_cr_contraction(builtin_algebra("h4-psi"), jac)))

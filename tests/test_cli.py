@@ -359,6 +359,35 @@ def test_extremal_start_on_a_zero_of_b_is_runtime_error(tmp_path):
         "DomainError: component function vanishes on the evaluation point")
 
 
+# kappa = exp(-1000 |xi|^2) is 0.0 in floats at (1/2, 1/2, 1/2, 1/2), where the
+# kappa-reciprocal gauge would divide by it
+_UNDERFLOW_METRIC = {"kappa": {"kind": "gaussian", "c": -4000}, "lam": {"kind": "kappa-reciprocal"}}
+_UNDERFLOW_RUNS = [
+    ("family-verify", dict(_UNDERFLOW_METRIC)),
+    ("geodesic", {"connection": dict(_UNDERFLOW_METRIC, kind="finsler"),
+                  "x0": [0.5] * 4, "v0": [1.0] * 4}),
+    ("extremal", dict(_UNDERFLOW_METRIC, xi0=[0.5] * 4, p0=[1.0] * 4)),
+]
+
+
+@pytest.mark.parametrize("command, config", _UNDERFLOW_RUNS)
+def test_underflowing_kappa_is_runtime_error(tmp_path, capfd, command, config):
+    # a separate interpreter, so that a traceback or a numpy warning would
+    # reach stderr
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out_path = tmp_path / "out.json"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = subprocess.call([sys.executable, "-m", "polyan.cli", command, "--config", str(cfg_path),
+                            "--output", str(out_path), "--format", "json"], env=env)
+    assert code == EXIT_RUNTIME
+    assert capfd.readouterr().err == ""
+    report = json.loads(out_path.read_text())
+    assert report["results"]["error"].startswith("DomainError:")
+    assert report["pass"] is False
+
+
 def test_extremal_takes_one_profile_for_all_four_axes(tmp_path):
     one = {"kind": "quadratic", "c": 0.25}
     config = {"b": one, "kappa": {"kind": "from-b"}, "lam": {"kind": "constant", "value": 16.0},

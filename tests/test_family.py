@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyan import builtin_algebra, cr_residual, derivative
-from polyan.fields import Box, GAPair, zero_gamma
+from polyan.fields import Box, DiffConfig, GAPair, zero_gamma
 from polyan.fields import fd_jacobian, grid_max
 from polyan.h4 import (
+    _EPS,
     CONVENTIONS,
     FinslerConfig,
     H4FamilySpec,
@@ -16,6 +19,7 @@ from polyan.h4 import (
     analytic_gamma_max,
     compatibility_residual,
     constant_b,
+    constant_kappa,
     constant_lambda,
     cross_term_kappa,
     family_field,
@@ -306,3 +310,106 @@ def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
     family_residual(reduced_spec(), GRID)
     assert counts["call"] <= 8 * len(GRID)
     assert counts["gradient"] <= 6 * len(GRID)
+
+
+# ---------------------------------------------------------------------------
+# the array path against the per-point loops it replaced
+# ---------------------------------------------------------------------------
+
+def per_point_compatibility(kappa, xi):
+    """The cross differences of 4 ln kappa at one point, one probe at a time."""
+    steps = DiffConfig(h=_EPS ** 0.25).step(xi)
+    out = np.zeros((4, 4))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            ei, ej = np.zeros(4), np.zeros(4)
+            ei[i], ej[j] = steps[i], steps[j]
+            val = sum(sign * 4.0 * np.log(kappa(xi + si * ei + sj * ej))
+                      for sign, si, sj in ((1, 1, 1), (-1, 1, -1), (-1, -1, 1), (1, -1, -1)))
+            out[i, j] = out[j, i] = val / (4.0 * steps[i] * steps[j])
+    return out
+
+
+def per_point_gamma_max(spec, points):
+    bare = GAPair(family_field(spec), zero_gamma(4), builtin_algebra("h4-psi"))
+    return grid_max(float(np.max(np.abs(cr_residual(bare, xi)))) for xi in points)
+
+
+def assert_within_ulps(a, b, ulps):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.all(np.abs(a - b) <= ulps * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+
+
+_B_KINDS = {"constant": lambda c: constant_b(1.0 + abs(c)), "quadratic": quadratic_b,
+            "gaussian": gaussian_b}
+coefficient = st.floats(-0.5, 0.5)
+
+
+@st.composite
+def family_specs(draw):
+    """A family over every b, kappa and lambda kind and both conventions, on a
+    few points of [-0.6, 0.6]^4, where no quadratic b with |c| <= 0.5 vanishes."""
+    b = tuple(_B_KINDS[draw(st.sampled_from(sorted(_B_KINDS)))](draw(coefficient)) for _ in range(4))
+    kappa0, lambda0 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    kind = draw(st.sampled_from(["constant", "gaussian", "cross-term", "from-b"]))
+    c = draw(coefficient)
+    kappa = {"constant": lambda: constant_kappa(kappa0 * (1.0 + c)),
+             "gaussian": lambda: gaussian_kappa(kappa0, c),
+             "cross-term": lambda: cross_term_kappa(kappa0, c, draw(st.sampled_from([(0, 1), (1, 3), (2, 0)]))),
+             "from-b": lambda: kappa_from_b(b, kappa0)}[kind]()
+    lam = draw(st.sampled_from([constant_lambda(lambda0 * 1.5),
+                                reciprocal_quartic_lambda(kappa, kappa0, lambda0)]))
+    vec = st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4)
+    spec = H4FamilySpec(phi0=np.array(draw(vec)) + 1.0, mu=draw(vec), b=b, lam=lam, kappa0=kappa0,
+                        lambda0=lambda0, convention=draw(st.sampled_from(CONVENTIONS)), kappa=kappa)
+    points = np.array(draw(st.lists(st.lists(st.floats(-0.6, 0.6), min_size=4, max_size=4),
+                                    min_size=1, max_size=6)))
+    return spec, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=family_specs(), use_fd=st.booleans())
+def test_family_residual_array_path_matches_per_point_loop(case, use_fd):
+    spec, points = case
+    report = family_residual(spec, points, use_fd=use_fd)
+    reference = reference_residuals(spec, points, use_fd)
+    for conv in CONVENTIONS:
+        assert_within_ulps(report.residuals[conv], reference[conv], 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=family_specs())
+def test_compatibility_and_gamma_max_array_paths_match_per_point_loops(case):
+    spec, points = case
+    batched = compatibility_residual(spec.kappa, points)
+    assert batched.shape == points.shape + (4,)
+    for xi, got in zip(points, batched):
+        assert_within_ulps(got, per_point_compatibility(spec.kappa, xi), 4)
+    assert_within_ulps(analytic_gamma_max(spec, points), per_point_gamma_max(spec, points), 4)
+
+
+def test_grid_checks_make_a_fixed_number_of_array_calls():
+    # the three grid checks evaluate kappa on the whole (m, 4) array at once:
+    # as many calls for 81 points as for 3, and 24 for the compatibility probes
+    counts = {"func": 0, "value_and_grad": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            counts[name] += 1
+            return fn(x)
+        return wrapper
+
+    b = tuple(quadratic_b(0.25) for _ in range(4))
+    inner = kappa_from_b(b, 1.0)
+    kappa = ScalarField(counted("func", inner.func), counted("value_and_grad", inner.value_and_grad))
+    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=reciprocal_quartic_lambda(kappa, 1.0, 1.0), kappa=kappa)
+    seen = []
+    for points in (GRID[:3], GRID):
+        counts.update(func=0, value_and_grad=0)
+        family_residual(spec, points)
+        analytic_gamma_max(spec, points)
+        seen.append(dict(counts))
+        counts.update(func=0, value_and_grad=0)
+        compatibility_residual(spec.kappa, points)
+        assert counts == {"func": 24, "value_and_grad": 0}
+    assert seen[0] == seen[1]

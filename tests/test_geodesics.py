@@ -318,6 +318,19 @@ def test_extremal_matches_reference_bitwise(kappa_kind, lambda_kind):
     assert np.array_equal(traj.drift, drift)
 
 
+@pytest.mark.parametrize("kappa_kind", sorted(KAPPAS))
+def test_drift_column_is_the_per_row_relative_indicatrix(kappa_kind):
+    # the column comes from one kappa call on all samples; per row it is the
+    # plain-float formula: the momenta's product left to right, as math.prod
+    # forms it, and (kappa/4) ** 4
+    metric = make_metric(kappa_kind, "reciprocal")
+    e0 = ExtremalState(XI0, momenta(DXI0, XI0, metric))
+    traj = integrate_extremal(metric, e0, IntegratorConfig(steps=200, t_end=0.7))
+    for xi, p, drift in zip(traj.xi, traj.p, traj.drift):
+        scale = (float(metric.kappa(xi)) / 4.0) ** 4
+        assert drift == (math.prod(p.tolist()) - scale) / scale
+
+
 def _random_states(rng, count):
     for _ in range(count):
         yield rng.uniform(-0.6, 0.6, 4), rng.uniform(-2.0, 2.0, 4)

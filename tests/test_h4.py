@@ -1,5 +1,7 @@
 """Quartic metric, indicatrix, momenta and connection matrices of H4."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,3 +244,79 @@ def test_finsler_config_reference_scale():
     assert (metric.kappa0, metric.lambda0) == (2.0, 2.0)
     with pytest.raises(ContractError):
         FinslerConfig(kappa=constant_kappa(1.0), lam=constant_lambda(1.0), kappa0=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# profile kinds on (m, 4) points
+# ---------------------------------------------------------------------------
+
+def _kinds():
+    gauss = gaussian_kappa(1.1, 0.9)
+    from_b = kappa_from_b((quadratic_b(0.3), gaussian_b(0.6), constant_b(1.4), gaussian_b(-0.4)), 1.1)
+    return {"constant kappa": constant_kappa(1.3), "gaussian kappa": gauss,
+            "cross-term kappa": cross_term_kappa(1.1, 0.7, (1, 3)), "from-b kappa": from_b,
+            "constant gauge": constant_lambda(2.0),
+            "kappa-reciprocal gauge": reciprocal_quartic_lambda(from_b, 1.1, 2.0),
+            "FD gradient": ScalarField(gauss.func)}
+
+
+@pytest.mark.parametrize("name", sorted(_kinds()))
+def test_kind_on_points_equals_stacked_point_calls(name, rng):
+    field = _kinds()[name]
+    points = rng.uniform(-0.8, 0.8, (3, 5, 4))
+    values, grads = field.value_and_grad(points)
+    assert values.shape == (3, 5) and grads.shape == (3, 5, 4)
+    assert np.array_equal(field.func(points), values)
+    flat = points.reshape(-1, 4)
+    assert np.array_equal(values.ravel(), [field(x) for x in flat])
+    assert np.array_equal(grads.reshape(-1, 4), [field.gradient(x) for x in flat])
+    assert all(type(field(x)) is np.float64 for x in flat[:3])
+
+
+@pytest.mark.parametrize("b", [constant_b(1.4), quadratic_b(-0.3), gaussian_b(0.6)])
+def test_profile_functions_are_elementwise(b, rng):
+    t = rng.uniform(-0.8, 0.8, (4, 6))
+    assert np.array_equal(b(t), [[b(s) for s in row] for row in t])
+    assert np.array_equal(b.d(t), [[b.d(s) for s in row] for row in t])
+
+
+# the gaussian, cross-term and from-b kappa as written with math.exp and
+# math.log before the kinds took arrays: a value and the gradient from it
+def _math_gaussian(k0, c):
+    def value(x):
+        return k0 * math.exp(c * float(np.dot(x, x)) / 4.0)
+    return value, lambda x, v: v * c * x / 2.0
+
+
+def _math_cross_term(k0, c, a, b):
+    def gradient(x, v):
+        g = np.zeros_like(x)
+        g[a] = v * c * x[b] / 4.0
+        g[b] = v * c * x[a] / 4.0
+        return g
+    return lambda x: k0 * math.exp(c * x[a] * x[b] / 4.0), gradient
+
+
+def _math_from_b(bs, k0):
+    def value(x):
+        acc = 0.0
+        for i, b in enumerate(bs):
+            acc += math.log(abs(float(b(x[i]))))
+        return k0 * math.exp(acc / 4.0)
+    return value, lambda x, v: v * np.array([float(b.d(x[i]) / b(x[i])) for i, b in enumerate(bs)]) / 4.0
+
+
+def test_numpy_kinds_agree_with_math_references(rng):
+    # numpy's exp and log may differ from math's in the last bit, so the
+    # values agree to 2 ulp; the gradient is the reference's formula applied
+    # to the numpy value, bit for bit
+    bs = (quadratic_b(0.3), gaussian_b(0.6), constant_b(1.4), gaussian_b(-0.4))
+    pairs = [(gaussian_kappa(1.1, 0.9), _math_gaussian(1.1, 0.9)),
+             (cross_term_kappa(1.1, 0.7, (1, 3)), _math_cross_term(1.1, 0.7, 1, 3)),
+             (kappa_from_b(bs, 1.1), _math_from_b(bs, 1.1))]
+    points = rng.uniform(-1.5, 1.5, (400, 4))
+    for field, (value, gradient) in pairs:
+        values, grads = field.value_and_grad(points)
+        expected = np.array([value(x) for x in points])
+        assert np.all(np.abs(values - expected) <= 2 * np.spacing(np.maximum(values, expected)))
+        assert np.array_equal(grads, [gradient(x, v) for x, v in zip(points, values)])
