@@ -95,38 +95,62 @@ class Box:
         return Box(np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi))
 
 
-def _fd_column(func, x: np.ndarray, hk, k: int, scheme: str) -> np.ndarray:
-    """Central difference of func along coordinate k with steps hk (...) at points x (..., n);
-    each point's step divides that point's values, and one point's step stays a scalar."""
-    e = np.zeros_like(x)
-    e[..., k] = hk
+# probe offsets along one axis, in steps h_k, with _fd_combine's weights over them
+_OFFSETS = {"central-2": (1.0, -1.0), "central-4": (2.0, 1.0, -1.0, -2.0)}
 
-    def at(y):
-        return np.asarray(func(y), dtype=float)
 
+def _fd_combine(vals, hk, scheme: str) -> np.ndarray:
+    """Central difference from the values vals[c] at x + _OFFSETS[scheme][c] * h_k e_k, with
+    steps hk (...) that each divide their point's values; one point's step stays a scalar."""
     if scheme == "central-4":
-        diff, denom = -at(x + 2 * e) + 8 * at(x + e) - 8 * at(x - e) + at(x - 2 * e), 12 * hk
+        diff, denom = -vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3], 12 * hk
     else:
-        diff, denom = at(x + e) - at(x - e), 2 * hk
+        diff, denom = vals[0] - vals[1], 2 * hk
     return diff / (denom.reshape(denom.shape + (1,) * (diff.ndim - denom.ndim)) if denom.ndim else denom)
 
 
 def fd_jacobian(func, x: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
-    """Finite-difference Jacobian J[..., i, k] = d func_i / d x_k at points x (..., n)."""
+    """Finite-difference Jacobian J[..., i, k] = d func_i / d x_k at points x (..., n), or the
+    gradient (..., n) of a scalar func, from one call of func on every probe (..., s, n)."""
     x = np.asarray(x, dtype=float)
-    h = cfg.step(x)
-    steps = h.transpose(-1, *range(h.ndim - 1))  # steps[k] along axis k
-    return np.stack([_fd_column(func, x, hk, k, cfg.scheme) for k, hk in enumerate(steps)], axis=-1)
+    n, h, offsets = x.shape[-1], cfg.step(x), np.array(_OFFSETS[cfg.scheme])
+    # row c * n + k of the probe stack is x + offsets[c] h_k e_k, exactly x off the axis k
+    probes = (x[..., None, None, :] + offsets[:, None, None] * _diag(h)[..., None, :, :]).reshape(
+        x.shape[:-1] + (offsets.size * n, n))
+    vals = np.asarray(func(probes), dtype=float)
+    if vals.shape[:x.ndim] != probes.shape[:-1]:
+        raise ContractError(f"function returned shape {vals.shape}, expected one row per point {probes.shape[:-1]}")
+    vals = vals.reshape(x.shape[:-1] + (offsets.size, n) + vals.shape[x.ndim:])
+    tail = (slice(None),) * (vals.ndim - x.ndim)  # axis k, then the value's own axes
+    d = _fd_combine([vals[(Ellipsis, c) + tail] for c in range(offsets.size)], h, cfg.scheme)
+    return d if d.ndim == x.ndim else np.ascontiguousarray(d.swapaxes(-1, -2))
 
 
 def fd_partial(func, x: np.ndarray, axis: int, cfg: DiffConfig = DEFAULT_DIFF):
-    """Single directional partial derivative of a vector- or array-valued map."""
+    """Single directional partial derivative of a vector- or array-valued map, one probe per call."""
     x = np.asarray(x, dtype=float)
-    return _fd_column(func, x, cfg.step(x)[..., axis][()], axis, cfg.scheme)
+    e = np.zeros_like(x)
+    e[..., axis] = hk = cfg.step(x)[..., axis][()]
+    return _fd_combine([np.asarray(func(x + c * e), dtype=float) for c in _OFFSETS[cfg.scheme]], hk, cfg.scheme)
+
+
+def _checked(out, shape: tuple, what: str) -> np.ndarray:
+    """out as a float array, which must have the given shape."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise ContractError(f"{what} returned shape {out.shape}, expected {shape}")
+    return out
+
+
+def _rowwise(func, x: np.ndarray) -> np.ndarray:
+    """A one-point callable applied to each point of x (..., n)."""
+    rows = np.array([func(r) for r in x.reshape(-1, x.shape[-1])])
+    return rows.reshape(x.shape[:-1] + rows.shape[1:])
 
 
 class VectorField:
-    """A map from points to n-vectors, with optional analytic Jacobian and domain."""
+    """A map from points (..., n) to n-vectors (..., n), one row per point, with optional
+    analytic Jacobian (..., n, n) and domain; a result of another shape raises ContractError."""
 
     def __init__(self, n: int, func: Callable, jacobian: Callable | None = None, domain: Box | None = None):
         self.n = int(n)
@@ -136,19 +160,19 @@ class VectorField:
 
     def check_point(self, x: np.ndarray):
         if self.domain is not None and not self.domain.contains(x):
-            raise DomainError(f"point {np.asarray(x).tolist()} outside field domain")
+            first = next(r for r in x.reshape(-1, self.n) if not self.domain.contains(r))
+            raise DomainError(f"point {first.tolist()} outside field domain")
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self.check_point(x)
-        return np.asarray(self.func(x), dtype=float)
+        return _checked(self.func(x), x.shape[:-1] + (self.n,), "vector field")
 
     def jac(self, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self.check_point(x)
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(x), dtype=float)
-        return fd_jacobian(self.func, x, cfg)
+        jac = self.jacobian(x) if self.jacobian is not None else fd_jacobian(self.func, x, cfg)
+        return _checked(jac, x.shape[:-1] + (self.n, self.n), "Jacobian")
 
     def without_jacobian(self) -> "VectorField":
         """Copy that forgets the analytic Jacobian (forces finite differences)."""
@@ -156,18 +180,19 @@ class VectorField:
 
 
 class GammaField:
-    """Field of gamma-objects: point -> (n, n) array, [i, k] = component i, direction k."""
+    """Field of gamma-objects: points (..., n) -> (..., n, n) arrays, [..., i, k] = component i, direction k."""
 
     def __init__(self, n: int, func: Callable):
         self.n = int(n)
         self.func = func
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        return _checked(self.func(x), x.shape[:-1] + (self.n, self.n), "gamma field")
 
 
 def zero_gamma(n: int) -> GammaField:
-    return GammaField(n, lambda x: np.zeros((n, n)))
+    return GammaField(n, lambda x: np.zeros(x.shape[:-1] + (n, n)))
 
 
 class GAPair:
@@ -193,8 +218,7 @@ def _same_algebra(p1: GAPair, p2: GAPair):
 
 
 def covariant_derivative(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
-    """Corrected derivative matrix D[i, k] = df_i/dx_k + gamma[i, k]."""
-    x = np.asarray(x, dtype=float)
+    """Corrected derivative matrices D[..., i, k] = df_i/dx_k + gamma[i, k] at points x (..., n)."""
     return pair.f.jac(x, cfg) + pair.gamma(x)
 
 
@@ -228,7 +252,7 @@ def derivative(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF, form: str = "aut
 
 
 def cr_residual(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
-    """Generalized Cauchy-Riemann residual matrix R[i, k].
+    """Generalized Cauchy-Riemann residual matrices R[..., i, k] at points x (..., n).
 
     R = D - p . f', with f' eliminated through the unit direction when the
     algebra has one and through the invariant q-form otherwise.  The pair is
@@ -236,12 +260,8 @@ def cr_residual(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
     their own tolerance.  With gamma = 0 this is exactly the analyticity
     residual of the plain theory.
     """
-    return _cr_contraction(pair.S, covariant_derivative(pair, x, cfg))
-
-
-def _cr_contraction(S: StructureConstants, D: np.ndarray) -> np.ndarray:
-    """R = D - p . f' for covariant derivative matrices D (..., n, n)."""
-    return D - np.einsum("ikj,...j->...ik", S.p, _derivative_coords(S, D))
+    D = covariant_derivative(pair, x, cfg)
+    return D - np.einsum("ikj,...j->...ik", pair.S.p, _derivative_coords(pair.S, D))
 
 
 def grid_max(values) -> float:
@@ -256,14 +276,20 @@ def residual_grid_report(pair: GAPair, points: np.ndarray, cfg: DiffConfig = DEF
     A point where the residual cannot be evaluated (outside the domain, no
     usable derivative form, a zero divisor) or is not finite gets an
     "error" entry instead of "max_abs" and counts in "failed_points"; the
-    grid max and mean summarize the remaining points.
+    grid max and mean summarize the remaining points.  All points are
+    evaluated in one call, or one at a time if some point cannot be.
     """
+    points = np.asarray(points, dtype=float)
+    try:
+        batched = np.max(np.abs(cr_residual(pair, points, cfg)), axis=(-2, -1)).tolist()
+    except (DomainError, SingularQError, ZeroDivisorError):
+        batched = None
     entries = []
     values = []
-    for x in points:
-        entry = {"point": [float(v) for v in x]}
+    for i, x in enumerate(points):
+        entry = {"point": x.tolist()}
         try:
-            r = float(np.max(np.abs(cr_residual(pair, x, cfg))))
+            r = batched[i] if batched is not None else float(np.max(np.abs(cr_residual(pair, x, cfg))))
         except (DomainError, SingularQError, ZeroDivisorError) as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         else:
@@ -292,7 +318,7 @@ def gamma_from_prescribed(
     if f.n != S.n or fprime.n != S.n:
         raise ContractError("field dimensions disagree with the algebra")
     def gamma_func(x):
-        return -f.jac(x, cfg) + np.einsum("ikj,j->ik", S.p, fprime(x))
+        return -f.jac(x, cfg) + np.einsum("ikj,...j->...ik", S.p, fprime(x))
 
     return GAPair(f, GammaField(S.n, gamma_func), S)
 
@@ -330,19 +356,19 @@ def pair_product(p1: GAPair, p2: GAPair) -> GAPair:
     n = p1.n
 
     def func(x):
-        return np.einsum("kij,i,j->k", p, p1.f(x), p2.f(x))
+        return np.einsum("kij,...i,...j->...k", p, p1.f(x), p2.f(x))
 
     jac = None
     if p1.f.jacobian is not None and p2.f.jacobian is not None:
         def jac(x):
             f1, f2 = p1.f(x), p2.f(x)
             j1, j2 = p1.f.jac(x), p2.f.jac(x)
-            return np.einsum("kij,im,j->km", p, j1, f2) + np.einsum("kij,i,jm->km", p, f1, j2)
+            return np.einsum("kij,...im,...j->...km", p, j1, f2) + np.einsum("kij,...i,...jm->...km", p, f1, j2)
 
     def gamma_func(x):
         f1, f2 = p1.f(x), p2.f(x)
         g1, g2 = p1.gamma(x), p2.gamma(x)
-        return np.einsum("iab,ak,b->ik", p, g1, f2) + np.einsum("iab,a,bk->ik", p, f1, g2)
+        return np.einsum("iab,...ak,...b->...ik", p, g1, f2) + np.einsum("iab,...a,...bk->...ik", p, f1, g2)
 
     domain = p1.f.domain.intersect(p2.f.domain) if p1.f.domain is not None else p2.f.domain
     f = VectorField(n, func, jacobian=jac, domain=domain)
@@ -397,10 +423,10 @@ def square_pair(S: StructureConstants) -> GAPair:
     p = S.p
 
     def func(x):
-        return np.einsum("kij,i,j->k", p, x, x)
+        return np.einsum("kij,...i,...j->...k", p, x, x)
 
     def jac(x):
-        return 2.0 * np.einsum("kij,i->kj", p, x)
+        return 2.0 * np.einsum("kij,...i->...kj", p, x)
 
     return GAPair(VectorField(S.n, func, jacobian=jac), zero_gamma(S.n), S)
 
@@ -488,18 +514,19 @@ def gamma_transform(pair: GAPair, diffeo: Diffeo, x, cfg: DiffConfig = DEFAULT_D
 
 
 def transform_pair(pair: GAPair, diffeo: Diffeo) -> GAPair:
-    """The pair as fields over the new coordinates (evaluated through the inverse map)."""
+    """The pair as fields over the new coordinates (through the inverse map, one point at a time)."""
     n = pair.n
 
-    def f_new(y):
+    def f_at(y):
         u = diffeo.inverse_point(y)
         return diffeo.jac(u) @ pair.f(u)
 
-    def gamma_new(y):
+    def gamma_at(y):
         u = diffeo.inverse_point(y)
         return _transport(diffeo, u, pair.f(u), pair.gamma(u))[2]
 
-    return GAPair(VectorField(n, f_new), GammaField(n, gamma_new), pair.S)
+    return GAPair(VectorField(n, lambda y: _rowwise(f_at, y)),
+                  GammaField(n, lambda y: _rowwise(gamma_at, y)), pair.S)
 
 
 def pair_change_basis(pair: GAPair, B) -> GAPair:
@@ -510,15 +537,15 @@ def pair_change_basis(pair: GAPair, B) -> GAPair:
     S_new = transform_constants(pair.S, B)
 
     def f_new(y):
-        return s @ pair.f(s_inv @ y)
+        return np.matvec(s, pair.f(np.matvec(s_inv, y)))
 
     jac = None
     if pair.f.jacobian is not None:
         def jac(y):
-            return s @ pair.f.jac(s_inv @ y) @ s_inv
+            return s @ pair.f.jac(np.matvec(s_inv, y)) @ s_inv
 
     def gamma_new(y):
-        return s @ pair.gamma(s_inv @ y) @ s_inv
+        return s @ pair.gamma(np.matvec(s_inv, y)) @ s_inv
 
     return GAPair(VectorField(n, f_new, jacobian=jac), GammaField(n, gamma_new), S_new)
 
@@ -528,7 +555,7 @@ def pair_change_basis(pair: GAPair, B) -> GAPair:
 # ---------------------------------------------------------------------------
 
 class ConnectionField:
-    """Position-dependent coefficients, point -> (n, n, n) array G[i, k, j].
+    """Position-dependent coefficients, one point -> (n, n, n) array G[i, k, j].
 
     acceleration, if given, maps (x, v) to -G[i, k, j] v_k v_j without building G.
     """
@@ -595,18 +622,15 @@ def derivative_chain(pair: GAPair, Gamma: ConnectionField, m: int, cfg: DiffConf
         f = _chain_step(f, Gamma, u, cfg)
 
     def gamma_func(x, f=f):
-        return np.einsum("ikj,j->ik", Gamma(x), f(x))
+        return np.einsum("...ikj,...j->...ik", _rowwise(Gamma, x), f(x))
 
     return GAPair(f, GammaField(S.n, gamma_func), S)
 
 
 def _chain_step(f: VectorField, Gamma: ConnectionField, u: int, cfg: DiffConfig) -> VectorField:
     def func(x, f=f):
-        if f.jacobian is not None:
-            df = f.jac(x)[:, u]
-        else:
-            df = fd_partial(f.func, x, u, cfg)
-        return df + Gamma(x)[:, u, :] @ f(x)
+        df = f.jac(x)[..., :, u] if f.jacobian is not None else fd_partial(f.func, x, u, cfg)
+        return df + np.matvec(_rowwise(Gamma, x)[..., :, u, :], f(x))
 
     return VectorField(f.n, func, domain=f.domain)
 
@@ -687,23 +711,21 @@ def line_integral(F: VectorField, path: Path, S: StructureConstants, cfg: DiffCo
     if F.n != S.n:
         raise ContractError("field dimension disagrees with the algebra")
     p = S.p
-    total = np.zeros(S.n)
+    panels = [np.zeros((1, S.n))]
     knots = [0.0, *path.breakpoints, 1.0]
     for a, b in zip(knots[:-1], knots[1:]):
+        m = max(1, round(cfg.quadrature_segments * (b - a)))
+        h = (b - a) / m
+        starts = [a + idx * h for idx in range(m + 1)]
+        t = [u for t0 in starts[:-1] for u in (t0, t0 + h / 2.0)] + starts[-1:]
         # velocity probes stay strictly inside the smooth piece so panel
         # endpoints shared with a corner read the correct one-sided velocity
         lo, hi = a + 1e-11, b - 1e-11
-
-        def integrand(t):
-            return np.einsum("ikj,k,j->i", p, F(path(t)), path.vel(min(max(t, lo), hi)))
-
-        m = max(1, round(cfg.quadrature_segments * (b - a)))
-        h = (b - a) / m
-        for idx in range(m):
-            t0 = a + idx * h
-            total += (h / 6.0) * (
-                integrand(t0) + 4.0 * integrand(t0 + h / 2.0) + integrand(t0 + h)
-            )
+        vel = np.array([path.vel(min(max(u, lo), hi)) for u in t])
+        v = np.einsum("ikj,...k,...j->...i", p, F(np.array([path(u) for u in t])), vel)
+        panels.append((h / 6.0) * (v[:-1:2] + 4.0 * v[1::2] + v[2::2]))
+    # panel by panel, in order, as the composite rule adds them
+    total = np.add.accumulate(np.concatenate(panels))[-1]
     return PolyNumber(total, S.basis_tag)
 
 
@@ -724,10 +746,16 @@ def path_independence_residual(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) 
 # field constructors
 # ---------------------------------------------------------------------------
 
+def _diag(v: np.ndarray) -> np.ndarray:
+    """Diagonal matrices (..., n, n) with the entries of v (..., n), exactly zero off the diagonal."""
+    return np.where(np.eye(v.shape[-1], dtype=bool), v[..., None, :], 0.0)
+
+
 def constant_field(values) -> VectorField:
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    return VectorField(n, lambda x: values, jacobian=lambda x: np.zeros((n, n)))
+    return VectorField(n, lambda x: np.broadcast_to(values, x.shape[:-1] + (n,)),
+                       jacobian=lambda x: np.zeros(x.shape[:-1] + (n, n)))
 
 
 def linear_field(a, offset=None) -> VectorField:
@@ -736,7 +764,8 @@ def linear_field(a, offset=None) -> VectorField:
     off = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
     if a.shape != (n, n) or off.shape != (n,):
         raise ContractError("linear field needs a square matrix and an offset of matching length")
-    return VectorField(n, lambda x: a @ x + off, jacobian=lambda x: a)
+    return VectorField(n, lambda x: np.matvec(a, x) + off,
+                       jacobian=lambda x: np.broadcast_to(a, x.shape[:-1] + (n, n)))
 
 
 def identity_field(n: int) -> VectorField:
@@ -745,23 +774,13 @@ def identity_field(n: int) -> VectorField:
 
 def componentwise_power_field(n: int, power: int) -> VectorField:
     k = int(power)
-
-    def func(x):
-        return x ** k
-
-    def jac(x):
-        return np.diag(k * x ** (k - 1)) if k != 0 else np.zeros((n, n))
-
-    return VectorField(n, func, jacobian=jac)
+    return VectorField(n, lambda x: x ** k,
+                       jacobian=lambda x: _diag(k * x ** (k - 1)) if k != 0 else np.zeros(x.shape + (n,)))
 
 
 def componentwise_exp_field(n: int, scale: float = 1.0) -> VectorField:
     c = float(scale)
-    return VectorField(
-        n,
-        lambda x: np.exp(c * x),
-        jacobian=lambda x: np.diag(c * np.exp(c * x)),
-    )
+    return VectorField(n, lambda x: np.exp(c * x), jacobian=lambda x: _diag(c * np.exp(c * x)))
 
 
 def monomial_field(n: int, component: int, exponents) -> VectorField:
@@ -772,17 +791,17 @@ def monomial_field(n: int, component: int, exponents) -> VectorField:
         raise ContractError("exponents must have one entry per coordinate")
 
     def func(x):
-        out = np.zeros(n)
-        out[comp] = np.prod(x ** exps)
+        out = np.zeros(x.shape)
+        out[..., comp] = np.prod(x ** exps, axis=-1)
         return out
 
     def jac(x):
-        out = np.zeros((n, n))
+        out = np.zeros(x.shape + (n,))
         for m in range(n):
             if exps[m] == 0:
                 continue
-            rest = np.prod([x[k] ** exps[k] for k in range(n) if k != m])
-            out[comp, m] = exps[m] * x[m] ** (exps[m] - 1) * rest
+            rest = np.prod(np.delete(x ** exps, m, axis=-1), axis=-1)
+            out[..., comp, m] = exps[m] * x[..., m] ** (exps[m] - 1) * rest
         return out
 
     return VectorField(n, func, jacobian=jac)
@@ -801,9 +820,9 @@ def random_smooth_field(n: int, rng: np.random.Generator, amplitude: float = 1.0
     ph = rng.uniform(0.0, 2 * np.pi, size=(n, n))
 
     def func(x):
-        return a @ x + b + q @ (x * x) + np.sum(t * np.sin(x[None, :] + ph), axis=1)
+        return np.matvec(a, x) + b + np.matvec(q, x * x) + (t * np.sin(x[..., None, :] + ph)).sum(axis=-1)
 
     def jac(x):
-        return a + 2.0 * q * x[None, :] + t * np.cos(x[None, :] + ph)
+        return a + 2.0 * q * x[..., None, :] + t * np.cos(x[..., None, :] + ph)
 
     return VectorField(n, func, jacobian=jac)

@@ -26,9 +26,10 @@ from .fields import (
     GAPair,
     GammaField,
     VectorField,
-    _cr_contraction,
+    cr_residual,
     fd_jacobian,
     grid_max,
+    zero_gamma,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -450,6 +451,5 @@ def analytic_gamma_max(spec: H4FamilySpec, points) -> float:
     exactly when the family reduces to an analytic function, as happens under
     the reciprocal-quartic gauge.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    jac = _family_terms(spec, points)[1]
-    return grid_max(np.abs(_cr_contraction(builtin_algebra("h4-psi"), jac)))
+    bare = GAPair(family_field(spec), zero_gamma(4), builtin_algebra("h4-psi"))
+    return grid_max(np.abs(cr_residual(bare, points)))

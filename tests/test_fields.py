@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyan import (
+    BasisChange,
     ContractError,
     DomainError,
     SingularQError,
+    ZeroDivisorError,
     builtin_algebra,
+    builtin_names,
     covariant_derivative,
     cr_residual,
     derivative,
@@ -18,19 +23,28 @@ from polyan import (
 )
 from polyan.fields import (
     Box,
+    ConnectionField,
     DiffConfig,
+    Diffeo,
     GAPair,
     GammaField,
     VectorField,
     componentwise_exp_field,
     componentwise_power_field,
     constant_field,
+    derivative_chain,
     fd_jacobian,
     fd_partial,
     grid_max,
+    identity_field,
     linear_field,
     monomial_field,
+    pair_combine,
+    pair_product,
     random_smooth_field,
+    residual_grid_report,
+    square_pair,
+    transform_pair,
     zero_gamma,
 )
 from polyan.h4 import H4FamilySpec, constant_lambda, family_field, quadratic_b
@@ -306,3 +320,212 @@ def test_central4_scheme_is_tighter(h4_psi):
 def test_gamma_field_shape(h4_psi):
     g = GammaField(4, lambda x: np.outer(x, x))
     assert g(np.ones(4)).shape == (4, 4)
+
+
+# ---------------------------------------------------------------------------
+# the one-call stencil against the per-column loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_fd_column(func, x, hk, k, scheme):
+    """Central difference along coordinate k, each probe its own call of func."""
+    e = np.zeros_like(x)
+    e[..., k] = hk
+
+    def at(y):
+        return np.asarray(func(y), dtype=float)
+
+    if scheme == "central-4":
+        diff, denom = -at(x + 2 * e) + 8 * at(x + e) - 8 * at(x - e) + at(x - 2 * e), 12 * hk
+    else:
+        diff, denom = at(x + e) - at(x - e), 2 * hk
+    return diff / (denom.reshape(denom.shape + (1,) * (diff.ndim - denom.ndim)) if denom.ndim else denom)
+
+
+def reference_fd_jacobian(func, x, cfg):
+    x = np.asarray(x, dtype=float)
+    h = cfg.step(x)
+    steps = h.transpose(-1, *range(h.ndim - 1))
+    return np.stack([reference_fd_column(func, x, hk, k, cfg.scheme) for k, hk in enumerate(steps)], axis=-1)
+
+
+@pytest.mark.parametrize("scheme", ("central-2", "central-4"))
+def test_fd_jacobian_equals_the_per_column_loop(scheme, rng):
+    from polyan.h4 import gaussian_kappa, kappa_from_b
+
+    cfg = DiffConfig(scheme=scheme)
+    funcs = {
+        "random field": random_smooth_field(4, rng).func,
+        "family": family_test_field().func,
+        "gaussian kappa": gaussian_kappa(1.3, 0.7).func,
+        "separable kappa": kappa_from_b(tuple(quadratic_b(0.25) for _ in range(4)), 1.0).func,
+    }
+    points = rng.uniform(-0.6, 0.6, (7, 4))
+    for name, func in funcs.items():
+        for x in (points[0], points, points.reshape(7, 1, 4)):
+            got = fd_jacobian(func, x, cfg)
+            assert np.array_equal(got, reference_fd_jacobian(func, x, cfg)), name
+            assert got.shape == x.shape + ((4,) if name.endswith("field") or name == "family" else ())
+
+
+def test_point_only_callables_fail_loudly():
+    point_only = VectorField(4, lambda x: np.array([x[1] * x[2], x[0], x[3], x[2]]))
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    assert point_only(x).shape == (4,)
+    with pytest.raises(ContractError, match="one row per point"):
+        point_only.jac(x)
+    with pytest.raises(ContractError, match=r"expected \(5, 4\)"):
+        point_only(GRID[:5])
+    constant = GammaField(4, lambda x: np.eye(4))
+    assert constant(x).shape == (4, 4)
+    with pytest.raises(ContractError, match=r"\(3, 4, 4\)"):
+        constant(GRID[:3])
+    with pytest.raises(ContractError):
+        VectorField(4, lambda x: x, jacobian=lambda x: np.eye(4)).jac(GRID[:3])
+
+
+# ---------------------------------------------------------------------------
+# fields on (m, n) points against one point at a time
+# ---------------------------------------------------------------------------
+
+def _random_pair(S, rng):
+    f = random_smooth_field(S.n, rng, amplitude=0.8)
+    return gamma_from_prescribed(f, random_smooth_field(S.n, rng, amplitude=0.8), S)
+
+
+def _point_only_diffeo(n, rng):
+    alpha = rng.uniform(-0.04, 0.04, (n, n))
+    phase = rng.uniform(0.0, 2 * np.pi, (n, n))
+    rows = np.arange(n)
+
+    def hess(x):
+        h = np.zeros((n, n, n))
+        h[:, rows, rows] = -alpha * np.sin(x[None, :] + phase)
+        return h
+
+    return Diffeo(n, lambda x: x + np.sum(alpha * np.sin(x[None, :] + phase), axis=1),
+                  lambda x: np.eye(n) + alpha * np.cos(x[None, :] + phase), hess)
+
+
+def _chain(S, rng, fd):
+    if S.unit_index is None:
+        return _random_pair(S, rng)
+    c0, w = 0.3 * S.p + rng.uniform(-0.1, 0.1, S.p.shape), rng.uniform(-1, 1, S.n)
+    pair = _random_pair(S, rng)
+    if fd:
+        pair = GAPair(pair.f.without_jacobian(), pair.gamma, S)
+    return derivative_chain(pair, ConnectionField(S.n, lambda x: c0 * (1.0 + x @ w)), 2)
+
+
+def _with_domain(S, rng):
+    from polyan.cli import _with_domain
+
+    f = _with_domain(componentwise_exp_field(S.n, 0.7), {"domain": {"min": [-1] * S.n, "max": [1] * S.n}}, S.n)
+    return GAPair(f, zero_gamma(S.n), S)
+
+
+PAIR_KINDS = {
+    "constant": lambda S, rng: GAPair(constant_field(rng.uniform(-1, 1, S.n)), zero_gamma(S.n), S),
+    "linear": lambda S, rng: GAPair(linear_field(rng.uniform(-1, 1, (S.n, S.n)), rng.uniform(-1, 1, S.n)),
+                                    zero_gamma(S.n), S),
+    "identity": lambda S, rng: GAPair(identity_field(S.n), zero_gamma(S.n), S),
+    "power": lambda S, rng: GAPair(componentwise_power_field(S.n, int(rng.integers(0, 4))), zero_gamma(S.n), S),
+    "exp": lambda S, rng: GAPair(componentwise_exp_field(S.n, rng.uniform(-1.5, 1.5)), zero_gamma(S.n), S),
+    "monomial": lambda S, rng: GAPair(monomial_field(S.n, int(rng.integers(0, S.n)), rng.integers(0, 3, S.n)),
+                                      zero_gamma(S.n), S),
+    "square": lambda S, rng: square_pair(S),
+    "prescribed": _random_pair,
+    "combine": lambda S, rng: pair_combine(0.7, _random_pair(S, rng), -1.3, _random_pair(S, rng)),
+    "product": lambda S, rng: pair_product(_random_pair(S, rng), _random_pair(S, rng)),
+    "change basis": lambda S, rng: pair_change_basis(
+        PAIR_KINDS[rng.choice(["linear", "prescribed", "product"])](S, rng),
+        BasisChange(np.eye(S.n) + rng.uniform(-0.3, 0.3, (S.n, S.n)), S.basis_tag, "other")),
+    "chain": lambda S, rng: _chain(S, rng, fd=False),
+    "chain of an FD field": lambda S, rng: _chain(S, rng, fd=True),
+    "transform": lambda S, rng: transform_pair(_random_pair(S, rng), _point_only_diffeo(S.n, rng)),
+    "domain": _with_domain,
+}
+
+
+def assert_rows_equal(batched, points, one_point):
+    assert batched.shape[0] == len(points)
+    for row, x in zip(batched, points):
+        assert np.array_equal(row, one_point(x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(builtin_names()), kind=st.sampled_from(sorted(PAIR_KINDS)),
+       seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4))
+def test_fields_on_many_points_equal_one_point_calls(name, kind, seed, m):
+    rng = np.random.default_rng(seed)
+    S = builtin_algebra(name)
+    pair = PAIR_KINDS[kind](S, rng)
+    points = rng.uniform(-0.5, 0.5, (m, S.n))
+    bare = GAPair(pair.f.without_jacobian(), pair.gamma, pair.S)
+    assert_rows_equal(pair.f(points), points, pair.f)
+    assert_rows_equal(pair.gamma(points), points, pair.gamma)
+    assert_rows_equal(pair.f.jac(points), points, pair.f.jac)
+    for cfg in (DiffConfig(), DiffConfig(scheme="central-4")):
+        assert_rows_equal(bare.f.jac(points, cfg), points, lambda x: bare.f.jac(x, cfg))
+        if pair.S.unit_index is None and pair.S.qtensor.q_inv is None:
+            continue  # no derivative form: a dual number in a basis without the unit
+        for p in (pair, bare):
+            assert_rows_equal(cr_residual(p, points, cfg), points, lambda x: cr_residual(p, x, cfg))
+
+
+# ---------------------------------------------------------------------------
+# the grid report in one pass against the per-point loop
+# ---------------------------------------------------------------------------
+
+def per_point_grid_report(pair, points, cfg=DiffConfig()):
+    """The report built one point at a time."""
+    entries = []
+    values = []
+    for x in points:
+        entry = {"point": [float(v) for v in x]}
+        try:
+            r = float(np.max(np.abs(cr_residual(pair, x, cfg))))
+        except (DomainError, SingularQError, ZeroDivisorError) as exc:
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            if np.isfinite(r):
+                entry["max_abs"] = r
+                values.append(r)
+            else:
+                entry["error"] = f"non-finite residual {r}"
+        entries.append(entry)
+    return {
+        "points": entries,
+        "grid_max": grid_max(values),
+        "grid_mean": (sum(values) / len(values)) if values else 0.0,
+        "failed_points": len(entries) - len(values),
+    }
+
+
+def _report_cases(h4_psi, rng):
+    from polyan import StructureConstants
+    from polyan.h4 import family_pair
+
+    dual = builtin_algebra("dual")
+    vanishing = H4FamilySpec(phi0=[1.0] * 4, mu=[0.0] * 4, b=tuple(quadratic_b(-4.0) for _ in range(4)),
+                             lam=constant_lambda(1.0))
+    boxed = VectorField(4, componentwise_exp_field(4).func, domain=Box([-0.2] * 4, [1.0] * 4))
+    return {
+        "clean": (_random_pair(builtin_algebra("h4-e"), rng), GRID),
+        "partly outside the domain": (GAPair(boxed, zero_gamma(4), h4_psi), GRID),
+        "vanishing family profile": (family_pair(vanishing), GRID),
+        "singular q": (GAPair(componentwise_power_field(2, 2), zero_gamma(2),
+                              StructureConstants(np.array(dual.p), basis_tag="dual-headless")),
+                       Box([-0.5] * 2, [0.5] * 2).grid(3)),
+        "non-finite": (GAPair(componentwise_power_field(4, -1), zero_gamma(4), h4_psi), GRID),
+    }
+
+
+@pytest.mark.parametrize("scheme", ("central-2", "central-4"))
+def test_grid_report_equals_the_per_point_loop(h4_psi, rng, scheme):
+    cfg = DiffConfig(scheme=scheme)
+    for name, (pair, points) in _report_cases(h4_psi, rng).items():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = residual_grid_report(pair, points, cfg)
+            reference = per_point_grid_report(pair, points, cfg)
+        assert report == reference, name
+        assert (report["failed_points"] > 0) == (name != "clean"), name

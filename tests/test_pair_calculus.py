@@ -191,7 +191,7 @@ def test_compose_exponential_matches_finite_difference(h4_psi, rng):
     def exp_func(x):
         return poly_eval(coeffs, h4_psi.element(x), h4_psi).coords
 
-    outer = GAPair(VectorField(4, exp_func), zero_gamma(4), h4_psi)
+    outer = GAPair(VectorField(4, np.vectorize(exp_func, signature="(n)->(n)")), zero_gamma(4), h4_psi)
     inner = analytic_identity_pair(h4_psi)
     x = rng.uniform(-0.5, 0.5, 4)
     chain = pair_compose(outer, inner, x, DiffConfig())

@@ -85,6 +85,22 @@ def test_many_random_diffeos_transport_tensorially(h4_e, pair_factory, rng):
         assert np.max(np.abs(nabla_d - nabla_t)) < 1e-6
 
 
+def test_point_only_diffeo_transports_stacks_of_points(h4_e, pair_factory, rng):
+    # the diffeomorphism takes one point at a time; the transformed pair's
+    # fields, and the FD Jacobian that stacks its probes, apply it row by row
+    pair = pair_factory(h4_e, rng)
+    diffeo = sine_diffeo(rng)
+    transformed = transform_pair(pair, diffeo)
+    xs = rng.uniform(-0.4, 0.4, (3, 4))
+    ys = np.array([diffeo(x) for x in xs])
+    nabla = covariant_derivative(transformed, ys)
+    assert nabla.shape == (3, 4, 4)
+    for x, y, row in zip(xs, ys, nabla):
+        assert np.array_equal(row, covariant_derivative(transformed, y))
+        assert np.max(np.abs(row - gamma_transform(pair, diffeo, x)[2])) < 1e-6
+    assert np.array_equal(transformed.f(ys), np.array([transformed.f(y) for y in ys]))
+
+
 def test_singular_jacobian_rejected(h4_e, pair_factory, rng):
     pair = pair_factory(h4_e, rng)
     collapse = Diffeo(
