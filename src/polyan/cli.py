@@ -96,6 +96,13 @@ def render_report(report: dict) -> str:
 # catalogs: config dicts to library objects
 # ---------------------------------------------------------------------------
 
+def _number(value, what: str, integral: bool = False):
+    """A finite JSON number, not a bool; when integral, a whole one, as an int."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max and not (integral and value % 1):
+        return int(value) if integral else float(value)
+    raise ConfigError(f"{what} must be a finite {'integer' if integral else 'number'}, got {value!r}")
+
+
 def _require(cfg: dict, key: str, what: str = "config"):
     if key not in cfg:
         raise ConfigError(f"{what} is missing required key {key!r}")
@@ -127,11 +134,11 @@ def _make_field(spec: dict, n: int) -> fl.VectorField:
     if kind == "identity":
         return fl.identity_field(n)
     if kind == "componentwise-power":
-        return fl.componentwise_power_field(n, int(spec.get("power", 2)))
+        return fl.componentwise_power_field(n, _number(spec.get("power", 2), "power", True))
     if kind == "componentwise-exp":
         return fl.componentwise_exp_field(n, float(spec.get("scale", 1.0)))
     if kind == "monomial":
-        component = int(_require(spec, "component", "monomial field")) - 1
+        component = _number(_require(spec, "component", "monomial field"), "component", True) - 1
         exponents = _require(spec, "exponents", "monomial field")
         if not 0 <= component < n:
             raise ConfigError("monomial component out of range")
@@ -172,7 +179,7 @@ def _make_grid(spec: dict, n: int) -> np.ndarray:
         raise ConfigError("grid must be an object")
     lo = np.asarray(spec.get("min", [-0.5] * n), dtype=float)
     hi = np.asarray(spec.get("max", [0.5] * n), dtype=float)
-    points = int(spec.get("points_per_axis", 3))
+    points = _number(spec.get("points_per_axis", 3), "points_per_axis", True)
     if lo.shape != (n,) or hi.shape != (n,):
         raise ConfigError("grid bounds have wrong length")
     if points < 1:
@@ -218,7 +225,8 @@ def _make_kappa(spec: dict, kappa0: float, b_funcs=None) -> h4.ScalarField:
         return h4.gaussian_kappa(kappa0, float(spec.get("c", 1.0)))
     if kind == "cross-term":
         axes = spec.get("axes", [1, 2])
-        return h4.cross_term_kappa(kappa0, float(spec.get("c", 1.0)), (int(axes[0]) - 1, int(axes[1]) - 1))
+        first, second = (_number(axes[i], "cross-term axes", True) - 1 for i in (0, 1))
+        return h4.cross_term_kappa(kappa0, float(spec.get("c", 1.0)), (first, second))
     if kind == "from-b":
         if b_funcs is None:
             raise ConfigError("kappa kind 'from-b' needs profile functions")
@@ -268,7 +276,7 @@ def _make_family_spec(cfg: dict) -> h4.H4FamilySpec:
 def _make_connection(spec: dict) -> geo.ConnectionField:
     kind = _require(spec, "kind", "connection spec")
     if kind == "zero":
-        return geo.zero_connection(int(spec.get("n", 4)))
+        return geo.zero_connection(_number(spec.get("n", 4), "n", True))
     if kind == "structure-scaled":
         S = _make_algebra(_require(spec, "algebra", "connection spec"))
         return geo.connection_from_structure(S, float(spec.get("scale", 1.0)))
@@ -324,7 +332,7 @@ def _cmd_cr_residual(cfg: dict, tol: float, rng) -> _Compute:
 
 def _cmd_pair_ops(cfg: dict, tol: float, rng) -> _Compute:
     S = _make_algebra(_require(cfg, "algebra"))
-    count = int(cfg.get("count", 10))
+    count = _number(cfg.get("count", 10), "count", True)
     if count < 1:
         raise ConfigError("count must be positive")
     points = _make_grid(cfg.get("grid", {}), S.n)
@@ -375,7 +383,7 @@ def _cmd_line_integral(cfg: dict, tol: float, rng) -> _Compute:
     field = _make_field(_require(cfg, "field"), S.n)
     path = _make_path(_require(cfg, "path"), S.n)
     path_b = _make_path(cfg["path_b"], S.n) if "path_b" in cfg else None
-    diff = fl.DiffConfig(quadrature_segments=int(cfg.get("segments", 512)))
+    diff = fl.DiffConfig(quadrature_segments=_number(cfg.get("segments", 512), "segments", True))
     expect = cfg.get("expect", "equal")
     if expect not in ("equal", "different"):
         raise ConfigError(f"unknown expectation {expect!r}")
@@ -404,7 +412,8 @@ def _cmd_geodesic(cfg: dict, tol: float, rng) -> _Compute:
     s0 = geo.GeodesicState(_require(cfg, "x0"), _require(cfg, "v0"))
     if gamma.n != s0.x.shape[0]:
         raise ConfigError("connection dimension disagrees with x0")
-    icfg = geo.IntegratorConfig(steps=int(cfg.get("steps", 1000)), t_end=float(cfg.get("t_end", 1.0)))
+    icfg = geo.IntegratorConfig(steps=_number(cfg.get("steps", 1000), "steps", True),
+                                t_end=_number(cfg.get("t_end", 1.0), "t_end"))
 
     def compute():
         traj = geo.integrate_geodesic(gamma, s0, icfg)
@@ -422,8 +431,8 @@ def _cmd_extremal(cfg: dict, tol: float, rng) -> _Compute:
     metric = _make_metric(cfg)
     xi0 = np.asarray(_require(cfg, "xi0"), dtype=float)
     icfg = geo.IntegratorConfig(
-        steps=int(cfg.get("steps", 1000)),
-        t_end=float(cfg.get("t_end", 1.0)),
+        steps=_number(cfg.get("steps", 1000), "steps", True),
+        t_end=_number(cfg.get("t_end", 1.0), "t_end"),
         drift_tol=tol,
     )
     p0 = cfg["p0"] if "p0" in cfg else h4.momenta(_require(cfg, "dxi0"), xi0, metric)

@@ -557,7 +557,7 @@ def pair_change_basis(pair: GAPair, B) -> GAPair:
 class ConnectionField:
     """Position-dependent coefficients, one point -> (n, n, n) array G[i, k, j].
 
-    acceleration, if given, maps (x, v) to -G[i, k, j] v_k v_j without building G.
+    acceleration, if given, maps one (x, v) of floats to -G[i, k, j] v_k v_j without building G.
     """
 
     def __init__(self, n: int, func: Callable, acceleration: Callable | None = None):

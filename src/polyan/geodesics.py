@@ -10,13 +10,15 @@ drift is logged as a correctness signal and never projected away.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConeError, ContractError, DomainError, IntegrationError
 from .fields import ConnectionField
-from .h4 import ORIENTATIONS, FinslerConfig, _acceleration, _quartic, _raise_if, gamma_matrices
+from .h4 import (ORIENTATIONS, FinslerConfig, _floats, _log_gradients, _on_floats, _quartic, _raise_if,
+                 gamma_matrices)
 
 __all__ = [
     "ConnectionField",
@@ -51,14 +53,21 @@ def connection_from_structure(S, scale: float = 1.0) -> ConnectionField:
 
 def finsler_connection(metric: FinslerConfig, orientation: str = "transposed") -> ConnectionField:
     """G = gamma_matrices(x, metric, orientation), carrying the geodesic
-    acceleration in closed form, a_i = v_i (s . v - (s_i - l_i) v_i) with
+    acceleration in closed form on floats, a_i = v_i (s . v - (s_i - l_i) v_i) with
     s = grad ln sigma (sigma = kappa^4 lam) and l = grad ln lam: one kappa and
     one lam evaluation, no (4, 4, 4) array.  Both orientations contract to this
-    same acceleration, so the orientation is checked here, when built."""
+    same acceleration, so the orientation is checked here, when built.  The
+    scratch vectors of its dot products make one connection unsafe in two threads."""
     if orientation not in ORIENTATIONS:
         raise ContractError(f"orientation must be one of {ORIENTATIONS}")
-    return ConnectionField(4, lambda x: gamma_matrices(x, metric, orientation),
-                           lambda x, v: _acceleration(metric, x, v))
+    m = _floats()
+
+    def acceleration(x, v):
+        _, _, dln_lam, dln_sigma = _log_gradients(metric.kappa, metric.lam, x, m)
+        sv = m.dot(dln_sigma, v)
+        return [w * (sv - (s - l) * w) for w, s, l in zip(v, dln_sigma, dln_lam)]
+
+    return ConnectionField(4, lambda x: gamma_matrices(x, metric, orientation), acceleration)
 
 
 @dataclass(frozen=True)
@@ -109,26 +118,28 @@ def _rk4(rhs, y0: np.ndarray, cfg: IntegratorConfig, what: str, clock: str, cone
     """Fixed-step RK4 of y' = rhs(y) from time 0: sample times and states,
     one row per step plus the start.
 
-    Aborts when a state becomes non-finite, or when the components selected
-    by cone leave the positive cone.
+    The state is a list of floats, as rhs's value is, so every slot takes numpy's
+    elementwise operations in their order.  Aborts when a state becomes
+    non-finite, or when the components selected by cone leave the positive cone.
     """
     h = cfg.t_end / cfg.steps
     half, sixth = 0.5 * h, h / 6.0
-    ys = np.empty((cfg.steps + 1, y0.shape[0]))
-    ys[0] = y = y0
+    y = y0.tolist()
+    samples = array("d", y)
     for m in range(cfg.steps):
         k1 = rhs(y)
-        k2 = rhs(y + half * k1)
-        k3 = rhs(y + half * k2)
-        k4 = rhs(y + h * k3)
-        ys[m + 1] = y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
+        k2 = rhs([a + half * k for a, k in zip(y, k1)])
+        k3 = rhs([a + half * k for a, k in zip(y, k2)])
+        k4 = rhs([a + h * k for a, k in zip(y, k3)])
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, y)):
             raise IntegrationError(
                 f"{what} state became non-finite at step {m + 1} ({clock}={(m + 1) * h:g})"
             )
-        if cone is not None and (y[cone] <= 0).any():
+        if cone is not None and min(y[cone]) <= 0:
             raise ConeError(f"momenta left the positive cone at step {m + 1} ({clock}={(m + 1) * h:g})")
-    return h * np.arange(cfg.steps + 1), ys
+        samples.extend(y)
+    return h * np.arange(cfg.steps + 1), np.frombuffer(samples).reshape(cfg.steps + 1, -1)
 
 
 @dataclass(frozen=True)
@@ -146,17 +157,15 @@ class GeodesicTrajectory:
 
 
 def integrate_geodesic(Gamma: ConnectionField, s0: GeodesicState, cfg: IntegratorConfig) -> GeodesicTrajectory:
-    """Fixed-step RK4 trajectory with steps + 1 samples, deterministic; the
-    acceleration is the connection's own where it has one, else geodesic_rhs."""
+    """Fixed-step RK4 trajectory with steps + 1 samples, deterministic; the acceleration
+    is the connection's own where it has one, else geodesic_rhs through the adapter."""
     n = s0.x.shape[0]
     if Gamma.n != n:
         raise ContractError("connection dimension disagrees with the state")
-    acceleration = Gamma.acceleration or (lambda x, v: geodesic_rhs(Gamma, x, v))
+    acceleration = Gamma.acceleration or _on_floats(lambda x, v: geodesic_rhs(Gamma, x, v))
 
     def rhs(y):
-        out = np.empty(2 * n)
-        out[:n], out[n:] = y[n:], acceleration(y[:n], y[n:])
-        return out
+        return y[n:] + acceleration(y[:n], y[n:])
 
     sigma, ys = _rk4(rhs, np.concatenate([s0.x, s0.v]), cfg, "geodesic", "sigma")
     return GeodesicTrajectory(sigma=sigma, x=ys[:, :n].copy(), v=ys[:, n:].copy())
@@ -210,15 +219,19 @@ def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: Integrator
     error.  Leaving the momentum cone aborts.
     """
     _check_start(metric, e0, cfg.drift_tol)
+    m = _floats()
+
+    def rates(p, kv, dkappa, lv):
+        prod, scale = math.prod(p), (kv / 4.0) ** 4
+        return [prod / q * lv for q in p] + [scale * (4.0 * d / kv) * lv for d in dkappa]
 
     def rhs(y):
         xi, p = y[:4], y[4:]
-        lv = metric.lam.func(xi)
-        kv, dkappa = metric.kappa.value_and_grad(xi)
-        out = np.empty(8)
-        out[:4] = math.prod(p.tolist()) / p * lv
-        out[4:] = (kv / 4.0) ** 4 * (4.0 * dkappa / kv) * lv
-        return out
+        (kv, dkappa), lv = metric.kappa.formula(m, xi), metric.lam.formula(m, xi)[0]
+        try:
+            return rates(p, kv, dkappa, lv)
+        except ArithmeticError:  # an overflowing power or a zero divisor: numpy floats give inf or nan
+            return rates([np.float64(q) for q in p], np.float64(kv), dkappa, lv)
 
     tau, ys = _rk4(rhs, np.concatenate([e0.xi, e0.p]), cfg, "extremal", "tau",
                    cone=slice(4, None))

@@ -13,7 +13,9 @@ function.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -44,11 +46,27 @@ class ScalarField:
     func maps points (..., n) to values (...); value_and_grad, if given, maps them
     to the values and the gradients (..., n) from one evaluation, else the gradient
     is a central finite difference of func.  On one point the field gives a numpy float.
+    formula(m, x) is the value and the gradient's components at a point x[i] in the forms
+    m of arrays (_ARRAYS) or floats (_floats()), through m.call for callables; a gauge
+    of a field kappa keeps it, and of_kappa(m, kappa's value and gradient) gives it.
     """
 
     def __init__(self, func: Callable, value_and_grad: Callable | None = None):
         self.func = func
         self.value_and_grad = value_and_grad or (lambda x: (func(x), fd_jacobian(func, x)))
+        self.formula = lambda m, x: m.call(self.value_and_grad, x)
+        self.kappa = self.of_kappa = None
+
+    @classmethod
+    def of(cls, formula: Callable) -> ScalarField:
+        """A built-in kind from its one formula; func and value_and_grad are its array form."""
+        def value_and_grad(x):
+            v, g = formula(_ARRAYS, np.moveaxis(x, -1, 0))
+            return v, np.moveaxis(g, 0, -1) if isinstance(g, np.ndarray) else np.stack(g, axis=-1)
+
+        field = cls(lambda x: formula(_ARRAYS, np.moveaxis(x, -1, 0))[0], value_and_grad)
+        field.formula = formula
+        return field
 
     def __call__(self, x):
         return self.func(np.asarray(x, dtype=float))[()]
@@ -74,8 +92,8 @@ class ScalarFunc1D:
 
 
 def _raise_if(bad, error: type, message: str) -> None:
-    """Raise error(message) if bad holds anywhere (one point's numpy bool skips .any())."""
-    if bad.any() if bad.ndim else bad:
+    """Raise error(message) if bad holds anywhere (a bool or numpy bool skips .any())."""
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
         raise error(message)
 
 
@@ -102,9 +120,47 @@ def _filled(shape: tuple, value: float):
     return out[()]
 
 
-def _col(v):
-    """Values (...) as a column (..., 1); one point's stays a scalar, which numpy is faster with."""
-    return v[..., None] if v.ndim else v
+def _on_arrays(value_and_grad: Callable, x):
+    """value_and_grad of points (..., n) at a point of arrays x[i], the gradient's components first."""
+    v, g = value_and_grad(np.moveaxis(x, 0, -1))
+    return v, np.moveaxis(g, -1, 0)
+
+
+def _on_floats(f: Callable) -> Callable:
+    """f, a function of arrays, as one of sequences of floats: np.array in, .tolist() out."""
+    return lambda *args: [r.tolist() for r in f(*map(np.array, args))]
+
+
+# What a formula does differently on points of arrays, np.moveaxis(points, -1, 0),
+# where a gradient is a list or an array (n, ...) of components, and of floats.
+_ARRAYS = SimpleNamespace(exp=_exp, quartic=_quartic, call=_on_arrays,
+                          full=lambda t, value: _filled(np.shape(t), value),
+                          zeros=lambda x: _filled(np.shape(x), 0.0),
+                          dot=lambda a, b: np.vecdot(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)))
+
+
+def _floats() -> SimpleNamespace:
+    """The float forms.  exp and the quartic power are numpy's, as on arrays, since
+    math.exp differs from np.exp in the last bit on some inputs; a dot product of
+    four components goes through BLAS, as np.vecdot's does, on scratch vectors of
+    its own, since a plain left-to-right sum may round differently."""
+    ab = np.empty(8)
+    a, b = ab[:4], ab[4:]
+
+    def exp(t):
+        if (v := float(np.exp(t))) == math.inf:
+            raise OverflowError("math range error")
+        return v
+
+    def dot(u, w):
+        if u is w:
+            a[:] = u
+            return float(a.dot(a))
+        ab[:] = [*u, *w]
+        return float(a.dot(b))
+
+    return SimpleNamespace(exp=exp, quartic=lambda t: float(_quartic(t)), call=lambda f, x: _on_floats(f)(x),
+                           full=lambda t, value: value, zeros=lambda x: [0.0] * len(x), dot=dot)
 
 
 def constant_b(c: float = 1.0) -> ScalarFunc1D:
@@ -126,8 +182,7 @@ def _positive_constant(value: float, what: str) -> ScalarField:
     v = float(value)
     if v <= 0:
         raise ContractError(f"{what} must be positive")
-    return ScalarField(lambda x: _filled(x.shape[:-1], v),
-                       lambda x: (_filled(x.shape[:-1], v), _filled(x.shape, 0.0)))
+    return ScalarField.of(lambda m, x: (m.full(x[0], v), m.zeros(x)))
 
 
 def constant_kappa(value: float = 1.0) -> ScalarField:
@@ -140,14 +195,11 @@ def gaussian_kappa(kappa0: float = 1.0, c: float = 1.0) -> ScalarField:
     # c/4 and c/2 are exact, so these match c * s / 4 and v * c * x / 2
     quarter_c, half_c = c / 4.0, c / 2.0
 
-    def func(x):
-        return k0 * _exp(quarter_c * np.vecdot(x, x))
+    def formula(m, x):
+        v = k0 * m.exp(quarter_c * m.dot(x, x))
+        return v, [v * half_c * t for t in x]
 
-    def value_and_grad(x):
-        v = func(x)
-        return v, _col(v * half_c) * x
-
-    return ScalarField(func, value_and_grad)
+    return ScalarField.of(formula)
 
 
 def kappa_from_b(b_funcs, kappa0: float = 1.0) -> ScalarField:
@@ -157,18 +209,15 @@ def kappa_from_b(b_funcs, kappa0: float = 1.0) -> ScalarField:
         raise ContractError("need exactly four component functions")
     k0 = float(kappa0)
 
-    def value_and_profiles(x):
-        v = np.stack([b(x[..., i]) for i, b in enumerate(bs)], axis=-1)
-        _raise_if(v == 0.0, DomainError, "component function vanishes on the evaluation point")
-        logs = np.log(np.abs(v))
-        return k0 * _exp((logs[..., 0] + logs[..., 1] + logs[..., 2] + logs[..., 3]) / 4.0), v
+    def formula(m, x):
+        v = [b(t) for b, t in zip(bs, x)]
+        _raise_if((v[0] == 0.0) | (v[1] == 0.0) | (v[2] == 0.0) | (v[3] == 0.0), DomainError,
+                  "component function vanishes on the evaluation point")
+        logs = [np.log(abs(w)) for w in v]
+        val = k0 * m.exp((logs[0] + logs[1] + logs[2] + logs[3]) / 4.0)
+        return val, [val * (b.d(t) / w) / 4.0 for b, t, w in zip(bs, x, v)]
 
-    def value_and_grad(x):
-        val, v = value_and_profiles(x)
-        d = np.stack([b.d(x[..., i]) for i, b in enumerate(bs)], axis=-1)
-        return val, _col(val) * (d / v) / 4.0
-
-    return ScalarField(lambda x: value_and_profiles(x)[0], value_and_grad)
+    return ScalarField.of(formula)
 
 
 def cross_term_kappa(kappa0: float = 1.0, c: float = 1.0, axes=(0, 1)) -> ScalarField:
@@ -181,16 +230,12 @@ def cross_term_kappa(kappa0: float = 1.0, c: float = 1.0, axes=(0, 1)) -> Scalar
     if not (0 <= a < 4 and 0 <= b < 4 and a != b):
         raise ContractError(f"cross-term axes must be two different indices in 0..3, got {a}, {b}")
 
-    def func(x):
-        return k0 * _exp(c * x[..., a] * x[..., b] / 4.0)
-
-    def value_and_grad(x):
-        g = np.zeros(x.shape)
-        v = func(x)
-        g[..., a], g[..., b] = v * c * x[..., b] / 4.0, v * c * x[..., a] / 4.0
+    def formula(m, x):
+        v, g = k0 * m.exp(c * x[a] * x[b] / 4.0), list(m.zeros(x))
+        g[a], g[b] = v * c * x[b] / 4.0, v * c * x[a] / 4.0
         return v, g
 
-    return ScalarField(func, value_and_grad)
+    return ScalarField.of(formula)
 
 
 def constant_lambda(value: float = 1.0) -> ScalarField:
@@ -201,16 +246,14 @@ def reciprocal_quartic_lambda(kappa: ScalarField, kappa0: float, lambda0: float)
     """The gauge lambda0 * (kappa0 / kappa)^4 that makes the family analytic."""
     k0, l0 = float(kappa0), float(lambda0)
 
-    def value(kv):
+    def of_kappa(m, kv, dk):
         _raise_if(kv <= 0, DomainError, "kappa and the gauge must stay positive")
-        return l0 * _quartic(k0 / kv)
+        lv = l0 * m.quartic(k0 / kv)
+        return lv, [-4.0 * lv * d / kv for d in dk]
 
-    def value_and_grad(x):
-        kv, dk = kappa.value_and_grad(x)
-        lv = value(kv)
-        return lv, _col(-4.0 * lv) * dk / _col(kv)
-
-    return ScalarField(lambda x: value(kappa.func(x)), value_and_grad)
+    field = ScalarField.of(lambda m, x: of_kappa(m, *kappa.formula(m, x)))
+    field.kappa, field.of_kappa = kappa, of_kappa
+    return field
 
 
 @dataclass(frozen=True)
@@ -256,14 +299,19 @@ def indicatrix(p, xi, cfg: FinslerConfig) -> float:
     return float(np.prod(p)) - (kap / 4.0) ** 4
 
 
-def _log_gradients(kappa: ScalarField, lam: ScalarField, xi: np.ndarray):
-    """kappa, lam, grad ln lam and grad ln sigma at points (..., 4), sigma = kappa^4 lam."""
-    lv, dlam = lam.value_and_grad(xi)
-    kv, dkappa = kappa.value_and_grad(xi)
+def _log_gradients(kappa: ScalarField, lam: ScalarField, xi, m: SimpleNamespace = _ARRAYS):
+    """kappa, lam, grad ln lam and grad ln sigma (sigma = kappa^4 lam) at points (..., 4),
+    or, in float forms m, at one point of floats, the gradients as lists.  A gauge of
+    this kappa takes kappa's value and gradient instead of evaluating kappa again."""
+    x = np.moveaxis(xi, -1, 0) if m is _ARRAYS else xi
+    kv, dk = kappa.formula(m, x)
+    lv, dlam = lam.of_kappa(m, kv, dk) if lam.kappa is kappa else lam.formula(m, x)
     _raise_if((kv <= 0) | (lv <= 0), DomainError, "kappa and the gauge must stay positive")
-    dln_lam = dlam / _col(lv)
-    dln_sigma = 4.0 * dkappa / _col(kv) + dln_lam
-    return kv, lv, dln_lam, dln_sigma
+    dln_lam = [d / lv for d in dlam]
+    dln_sigma = [4.0 * d / kv + e for d, e in zip(dk, dln_lam)]
+    if m is not _ARRAYS:
+        return kv, lv, dln_lam, dln_sigma
+    return kv, lv, np.stack(dln_lam, axis=-1), np.stack(dln_sigma, axis=-1)
 
 
 def _connection(dln_lam: np.ndarray, dln_sigma: np.ndarray, orientation: str) -> np.ndarray:
@@ -272,12 +320,6 @@ def _connection(dln_lam: np.ndarray, dln_sigma: np.ndarray, orientation: str) ->
         g[i, i, :] = -dln_sigma
         g[i, i, i] = -dln_lam[i]
     return g.transpose(0, 2, 1) if orientation == "transposed" else g
-
-
-def _acceleration(cfg: FinslerConfig, xi: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """-G[i, k, j] v_k v_j without building G; the same for both orientations."""
-    _, _, dln_lam, dln_sigma = _log_gradients(cfg.kappa, cfg.lam, xi)
-    return v * (dln_sigma @ v - (dln_sigma - dln_lam) * v)
 
 
 def gamma_matrices(xi, cfg: FinslerConfig, orientation: str = "transposed") -> np.ndarray:
@@ -371,7 +413,7 @@ def _profile_factors(spec: H4FamilySpec, xi: np.ndarray):
 
 
 def _phi(spec: H4FamilySpec, xi: np.ndarray, kv, lv, bvals: np.ndarray) -> np.ndarray:
-    return (spec.phi0 * _col(_quartic(kv / spec.kappa0)) * _col(lv / spec.lambda0)
+    return (spec.phi0 * _quartic(kv / spec.kappa0)[..., None] * (lv / spec.lambda0)[..., None]
             * bvals * np.exp(spec.mu * xi))
 
 
@@ -384,11 +426,11 @@ def family_phi(spec: H4FamilySpec, xi) -> np.ndarray:
 _DIAG = (Ellipsis, np.arange(4), np.arange(4))
 
 
-def _family_terms(spec: H4FamilySpec, xi: np.ndarray):
+def _family_terms(spec: H4FamilySpec, xi: np.ndarray, logs: tuple | None = None):
     """phi, its exact Jacobian and gamma = G . phi (G the transposed connection matrices)
-    at points (..., 4), from one evaluation of kappa, lam and their gradients; gamma is
+    at points (..., 4), from the spec's _log_gradients (logs, if given); gamma is
     -phi_i d_k ln sigma off the diagonal and -phi_i d_i ln lam on it."""
-    kv, lv, dln_lam, dln_sigma = _log_gradients(spec.kappa, spec.lam, xi)
+    kv, lv, dln_lam, dln_sigma = logs or _log_gradients(spec.kappa, spec.lam, xi)
     bvals, dlog = _profile_factors(spec, xi)
     phi = _phi(spec, xi, kv, lv, bvals)
     jac = phi[..., :, None] * dln_sigma[..., None, :]
@@ -425,15 +467,16 @@ def family_residual(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIFF,
 
     The residual is the max-abs mismatch of the gamma-object demanded by the
     constant-multiplier requirement against the one induced by the shared
-    transposed connection, one pass over the (m, 4) points per convention; the
-    convention with the smaller grid maximum is selected.  use_fd replaces the
-    exact Jacobian by finite differences.
+    transposed connection, one pass over the (m, 4) points per convention, from one
+    evaluation of the metric; the convention with the smaller grid maximum is
+    selected.  use_fd replaces the exact Jacobian by finite differences.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    logs = _log_gradients(spec.kappa, spec.lam, points)
     residuals = {}
     for conv in CONVENTIONS:
         placed = replace(spec, convention=conv)
-        phi, jac, gamma_conn = _family_terms(placed, points)
+        phi, jac, gamma_conn = _family_terms(placed, points, logs)
         if use_fd:
             jac = fd_jacobian(lambda x: family_phi(placed, x), points, cfg)
         gamma_mult = -jac

@@ -576,6 +576,27 @@ MALFORMED = [
     ("cr-residual", dict(_CR, field={"kind": "componentwise-exp", "domain": {"min": [None, -1, -1, -1]}},
                          grid={"points_per_axis": 2})),
     ("extremal", {"kappa": {"kind": "constant", "value": 1.0}, "xi0": [0, 0, 0, 0], "p0": [1, 1, 1, 1]}),
+    # a count is a JSON integer or a float with an integral value: no fraction,
+    # bool, non-finite number or string; t_end is a finite number
+    ("geodesic", dict(_ZERO, steps=1e400)),
+    ("geodesic", dict(_ZERO, steps=2.7)),
+    ("geodesic", dict(_ZERO, steps=True)),
+    ("extremal", dict(_EXTREMAL, steps=float("nan"))),
+    ("extremal", dict(_EXTREMAL, steps="10")),
+    ("cr-residual", dict(_CR, field={"kind": "componentwise-power", "power": 2.5})),
+    ("cr-residual", dict(_CR, field={"kind": "componentwise-power", "power": False})),
+    ("cr-residual", dict(_CR, field={"kind": "monomial", "component": 1.5, "exponents": [1, 0, 0, 0]})),
+    ("cr-residual", dict(_CR, grid={"points_per_axis": 2.5})),
+    ("family-verify", dict(_FAMILY, kappa={"kind": "cross-term", "axes": [1, 2.5]})),
+    ("family-verify", dict(_FAMILY, kappa={"kind": "cross-term", "axes": [True, 2]})),
+    ("geodesic", dict(_ZERO, connection={"kind": "zero", "n": 4.5})),
+    ("pair-ops", {"algebra": "h4-e", "count": True}),
+    ("line-integral", {"algebra": "h4-psi", "field": {"kind": "identity"}, "path": _STRAIGHT,
+                       "segments": 1e400}),
+    ("extremal", dict(_EXTREMAL, t_end=float("nan"))),
+    ("geodesic", dict(_ZERO, t_end=float("inf"))),
+    ("geodesic", dict(_ZERO, t_end=True)),
+    ("geodesic", dict(_ZERO, t_end="1")),
 ]
 
 
@@ -585,6 +606,17 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, command, confi
     assert code == EXIT_CONFIG
     assert text == ""
     assert "config error:" in capsys.readouterr().err
+
+
+def test_integral_float_counts_and_negative_t_end_are_accepted(tmp_path):
+    code, text = run_cli(tmp_path, "geodesic", dict(_ZERO, steps=10.0, t_end=-0.5), extra=["--format", "json"])
+    assert code == EXIT_OK
+    report = json.loads(text)
+    assert report["results"]["samples"] == 11
+    assert report["results"]["final_x"] == pytest.approx([-0.5] * 4)
+    code, text = run_cli(tmp_path, "cr-residual", dict(_CR, field={"kind": "componentwise-power", "power": 2.0},
+                                                       grid={"points_per_axis": 2.0}))
+    assert code == EXIT_OK and len(json.loads(text)["results"]["points"]) == 16
 
 
 # Config fuzz: one leaf or sub-object of a small well-formed config per

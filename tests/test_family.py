@@ -292,19 +292,24 @@ def test_shared_evaluation_matches_reference_bitwise(spec):
 
 
 def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
-    # the README family: from-b kappa and the kappa-reciprocal gauge; each
-    # convention asks each of them once for values and gradients, on all
-    # 81 points in one array call
-    spec = reduced_spec()
+    # the README family as the command line builds it: from-b kappa and the
+    # kappa-reciprocal gauge of that same kappa; both conventions share one
+    # evaluation of kappa on all 81 points, in one array call, and the gauge
+    # takes kappa's value and gradient instead of evaluating kappa again
+    b = tuple(quadratic_b(0.25) for _ in range(4))
+    kappa = kappa_from_b(b, 1.0)
+    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=reciprocal_quartic_lambda(kappa, 1.0, 1.0), kappa=kappa)
     counts = {}
     for name, field in (("kappa", spec.kappa), ("lam", spec.lam)):
-        for attr in ("func", "value_and_grad"):
-            def counted(x, inner=getattr(field, attr), key=f"{name}.{attr}"):
+        for attr in ("func", "value_and_grad", "formula"):
+            def counted(*args, inner=getattr(field, attr), key=f"{name}.{attr}"):
                 counts[key] = counts.get(key, 0) + 1
-                return inner(x)
+                return inner(*args)
             monkeypatch.setattr(field, attr, counted)
-    family_residual(spec, GRID)
-    assert counts == {"kappa.value_and_grad": 2, "lam.value_and_grad": 2}
+    for check in (family_residual, analytic_gamma_max):
+        counts.clear()
+        check(spec, GRID)
+        assert counts == {"kappa.formula": 1}
 
 
 # ---------------------------------------------------------------------------

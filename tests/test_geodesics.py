@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyan import ConeError, ContractError, IntegrationError
+from polyan import ConeError, ContractError, DomainError, IntegrationError
 from polyan.geodesics import (
     ConnectionField,
     ExtremalState,
@@ -30,7 +30,10 @@ from polyan.geodesics import (
 )
 from polyan.h4 import (
     FinslerConfig,
+    ScalarField,
+    ScalarFunc1D,
     _log_gradients,
+    constant_b,
     constant_kappa,
     constant_lambda,
     cross_term_kappa,
@@ -370,6 +373,190 @@ def test_closed_form_geodesics_match_contraction(kappa_kind, lambda_kind, orient
 def test_finsler_connection_checks_orientation_when_built():
     with pytest.raises(ContractError, match="orientation"):
         finsler_connection(gaussian_metric(), "sideways")
+
+
+# ---------------------------------------------------------------------------
+# the float path against a numpy reference loop: bitwise, aborts included
+# ---------------------------------------------------------------------------
+
+def reference_rk4(rhs, y0, cfg, what, clock, cone=False):
+    """RK4 as the array form computed it, with its aborts and their messages."""
+    h = cfg.t_end / cfg.steps
+    ys = np.empty((cfg.steps + 1, y0.shape[0]))
+    ys[0] = y = y0
+    for m in range(cfg.steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        ys[m + 1] = y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
+            raise IntegrationError(f"{what} state became non-finite at step {m + 1} ({clock}={(m + 1) * h:g})")
+        if cone and (y[4:] <= 0).any():
+            raise ConeError(f"momenta left the positive cone at step {m + 1} ({clock}={(m + 1) * h:g})")
+    return ys
+
+
+def numpy_trajectory(metric, form, xi0, w0, cfg):
+    """Both forms on one-point array calls of kappa and lam: the extremal's momentum
+    flow with its drift column row by row, and the geodesic's v (s . v - (s - l) v)
+    with s . v taken by @."""
+    def extremal(y):
+        xi, p = y[:4], y[4:]
+        kv, dk = metric.kappa.value_and_gradient(xi)
+        return np.concatenate([np.prod(p) / p * metric.lam(xi), (kv / 4.0) ** 4 * (4.0 * dk / kv) * metric.lam(xi)])
+
+    def geodesic(y):
+        x, v = y[:4], y[4:]
+        (kv, dk), (lv, dl) = metric.kappa.value_and_gradient(x), metric.lam.value_and_gradient(x)
+        if kv <= 0 or lv <= 0:
+            raise DomainError("kappa and the gauge must stay positive")
+        dln_lam = dl / lv
+        dln_sigma = 4.0 * dk / kv + dln_lam
+        return np.concatenate([v, v * (dln_sigma @ v - (dln_sigma - dln_lam) * v)])
+
+    if form == "geodesic":
+        return reference_rk4(geodesic, np.concatenate([xi0, w0]), cfg, "geodesic", "sigma")
+    ys = reference_rk4(extremal, np.concatenate([xi0, w0]), cfg, "extremal", "tau", cone=True)
+    scales = [math.pow(float(metric.kappa(y[:4])) / 4.0, 4) for y in ys]
+    if min(scales) <= 0:
+        raise DomainError("the indicatrix scale (kappa/4)^4 must stay positive")
+    return np.column_stack([ys, [(math.prod(y[4:].tolist()) - s) / s for y, s in zip(ys, scales)]])
+
+
+def float_trajectory(metric, form, xi0, w0, cfg):
+    if form == "extremal":
+        traj = integrate_extremal(metric, ExtremalState(xi0, w0), cfg)
+        return np.column_stack([traj.xi, traj.p, traj.drift])
+    traj = integrate_geodesic(finsler_connection(metric), GeodesicState(xi0, w0), cfg)
+    return np.hstack([traj.x, traj.v])
+
+
+def outcome(run, *args):
+    """The samples, or the type and message of the error the run raised; numpy's
+    warnings about the non-finite values before an abort are not the point here."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return run(*args)
+    except (ConeError, DomainError, IntegrationError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(metric, form, xi0, w0, cfg):
+    got, expected = outcome(float_trajectory, metric, form, xi0, w0, cfg), outcome(numpy_trajectory, metric, form,
+                                                                                 xi0, w0, cfg)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
+
+coefficient = st.floats(-1.0, 1.0)
+_B_KINDS = {"constant": lambda c: constant_b(1.0 + abs(c)), "quadratic": lambda c: quadratic_b(c / 2.0),
+            "gaussian": gaussian_b}
+
+
+@st.composite
+def metrics(draw):
+    """A metric over every kappa kind's parameters and both gauges."""
+    kappa0, lambda0 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 16.0))
+    kind = draw(st.sampled_from(["constant", "gaussian", "cross-term", "from-b"]))
+    if kind == "constant":
+        kappa = constant_kappa(draw(st.floats(0.25, 4.0)))
+    elif kind == "gaussian":
+        kappa = gaussian_kappa(kappa0, draw(coefficient))
+    elif kind == "cross-term":
+        kappa = cross_term_kappa(kappa0, draw(coefficient), draw(st.sampled_from([(0, 1), (1, 3), (3, 2)])))
+    else:
+        kappa = kappa_from_b([_B_KINDS[draw(st.sampled_from(sorted(_B_KINDS)))](draw(coefficient))
+                              for _ in range(4)], kappa0)
+    lam = constant_lambda(lambda0) if draw(st.booleans()) else reciprocal_quartic_lambda(kappa, kappa0, lambda0)
+    return FinslerConfig(kappa=kappa, lam=lam, kappa0=kappa0, lambda0=lambda0)
+
+
+vectors = st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4).map(np.array)
+
+
+@settings(max_examples=80, deadline=None)
+@given(metric=metrics(), form=st.sampled_from(["extremal", "geodesic"]), xi0=vectors, w0=vectors,
+       steps=st.integers(1, 40), t_end=st.sampled_from([0.3, 1.0, 4.0]))
+def test_float_path_matches_numpy_reference_bitwise(metric, form, xi0, w0, steps, t_end):
+    # the extremal starts on the indicatrix from a displacement inside the cone
+    w0 = momenta(w0 + 1.0, xi0, metric) if form == "extremal" else 2.0 * w0
+    assert_same_outcome(metric, form, xi0, w0, IntegratorConfig(steps=steps, t_end=t_end))
+
+
+@pytest.mark.parametrize("form", ["extremal", "geodesic"])
+@pytest.mark.parametrize("lambda_kind", sorted(LAMBDAS))
+@pytest.mark.parametrize("kappa_kind", sorted(KAPPAS))
+def test_user_fields_through_the_adapter_equal_the_builtin_kinds(kappa_kind, lambda_kind, form):
+    # ScalarField(func, value_and_grad) has no float form: its calls go through
+    # np.array and .tolist(), and give the built-in kind's trajectory bit for bit
+    builtin = make_metric(kappa_kind, lambda_kind)
+    kappa = ScalarField(builtin.kappa.func, builtin.kappa.value_and_grad)
+    lam = (reciprocal_quartic_lambda(kappa, 1.1, 2.0) if lambda_kind == "reciprocal"
+           else ScalarField(builtin.lam.func, builtin.lam.value_and_grad))
+    user = FinslerConfig(kappa=kappa, lam=lam, kappa0=1.1, lambda0=2.0)
+    w0 = momenta(DXI0, XI0, builtin) if form == "extremal" else np.array([0.6, -0.3, 0.8, 0.2])
+    cfg = IntegratorConfig(steps=200, t_end=0.7)
+    expected = float_trajectory(builtin, form, XI0, w0, cfg)
+    assert np.array_equal(float_trajectory(user, form, XI0, w0, cfg), expected)
+    assert_same_outcome(user, form, XI0, w0, cfg)
+
+
+def test_fd_gradient_field_matches_numpy_reference():
+    # a ScalarField(func) differentiates by finite differences through the adapter
+    metric = FinslerConfig(kappa=ScalarField(gaussian_kappa(1.1, 0.9).func), lam=constant_lambda(12.0))
+    for form, w0 in (("extremal", momenta(DXI0, XI0, metric)), ("geodesic", np.array([0.6, -0.3, 0.8, 0.2]))):
+        assert_same_outcome(metric, form, XI0, w0, IntegratorConfig(steps=100, t_end=0.7))
+
+
+@pytest.mark.parametrize("form", ["extremal", "geodesic"])
+def test_profile_vanishing_mid_run_is_the_numpy_domain_error(form):
+    # b_1 drops to 0 once xi_1 passes 0.052: both paths stop at the same stage
+    step = ScalarFunc1D(lambda t: np.where(t < 0.052, 1.0, 0.0), lambda t: np.zeros(np.shape(t)))
+    kappa = kappa_from_b([step, constant_b(1.0), constant_b(1.0), constant_b(1.0)], 1.0)
+    metric = FinslerConfig(kappa=kappa, lam=constant_lambda(1.0))
+    w0 = momenta(DXI0, XI0, metric) if form == "extremal" else DXI0
+    cfg = IntegratorConfig(steps=100, t_end=1.0)
+    with pytest.raises(DomainError, match="component function vanishes on the evaluation point"):
+        float_trajectory(metric, form, XI0, w0, cfg)
+    assert_same_outcome(metric, form, XI0, w0, cfg)
+
+
+def test_kappa_underflow_mid_run_is_the_numpy_integration_error():
+    # the second stage's kappa underflows to 0: numpy divides by it to nan, where
+    # Python floats would raise ZeroDivisionError
+    metric = FinslerConfig(kappa=gaussian_kappa(1.0, -40.0), lam=constant_lambda(640.0))
+    p0 = momenta(np.ones(4), np.zeros(4), metric)
+    cfg = IntegratorConfig(steps=1, t_end=1.0)
+    with pytest.raises(IntegrationError, match=r"extremal state became non-finite at step 1 \(tau=1\)"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            float_trajectory(metric, "extremal", np.zeros(4), p0, cfg)
+    assert_same_outcome(metric, "extremal", np.zeros(4), p0, cfg)
+
+
+def test_quartic_overflow_mid_run_is_the_numpy_integration_error():
+    # a stage's (kappa/4)^4 overflows: numpy's power gives inf, and the state then
+    # turns non-finite, where Python's ** would raise OverflowError
+    metric = FinslerConfig(kappa=gaussian_kappa(1.03125, 2.75), lam=constant_lambda(10.0), kappa0=1.03125)
+    xi0 = np.array([0.0, 0.25, 0.375, 0.4375])
+    p0 = momenta(np.ones(4), xi0, metric)
+    cfg = IntegratorConfig(steps=1, t_end=1.0)
+    with pytest.raises(IntegrationError, match=r"extremal state became non-finite at step 1 \(tau=1\)"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            float_trajectory(metric, "extremal", xi0, p0, cfg)
+    assert_same_outcome(metric, "extremal", xi0, p0, cfg)
+
+
+def test_cone_exit_mid_run_is_the_numpy_cone_error():
+    metric = FinslerConfig(kappa=gaussian_kappa(1.0, c=-1.0), lam=constant_lambda(64.0))
+    xi0 = np.ones(4) * 0.5
+    cfg = IntegratorConfig(steps=8, t_end=40.0)
+    p0 = momenta(np.ones(4), xi0, metric)
+    with pytest.raises(ConeError, match=r"momenta left the positive cone at step 1 \(tau=5\)"):
+        float_trajectory(metric, "extremal", xi0, p0, cfg)
+    assert_same_outcome(metric, "extremal", xi0, p0, cfg)
 
 
 # ---------------------------------------------------------------------------
