@@ -95,23 +95,13 @@ class Box:
         return Box(np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi))
 
 
-# probe offsets along one axis, in steps h_k, with _fd_combine's weights over them
+# probe offsets along one axis, in steps h_k; fd_jacobian weighs the values at them
 _OFFSETS = {"central-2": (1.0, -1.0), "central-4": (2.0, 1.0, -1.0, -2.0)}
 
 
-def _fd_combine(vals, hk, scheme: str) -> np.ndarray:
-    """Central difference from the values vals[c] at x + _OFFSETS[scheme][c] * h_k e_k, with
-    steps hk (...) that each divide their point's values; one point's step stays a scalar."""
-    if scheme == "central-4":
-        diff, denom = -vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3], 12 * hk
-    else:
-        diff, denom = vals[0] - vals[1], 2 * hk
-    return diff / (denom.reshape(denom.shape + (1,) * (diff.ndim - denom.ndim)) if denom.ndim else denom)
-
-
 def fd_jacobian(func, x: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
-    """Finite-difference Jacobian J[..., i, k] = d func_i / d x_k at points x (..., n), or the
-    gradient (..., n) of a scalar func, from one call of func on every probe (..., s, n)."""
+    """Finite-difference derivatives J[..., *i, k] = d func_i / d x_k at points x (..., n) of a
+    func with values of any shape, from one call of func on every probe (..., s, n)."""
     x = np.asarray(x, dtype=float)
     n, h, offsets = x.shape[-1], cfg.step(x), np.array(_OFFSETS[cfg.scheme])
     # row c * n + k of the probe stack is x + offsets[c] h_k e_k, exactly x off the axis k
@@ -122,16 +112,16 @@ def fd_jacobian(func, x: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarr
         raise ContractError(f"function returned shape {vals.shape}, expected one row per point {probes.shape[:-1]}")
     vals = vals.reshape(x.shape[:-1] + (offsets.size, n) + vals.shape[x.ndim:])
     tail = (slice(None),) * (vals.ndim - x.ndim)  # axis k, then the value's own axes
-    d = _fd_combine([vals[(Ellipsis, c) + tail] for c in range(offsets.size)], h, cfg.scheme)
-    return d if d.ndim == x.ndim else np.ascontiguousarray(d.swapaxes(-1, -2))
-
-
-def fd_partial(func, x: np.ndarray, axis: int, cfg: DiffConfig = DEFAULT_DIFF):
-    """Single directional partial derivative of a vector- or array-valued map, one probe per call."""
-    x = np.asarray(x, dtype=float)
-    e = np.zeros_like(x)
-    e[..., axis] = hk = cfg.step(x)[..., axis][()]
-    return _fd_combine([np.asarray(func(x + c * e), dtype=float) for c in _OFFSETS[cfg.scheme]], hk, cfg.scheme)
+    v = [vals[(Ellipsis, c) + tail] for c in range(offsets.size)]
+    if cfg.scheme == "central-4":
+        diff, denom = -v[0] + 8 * v[1] - 8 * v[2] + v[3], 12 * h
+    else:
+        diff, denom = v[0] - v[1], 2 * h
+    d = diff / denom.reshape(denom.shape + (1,) * (diff.ndim - denom.ndim))
+    if d.ndim == x.ndim:  # the gradient of a scalar func
+        return d
+    # axis k last, after the value's own axes
+    return np.ascontiguousarray(d.transpose(*range(x.ndim - 1), *range(x.ndim, d.ndim), x.ndim - 1))
 
 
 def _checked(out, shape: tuple, what: str) -> np.ndarray:
@@ -593,7 +583,7 @@ def chain_conditions(Gamma: ConnectionField, S: StructureConstants, x, cfg: Diff
     G1 = G[:, u, :]
     res_a = np.einsum("ij,jkr->ikr", G1, p) - np.einsum("ikj,jr->ikr", p, G1)
 
-    dG = np.stack([fd_partial(Gamma, x, m, cfg) for m in range(S.n)], axis=-1)
+    dG = fd_jacobian(lambda q: _rowwise(Gamma, q), x, cfg)
     t1 = dG[:, u, :, :].transpose(0, 2, 1)        # d G[i, u, r] / d x_k  -> [i, k, r]
     t2 = dG[:, :, :, u]                           # d G[i, k, r] / d x_u
     m1 = G - np.einsum("ikm,mj->ikj", p, G1)
@@ -629,8 +619,7 @@ def derivative_chain(pair: GAPair, Gamma: ConnectionField, m: int, cfg: DiffConf
 
 def _chain_step(f: VectorField, Gamma: ConnectionField, u: int, cfg: DiffConfig) -> VectorField:
     def func(x, f=f):
-        df = f.jac(x)[..., :, u] if f.jacobian is not None else fd_partial(f.func, x, u, cfg)
-        return df + np.matvec(_rowwise(Gamma, x)[..., :, u, :], f(x))
+        return f.jac(x, cfg)[..., :, u] + np.matvec(_rowwise(Gamma, x)[..., :, u, :], f(x))
 
     return VectorField(f.n, func, domain=f.domain)
 
@@ -640,12 +629,10 @@ def _chain_step(f: VectorField, Gamma: ConnectionField, u: int, cfg: DiffConfig)
 # ---------------------------------------------------------------------------
 
 class Path:
-    """Piecewise-smooth parametric curve on [0, 1].
-
-    breakpoints are parameter values where the velocity may jump; quadrature
-    splits there.  A velocity callable may be supplied, otherwise central
-    differences in the parameter are used.
-    """
+    """Piecewise-smooth parametric curve on [0, 1]: func, and velocity if given (else a central
+    difference in the parameter), map parameters (...) to points (..., n), and a result of
+    another shape raises ContractError.  Quadrature splits at the breakpoints, where the
+    velocity may jump."""
 
     def __init__(self, func, velocity=None, breakpoints=()):
         self.func = func
@@ -653,23 +640,27 @@ class Path:
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
         if any(not 0.0 < b < 1.0 for b in self.breakpoints):
             raise ContractError("breakpoints must lie strictly inside (0, 1)")
-        self.start = np.asarray(func(0.0), dtype=float)
-        self.end = np.asarray(func(1.0), dtype=float)
+        self.start = np.asarray(func(np.asarray(0.0)), dtype=float)
+        if self.start.ndim != 1:
+            raise ContractError(f"path returned shape {self.start.shape} for one parameter, expected (n,)")
+        self.end = self(1.0)
 
-    def __call__(self, tau: float) -> np.ndarray:
-        return np.asarray(self.func(float(tau)), dtype=float)
+    def __call__(self, tau) -> np.ndarray:
+        tau = np.asarray(tau, dtype=float)
+        return _checked(self.func(tau), tau.shape + self.start.shape, "path")
 
-    def vel(self, tau: float) -> np.ndarray:
-        if self.velocity is not None:
-            return np.asarray(self.velocity(float(tau)), dtype=float)
-        return fd_partial(lambda t: self(t[0]), [tau], 0, DiffConfig(h=1e-7))
+    def vel(self, tau) -> np.ndarray:
+        tau = np.asarray(tau, dtype=float)
+        if self.velocity is None:
+            return fd_jacobian(lambda t: self(t[..., 0]), tau[..., None], DiffConfig(h=1e-7))[..., 0]
+        return _checked(self.velocity(tau), tau.shape + self.start.shape, "path velocity")
 
 
 def straight_path(x0, x1) -> Path:
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     d = x1 - x0
-    return Path(lambda t: x0 + t * d, velocity=lambda t: d)
+    return Path(lambda t: x0 + t[..., None] * d, velocity=lambda t: np.tile(d, np.shape(t) + (1,)))
 
 
 def polyline_path(vertices) -> Path:
@@ -678,20 +669,20 @@ def polyline_path(vertices) -> Path:
     if verts.ndim != 2 or len(verts) < 2:
         raise ContractError("polyline needs at least two vertices of equal length")
     m = len(verts) - 1
+    steps = np.diff(verts, axis=0)
+
+    def leg(t, top):
+        """The leg of each parameter clipped to [0, top], and the local parameter on it."""
+        s = np.clip(t, 0.0, top) * m
+        k = np.minimum(s.astype(int), m - 1)
+        return k, s - k
 
     def func(t):
-        s = min(max(t, 0.0), 1.0) * m
-        leg = min(int(s), m - 1)
-        local = s - leg
-        return verts[leg] + local * (verts[leg + 1] - verts[leg])
-
-    def velocity(t):
-        s = min(max(t, 0.0), 1.0 - 1e-15) * m
-        leg = min(int(s), m - 1)
-        return m * (verts[leg + 1] - verts[leg])
+        k, local = leg(t, 1.0)
+        return verts[k] + local[..., None] * steps[k]
 
     breaks = [i / m for i in range(1, m)]
-    return Path(func, velocity=velocity, breakpoints=breaks)
+    return Path(func, velocity=lambda t: m * steps[leg(t, 1.0 - 1e-15)[0]], breakpoints=breaks)
 
 
 def rectangle_loop(origin, edge1, edge2) -> Path:
@@ -716,13 +707,13 @@ def line_integral(F: VectorField, path: Path, S: StructureConstants, cfg: DiffCo
     for a, b in zip(knots[:-1], knots[1:]):
         m = max(1, round(cfg.quadrature_segments * (b - a)))
         h = (b - a) / m
-        starts = [a + idx * h for idx in range(m + 1)]
-        t = [u for t0 in starts[:-1] for u in (t0, t0 + h / 2.0)] + starts[-1:]
+        # the 2m + 1 Simpson nodes: panel starts, each followed by its midpoint
+        t = np.repeat(a + np.arange(m + 1) * h, 2)[:-1]
+        t[1::2] += h / 2.0
         # velocity probes stay strictly inside the smooth piece so panel
         # endpoints shared with a corner read the correct one-sided velocity
-        lo, hi = a + 1e-11, b - 1e-11
-        vel = np.array([path.vel(min(max(u, lo), hi)) for u in t])
-        v = np.einsum("ikj,...k,...j->...i", p, F(np.array([path(u) for u in t])), vel)
+        vel = path.vel(np.clip(t, a + 1e-11, b - 1e-11))
+        v = np.einsum("ikj,...k,...j->...i", p, F(path(t)), vel)
         panels.append((h / 6.0) * (v[:-1:2] + 4.0 * v[1::2] + v[2::2]))
     # panel by panel, in order, as the composite rule adds them
     total = np.add.accumulate(np.concatenate(panels))[-1]

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConeError, ContractError, DomainError, IntegrationError
 from .fields import ConnectionField
-from .h4 import (ORIENTATIONS, FinslerConfig, _floats, _log_gradients, _on_floats, _quartic, _raise_if,
-                 gamma_matrices)
+from .h4 import (ORIENTATIONS, FinslerConfig, _floats, _kappa_and_lam, _log_gradients, _on_floats, _quartic,
+                 _raise_if, gamma_matrices)
 
 __all__ = [
     "ConnectionField",
@@ -227,7 +227,7 @@ def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: Integrator
 
     def rhs(y):
         xi, p = y[:4], y[4:]
-        (kv, dkappa), lv = metric.kappa.formula(m, xi), metric.lam.formula(m, xi)[0]
+        kv, dkappa, lv, _ = _kappa_and_lam(metric.kappa, metric.lam, m, xi)
         try:
             return rates(p, kv, dkappa, lv)
         except ArithmeticError:  # an overflowing power or a zero divisor: numpy floats give inf or nan

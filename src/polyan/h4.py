@@ -299,13 +299,19 @@ def indicatrix(p, xi, cfg: FinslerConfig) -> float:
     return float(np.prod(p)) - (kap / 4.0) ** 4
 
 
-def _log_gradients(kappa: ScalarField, lam: ScalarField, xi, m: SimpleNamespace = _ARRAYS):
-    """kappa, lam, grad ln lam and grad ln sigma (sigma = kappa^4 lam) at points (..., 4),
-    or, in float forms m, at one point of floats, the gradients as lists.  A gauge of
-    this kappa takes kappa's value and gradient instead of evaluating kappa again."""
-    x = np.moveaxis(xi, -1, 0) if m is _ARRAYS else xi
+def _kappa_and_lam(kappa: ScalarField, lam: ScalarField, m: SimpleNamespace, x) -> tuple:
+    """kappa's value and gradient, then lam's, at a point x[i] in the forms m; a gauge
+    of this kappa takes kappa's value and gradient instead of evaluating kappa again."""
     kv, dk = kappa.formula(m, x)
     lv, dlam = lam.of_kappa(m, kv, dk) if lam.kappa is kappa else lam.formula(m, x)
+    return kv, dk, lv, dlam
+
+
+def _log_gradients(kappa: ScalarField, lam: ScalarField, xi, m: SimpleNamespace = _ARRAYS):
+    """kappa, lam, grad ln lam and grad ln sigma (sigma = kappa^4 lam) at points (..., 4),
+    or, in float forms m, at one point of floats, the gradients as lists."""
+    x = np.moveaxis(xi, -1, 0) if m is _ARRAYS else xi
+    kv, dk, lv, dlam = _kappa_and_lam(kappa, lam, m, x)
     _raise_if((kv <= 0) | (lv <= 0), DomainError, "kappa and the gauge must stay positive")
     dln_lam = [d / lv for d in dlam]
     dln_sigma = [4.0 * d / kv + e for d, e in zip(dk, dln_lam)]

@@ -29,12 +29,12 @@ from polyan.fields import (
     GAPair,
     GammaField,
     VectorField,
+    chain_conditions,
     componentwise_exp_field,
     componentwise_power_field,
     constant_field,
     derivative_chain,
     fd_jacobian,
-    fd_partial,
     grid_max,
     identity_field,
     linear_field,
@@ -47,6 +47,7 @@ from polyan.fields import (
     transform_pair,
     zero_gamma,
 )
+import polyan.fields as fields
 from polyan.h4 import H4FamilySpec, constant_lambda, family_field, quadratic_b
 
 GRID = Box([-0.5] * 4, [0.5] * 4).grid(3)
@@ -326,15 +327,16 @@ def test_gamma_field_shape(h4_psi):
 # the one-call stencil against the per-column loop it replaced
 # ---------------------------------------------------------------------------
 
-def reference_fd_column(func, x, hk, k, scheme):
-    """Central difference along coordinate k, each probe its own call of func."""
+def fd_partial(func, x, axis, cfg):
+    """Central difference along coordinate axis, each probe its own call of func."""
+    x = np.asarray(x, dtype=float)
     e = np.zeros_like(x)
-    e[..., k] = hk
+    e[..., axis] = hk = cfg.step(x)[..., axis][()]
 
     def at(y):
         return np.asarray(func(y), dtype=float)
 
-    if scheme == "central-4":
+    if cfg.scheme == "central-4":
         diff, denom = -at(x + 2 * e) + 8 * at(x + e) - 8 * at(x - e) + at(x - 2 * e), 12 * hk
     else:
         diff, denom = at(x + e) - at(x - e), 2 * hk
@@ -343,9 +345,25 @@ def reference_fd_column(func, x, hk, k, scheme):
 
 def reference_fd_jacobian(func, x, cfg):
     x = np.asarray(x, dtype=float)
-    h = cfg.step(x)
-    steps = h.transpose(-1, *range(h.ndim - 1))
-    return np.stack([reference_fd_column(func, x, hk, k, cfg.scheme) for k, hk in enumerate(steps)], axis=-1)
+    return np.stack([fd_partial(func, x, k, cfg) for k in range(x.shape[-1])], axis=-1)
+
+
+@pytest.mark.parametrize("scheme", ("central-2", "central-4"))
+@pytest.mark.parametrize("value_shape", ((2, 3), (3, 3)))
+def test_fd_jacobian_of_a_matrix_valued_map_is_its_coefficient_tensor(scheme, value_shape, rng):
+    coeffs = rng.uniform(-2.0, 2.0, value_shape + (4,))
+    cfg = DiffConfig(scheme=scheme)
+
+    def func(x):
+        return np.einsum("abk,...k->...ab", coeffs, x)
+
+    points = rng.uniform(-1.0, 1.0, (6, 4))
+    for x in (points[0], points, points.reshape(6, 1, 4)):
+        jac = fd_jacobian(func, x, cfg)
+        assert jac.shape == x.shape[:-1] + value_shape + (4,)
+        assert np.allclose(jac, coeffs, rtol=0.0, atol=1e-8)
+        for k in range(4):
+            assert np.array_equal(jac[..., k], fd_partial(func, x, k, cfg))
 
 
 @pytest.mark.parametrize("scheme", ("central-2", "central-4"))
@@ -414,6 +432,29 @@ def _chain(S, rng, fd):
     if fd:
         pair = GAPair(pair.f.without_jacobian(), pair.gamma, S)
     return derivative_chain(pair, ConnectionField(S.n, lambda x: c0 * (1.0 + x @ w)), 2)
+
+
+@pytest.mark.parametrize("scheme", ("central-2", "central-4"))
+@pytest.mark.parametrize("name", [n for n in builtin_names() if builtin_algebra(n).unit_index is not None])
+def test_chains_equal_the_per_column_reference(name, scheme, rng, monkeypatch):
+    """chain_conditions and every chain step, bitwise as with one fd_partial call per column
+    under the scheme asked for."""
+    S, cfg = builtin_algebra(name), DiffConfig(scheme=scheme)
+    c0, w = 0.3 * S.p + rng.uniform(-0.1, 0.1, S.p.shape), rng.uniform(-1, 1, S.n)
+    Gamma = ConnectionField(S.n, lambda x: c0 * (1.0 + np.sin(x @ w)))
+    pair = _random_pair(S, rng)
+    pairs = (pair, GAPair(pair.f.without_jacobian(), pair.gamma, S))
+    x, points = rng.uniform(-0.5, 0.5, S.n), rng.uniform(-0.5, 0.5, (3, S.n))
+
+    def results():
+        chains = [derivative_chain(p, Gamma, 2, cfg) for p in pairs]
+        return [*chain_conditions(Gamma, S, x, cfg), *(c.f(y) for c in chains for y in (x, points)),
+                *(c.gamma(points) for c in chains)]
+
+    got = results()
+    monkeypatch.setattr(fields, "fd_jacobian", lambda func, x, *_: reference_fd_jacobian(func, x, cfg))
+    for a, b in zip(got, results(), strict=True):
+        assert np.array_equal(a, b)
 
 
 def _with_domain(S, rng):

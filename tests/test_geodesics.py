@@ -321,6 +321,24 @@ def test_extremal_matches_reference_bitwise(kappa_kind, lambda_kind):
     assert np.array_equal(traj.drift, drift)
 
 
+@pytest.mark.parametrize("lambda_kind", sorted(LAMBDAS))
+@pytest.mark.parametrize("form", ["extremal", "geodesic"])
+def test_each_rk4_stage_evaluates_kappa_once(form, lambda_kind, monkeypatch):
+    # a gauge of kappa takes kappa's value and gradient instead of evaluating kappa again
+    metric = make_metric("gaussian", lambda_kind)
+    e0 = ExtremalState(XI0, momenta(DXI0, XI0, metric))
+    v0 = extremal_velocity(metric, e0)
+    calls = []
+    formula = metric.kappa.formula
+    monkeypatch.setattr(metric.kappa, "formula", lambda m, x: calls.append(x) or formula(m, x))
+    cfg = IntegratorConfig(steps=25, t_end=0.1)
+    if form == "extremal":
+        integrate_extremal(metric, e0, cfg)
+    else:
+        integrate_geodesic(finsler_connection(metric), GeodesicState(XI0, v0), cfg)
+    assert len(calls) == 4 * cfg.steps
+
+
 @pytest.mark.parametrize("kappa_kind", sorted(KAPPAS))
 def test_drift_column_is_the_per_row_relative_indicatrix(kappa_kind):
     # the column comes from one kappa call on all samples; per row it is the

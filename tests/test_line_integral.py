@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyan import ContractError, builtin_algebra, line_integral, multiply
+from polyan import ContractError, PolyNumber, builtin_algebra, line_integral, multiply
 from polyan.fields import (
     DiffConfig,
     Path,
+    componentwise_exp_field,
     constant_field,
     identity_field,
     monomial_field,
@@ -63,8 +66,8 @@ def test_analytic_field_loop_integral_vanishes(h4_psi):
 def test_quadrature_order_is_four(h4_psi):
     w = np.array([0.5, -0.3, 0.2, 0.4])
     curved = Path(
-        lambda t: t * A + math.sin(math.pi * t) * w,
-        velocity=lambda t: A + math.pi * math.cos(math.pi * t) * w,
+        lambda t: t[..., None] * A + np.sin(math.pi * t)[..., None] * w,
+        velocity=lambda t: A + math.pi * np.cos(math.pi * t)[..., None] * w,
     )
     exact = A * A / 2.0
     errors = []
@@ -77,7 +80,7 @@ def test_quadrature_order_is_four(h4_psi):
 
 
 def test_fd_velocity_fallback(h4_psi):
-    curved = Path(lambda t: t * A)  # no velocity callable
+    curved = Path(lambda t: t[..., None] * A)  # no velocity callable
     val = line_integral(identity_field(4), curved, h4_psi)
     assert np.max(np.abs(val.coords - A * A / 2.0)) < 1e-6
 
@@ -96,3 +99,65 @@ def test_path_endpoint_bookkeeping():
 def test_dimension_mismatch_rejected(h4_psi):
     with pytest.raises(ContractError):
         line_integral(identity_field(3), straight_path(np.zeros(4), A), h4_psi)
+
+
+def test_path_of_the_wrong_shape_is_rejected(h4_psi):
+    one_point = Path(lambda t: np.zeros(4))  # ignores the shape of t
+    with pytest.raises(ContractError, match=r"path returned shape \(4,\), expected \(5, 4\)"):
+        one_point(np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ContractError, match="path returned shape"):
+        line_integral(identity_field(4), one_point, h4_psi)
+    bad_velocity = Path(lambda t: t[..., None] * A, velocity=lambda t: A)
+    with pytest.raises(ContractError, match="path velocity returned shape"):
+        line_integral(identity_field(4), bad_velocity, h4_psi)
+    with pytest.raises(ContractError, match="one parameter"):
+        Path(lambda t: np.zeros((2, 4)))
+
+
+# ---------------------------------------------------------------------------
+# the array quadrature against the per-node loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_line_integral(F, path, S, cfg):
+    """Composite Simpson with one path call and one velocity call per node."""
+    def vel(u):
+        if path.velocity is not None:
+            return path.vel(u)
+        hk = DiffConfig(h=1e-7).step(np.array([u]))[0]
+        return (path(u + hk) - path(u - hk)) / (2 * hk)
+
+    p = S.p
+    panels = [np.zeros((1, S.n))]
+    knots = [0.0, *path.breakpoints, 1.0]
+    for a, b in zip(knots[:-1], knots[1:]):
+        m = max(1, round(cfg.quadrature_segments * (b - a)))
+        h = (b - a) / m
+        starts = [a + idx * h for idx in range(m + 1)]
+        t = [u for t0 in starts[:-1] for u in (t0, t0 + h / 2.0)] + starts[-1:]
+        lo, hi = a + 1e-11, b - 1e-11
+        velocities = np.array([vel(min(max(u, lo), hi)) for u in t])
+        v = np.einsum("ikj,...k,...j->...i", p, F(np.array([path(u) for u in t])), velocities)
+        panels.append((h / 6.0) * (v[:-1:2] + 4.0 * v[1::2] + v[2::2]))
+    return PolyNumber(np.add.accumulate(np.concatenate(panels))[-1], S.basis_tag)
+
+
+coordinate = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+vertex = st.lists(coordinate, min_size=4, max_size=4).map(np.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vertices=st.lists(vertex, min_size=2, max_size=5), segments=st.integers(1, 64),
+       algebra=st.sampled_from(("h4-e", "h4-psi")))
+def test_line_integral_equals_the_per_node_loop(vertices, segments, algebra):
+    S, cfg = builtin_algebra(algebra), DiffConfig(quadrature_segments=segments)
+    x0, x1 = vertices[0], vertices[-1]
+    paths = [
+        straight_path(x0, x1),
+        polyline_path(vertices),
+        rectangle_loop(x0, x1 - x0, vertices[1] + 0.5),
+        Path(lambda t: x0 + t[..., None] * (x1 - x0) + np.sin(3.0 * t)[..., None] * vertices[1]),
+    ]
+    for field in (identity_field(4), componentwise_exp_field(4, 0.5), monomial_field(4, 1, [1, 2, 0, 1])):
+        for path in paths:
+            got = line_integral(field, path, S, cfg)
+            assert np.array_equal(got.coords, reference_line_integral(field, path, S, cfg).coords)
