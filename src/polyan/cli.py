@@ -56,10 +56,20 @@ class RuntimeFailure(Exception):
 # deterministic JSON writer (stable key order, fixed float format)
 # ---------------------------------------------------------------------------
 
+def _float_template(shape: tuple, indent: int) -> str:
+    """The JSON text of a float array of this shape, with %.17g for each entry."""
+    pad = "  " * (indent + 1)
+    items = [_float_template(shape[1:], indent + 1)] * shape[0] if len(shape) > 1 else ["%.17g"] * shape[0]
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{'  ' * indent}]"
+
+
 def _json(obj, indent: int = 0) -> str:
     """JSON text of obj, numpy arrays and scalars, tuples and non-string keys
-    as the Python values they convert to; a list of floats in one join."""
+    as the Python values they convert to; a list of floats in one join, and a
+    finite float array with one % on its template."""
     if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.size and obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return _float_template(obj.shape, indent) % tuple(obj.ravel().tolist())
         obj = obj.tolist()
     if isinstance(obj, (float, np.floating)):
         obj = float(obj)

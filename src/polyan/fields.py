@@ -631,8 +631,8 @@ def _chain_step(f: VectorField, Gamma: ConnectionField, u: int, cfg: DiffConfig)
 class Path:
     """Piecewise-smooth parametric curve on [0, 1]: func, and velocity if given (else a central
     difference in the parameter), map parameters (...) to points (..., n), and a result of
-    another shape raises ContractError.  Quadrature splits at the breakpoints, where the
-    velocity may jump."""
+    another shape raises ContractError; func is tried on two parameters when built.
+    Quadrature splits at the breakpoints, where the velocity may jump."""
 
     def __init__(self, func, velocity=None, breakpoints=()):
         self.func = func
@@ -644,6 +644,12 @@ class Path:
         if self.start.ndim != 1:
             raise ContractError(f"path returned shape {self.start.shape} for one parameter, expected (n,)")
         self.end = self(1.0)
+        try:
+            self(np.array([0.0, 1.0]))
+        except (ValueError, TypeError, IndexError) as exc:
+            lift = 'np.vectorize(f, signature="()->(n)")'
+            raise ContractError(f"a path maps parameters (...) to points (..., n), but on two parameters: "
+                                f"{str(exc).strip()}; lift a one-point path with {lift}") from exc
 
     def __call__(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)

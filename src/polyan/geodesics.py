@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConeError, ContractError, DomainError, IntegrationError
 from .fields import ConnectionField
-from .h4 import (ORIENTATIONS, FinslerConfig, _floats, _kappa_and_lam, _log_gradients, _on_floats, _quartic,
+from .h4 import (_FLOATS, ORIENTATIONS, FinslerConfig, _dot, _kappa_and_lam, _log_gradients, _on_floats, _quartic,
                  _raise_if, gamma_matrices)
 
 __all__ = [
@@ -56,15 +56,13 @@ def finsler_connection(metric: FinslerConfig, orientation: str = "transposed") -
     acceleration in closed form on floats, a_i = v_i (s . v - (s_i - l_i) v_i) with
     s = grad ln sigma (sigma = kappa^4 lam) and l = grad ln lam: one kappa and
     one lam evaluation, no (4, 4, 4) array.  Both orientations contract to this
-    same acceleration, so the orientation is checked here, when built.  The
-    scratch vectors of its dot products make one connection unsafe in two threads."""
+    same acceleration, so the orientation is checked here, when built."""
     if orientation not in ORIENTATIONS:
         raise ContractError(f"orientation must be one of {ORIENTATIONS}")
-    m = _floats()
 
     def acceleration(x, v):
-        _, _, dln_lam, dln_sigma = _log_gradients(metric.kappa, metric.lam, x, m)
-        sv = m.dot(dln_sigma, v)
+        _, _, dln_lam, dln_sigma = _log_gradients(metric.kappa, metric.lam, x, _FLOATS)
+        sv = _dot(dln_sigma, v)
         return [w * (sv - (s - l) * w) for w, s, l in zip(v, dln_sigma, dln_lam)]
 
     return ConnectionField(4, lambda x: gamma_matrices(x, metric, orientation), acceleration)
@@ -219,7 +217,6 @@ def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: Integrator
     error.  Leaving the momentum cone aborts.
     """
     _check_start(metric, e0, cfg.drift_tol)
-    m = _floats()
 
     def rates(p, kv, dkappa, lv):
         prod, scale = math.prod(p), (kv / 4.0) ** 4
@@ -227,7 +224,7 @@ def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: Integrator
 
     def rhs(y):
         xi, p = y[:4], y[4:]
-        kv, dkappa, lv, _ = _kappa_and_lam(metric.kappa, metric.lam, m, xi)
+        kv, dkappa, lv, _ = _kappa_and_lam(metric.kappa, metric.lam, _FLOATS, xi)
         try:
             return rates(p, kv, dkappa, lv)
         except ArithmeticError:  # an overflowing power or a zero divisor: numpy floats give inf or nan
@@ -268,14 +265,22 @@ def cross_check_forms(metric: FinslerConfig, e0: ExtremalState, cfg: IntegratorC
 # CSV export
 # ---------------------------------------------------------------------------
 
+_CSV_BLOCK = 4096  # rows formatted per % on the row template
+
+
 def _write_csv(columns: dict, stream) -> None:
     """Header from the column names, vector columns numbered from 1, then one
-    row per sample with every float at 17 significant digits."""
+    row per sample with every float at 17 significant digits, as np.savetxt
+    writes them, a block of rows at a time."""
     header = []
     for name, values in columns.items():
         header += [name] if values.ndim == 1 else [f"{name}{k + 1}" for k in range(values.shape[1])]
     stream.write(",".join(header) + "\n")
-    np.savetxt(stream, np.column_stack(list(columns.values())), fmt="%.17g", delimiter=",")
+    rows = np.column_stack(list(columns.values()))
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), _CSV_BLOCK):
+        block = rows[start:start + _CSV_BLOCK]
+        stream.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_geodesic_csv(traj: GeodesicTrajectory, stream) -> None:

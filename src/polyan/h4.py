@@ -47,7 +47,7 @@ class ScalarField:
     to the values and the gradients (..., n) from one evaluation, else the gradient
     is a central finite difference of func.  On one point the field gives a numpy float.
     formula(m, x) is the value and the gradient's components at a point x[i] in the forms
-    m of arrays (_ARRAYS) or floats (_floats()), through m.call for callables; a gauge
+    m of arrays (_ARRAYS) or floats (_FLOATS), through m.call for callables; a gauge
     of a field kappa keeps it, and of_kappa(m, kappa's value and gradient) gives it.
     """
 
@@ -131,36 +131,28 @@ def _on_floats(f: Callable) -> Callable:
     return lambda *args: [r.tolist() for r in f(*map(np.array, args))]
 
 
+def _dot(a, b):
+    """The dot product of two points' four components, arrays or floats, as one
+    left-to-right sum of products; BLAS may fuse them, differently on each CPU."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def _float_exp(t):
+    """np.exp of a float as a float, raising OverflowError where it overflows;
+    math.exp differs from np.exp in the last bit on some inputs."""
+    if (v := float(np.exp(t))) == math.inf:
+        raise OverflowError("math range error")
+    return v
+
+
 # What a formula does differently on points of arrays, np.moveaxis(points, -1, 0),
 # where a gradient is a list or an array (n, ...) of components, and of floats.
 _ARRAYS = SimpleNamespace(exp=_exp, quartic=_quartic, call=_on_arrays,
                           full=lambda t, value: _filled(np.shape(t), value),
-                          zeros=lambda x: _filled(np.shape(x), 0.0),
-                          dot=lambda a, b: np.vecdot(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)))
-
-
-def _floats() -> SimpleNamespace:
-    """The float forms.  exp and the quartic power are numpy's, as on arrays, since
-    math.exp differs from np.exp in the last bit on some inputs; a dot product of
-    four components goes through BLAS, as np.vecdot's does, on scratch vectors of
-    its own, since a plain left-to-right sum may round differently."""
-    ab = np.empty(8)
-    a, b = ab[:4], ab[4:]
-
-    def exp(t):
-        if (v := float(np.exp(t))) == math.inf:
-            raise OverflowError("math range error")
-        return v
-
-    def dot(u, w):
-        if u is w:
-            a[:] = u
-            return float(a.dot(a))
-        ab[:] = [*u, *w]
-        return float(a.dot(b))
-
-    return SimpleNamespace(exp=exp, quartic=lambda t: float(_quartic(t)), call=lambda f, x: _on_floats(f)(x),
-                           full=lambda t, value: value, zeros=lambda x: [0.0] * len(x), dot=dot)
+                          zeros=lambda x: _filled(np.shape(x), 0.0))
+_FLOATS = SimpleNamespace(exp=_float_exp, quartic=lambda t: float(_quartic(t)),
+                          call=lambda f, x: _on_floats(f)(x),
+                          full=lambda t, value: value, zeros=lambda x: [0.0] * len(x))
 
 
 def constant_b(c: float = 1.0) -> ScalarFunc1D:
@@ -196,7 +188,7 @@ def gaussian_kappa(kappa0: float = 1.0, c: float = 1.0) -> ScalarField:
     quarter_c, half_c = c / 4.0, c / 2.0
 
     def formula(m, x):
-        v = k0 * m.exp(quarter_c * m.dot(x, x))
+        v = k0 * m.exp(quarter_c * _dot(x, x))
         return v, [v * half_c * t for t in x]
 
     return ScalarField.of(formula)

@@ -388,6 +388,36 @@ def test_underflowing_kappa_is_runtime_error(tmp_path, capfd, command, config):
     assert report["pass"] is False
 
 
+_GAUSSIAN_METRIC = {"kappa": {"kind": "gaussian", "c": 1.0}, "lam": {"kind": "constant", "value": 16.0}}
+_KERNEL_RUNS = [
+    ("extremal", dict(_GAUSSIAN_METRIC, xi0=[0.05, 0.1, 0.15, 0.2], dxi0=[1.0, 1.2, 0.8, 1.1], steps=200), "csv"),
+    ("extremal", dict(_GAUSSIAN_METRIC, xi0=[0.05, 0.1, 0.15, 0.2], dxi0=[1.0, 1.2, 0.8, 1.1], steps=200), "json"),
+    ("geodesic", {"connection": dict(_GAUSSIAN_METRIC, kind="finsler"), "x0": [0.05, 0.1, 0.15, 0.2],
+                  "v0": [0.26, 0.31, 0.21, 0.29], "steps": 200}, "csv"),
+]
+
+
+def test_trajectories_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel by CPU; Nehalem's has no fused multiply-add, so
+    # a dot product through BLAS would round differently there than on a
+    # newer CPU's kernel.  A BLAS that ignores the variable passes trivially.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    for k, (command, config, fmt) in enumerate(_KERNEL_RUNS):
+        cfg_path = tmp_path / f"cfg{k}.json"
+        cfg_path.write_text(json.dumps(config))
+        outputs = []
+        for coretype in (None, "Nehalem"):
+            out_path = tmp_path / f"out{k}-{coretype}.{fmt}"
+            run_env = env if coretype is None else dict(env, OPENBLAS_CORETYPE=coretype)
+            code = subprocess.call([sys.executable, "-m", "polyan.cli", command, "--config", str(cfg_path),
+                                    "--output", str(out_path), "--format", fmt], env=run_env)
+            assert code == EXIT_OK
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1], (command, fmt)
+
+
 def test_extremal_takes_one_profile_for_all_four_axes(tmp_path):
     one = {"kind": "quadratic", "c": 0.25}
     config = {"b": one, "kappa": {"kind": "from-b"}, "lam": {"kind": "constant", "value": 16.0},

@@ -418,7 +418,7 @@ def reference_rk4(rhs, y0, cfg, what, clock, cone=False):
 def numpy_trajectory(metric, form, xi0, w0, cfg):
     """Both forms on one-point array calls of kappa and lam: the extremal's momentum
     flow with its drift column row by row, and the geodesic's v (s . v - (s - l) v)
-    with s . v taken by @."""
+    with s . v the left-to-right sum of products."""
     def extremal(y):
         xi, p = y[:4], y[4:]
         kv, dk = metric.kappa.value_and_gradient(xi)
@@ -431,7 +431,8 @@ def numpy_trajectory(metric, form, xi0, w0, cfg):
             raise DomainError("kappa and the gauge must stay positive")
         dln_lam = dl / lv
         dln_sigma = 4.0 * dk / kv + dln_lam
-        return np.concatenate([v, v * (dln_sigma @ v - (dln_sigma - dln_lam) * v)])
+        sv = dln_sigma[0] * v[0] + dln_sigma[1] * v[1] + dln_sigma[2] * v[2] + dln_sigma[3] * v[3]
+        return np.concatenate([v, v * (sv - (dln_sigma - dln_lam) * v)])
 
     if form == "geodesic":
         return reference_rk4(geodesic, np.concatenate([xi0, w0]), cfg, "geodesic", "sigma")

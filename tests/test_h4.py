@@ -227,6 +227,16 @@ def test_cross_term_kappa_rejects_bad_axes(axes):
         cross_term_kappa(1.0, 1.0, axes)
 
 
+def test_gaussian_kappa_keeps_a_complex_step():
+    # d kappa / d x0 = kappa c x0 / 2; a dot product that conjugates its first
+    # argument, as np.vecdot does, would give an imaginary part of 0
+    kappa = gaussian_kappa(1.0, 0.8)
+    value = kappa.func(np.array([0.1 + 1e-20j, 0.2, 0.3, 0.4]))
+    real = kappa([0.1, 0.2, 0.3, 0.4])
+    assert value.real == real
+    assert value.imag == pytest.approx(real * 0.4 * 0.1 * 1e-20, rel=4 * np.finfo(float).eps)
+
+
 def test_gaussian_profile_consistent_across_bases(rng):
     # the radial profile in psi-coordinates equals the unscaled radial
     # profile in e-coordinates under the involutive change
@@ -284,7 +294,7 @@ def test_profile_functions_are_elementwise(b, rng):
 # math.log before the kinds took arrays: a value and the gradient from it
 def _math_gaussian(k0, c):
     def value(x):
-        return k0 * math.exp(c * float(np.dot(x, x)) / 4.0)
+        return k0 * math.exp(c * float(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]) / 4.0)
     return value, lambda x, v: v * c * x / 2.0
 
 

@@ -102,16 +102,26 @@ def test_dimension_mismatch_rejected(h4_psi):
 
 
 def test_path_of_the_wrong_shape_is_rejected(h4_psi):
-    one_point = Path(lambda t: np.zeros(4))  # ignores the shape of t
-    with pytest.raises(ContractError, match=r"path returned shape \(4,\), expected \(5, 4\)"):
-        one_point(np.linspace(0.0, 1.0, 5))
-    with pytest.raises(ContractError, match="path returned shape"):
-        line_integral(identity_field(4), one_point, h4_psi)
+    with pytest.raises(ContractError, match=r"path returned shape \(4,\), expected \(2, 4\)"):
+        Path(lambda t: np.zeros(4))  # ignores the shape of t
     bad_velocity = Path(lambda t: t[..., None] * A, velocity=lambda t: A)
     with pytest.raises(ContractError, match="path velocity returned shape"):
         line_integral(identity_field(4), bad_velocity, h4_psi)
     with pytest.raises(ContractError, match="one parameter"):
         Path(lambda t: np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("algebra, error", [("h4-psi", "could not be broadcast"),
+                                             ("complex", r"path returned shape \(2,\), expected \(2, 2\)")])
+def test_one_point_path_is_rejected_when_built(algebra, error):
+    S = builtin_algebra(algebra)
+    a = A[:S.n]
+    with pytest.raises(ContractError, match=error) as info:
+        Path(lambda t: t * a)  # one parameter to one point, the old contract
+    assert 'np.vectorize(f, signature="()->(n)")' in str(info.value)
+    lifted = Path(np.vectorize(lambda t: t * a, signature="()->(n)"))
+    assert np.allclose(line_integral(identity_field(S.n), lifted, S).coords,
+                       line_integral(identity_field(S.n), straight_path(np.zeros(S.n), a), S).coords)
 
 
 # ---------------------------------------------------------------------------
