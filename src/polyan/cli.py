@@ -146,7 +146,7 @@ def _make_field(spec: dict, n: int) -> fl.VectorField:
     if kind == "componentwise-power":
         return fl.componentwise_power_field(n, _number(spec.get("power", 2), "power", True))
     if kind == "componentwise-exp":
-        return fl.componentwise_exp_field(n, float(spec.get("scale", 1.0)))
+        return fl.componentwise_exp_field(n, _number(spec.get("scale", 1.0), "scale"))
     if kind == "monomial":
         component = _number(_require(spec, "component", "monomial field"), "component", True) - 1
         exponents = _require(spec, "exponents", "monomial field")
@@ -219,24 +219,24 @@ def _make_path(spec: dict, n: int) -> fl.Path:
 def _make_b(spec: dict) -> h4.ScalarFunc1D:
     kind = _require(spec, "kind", "profile spec")
     if kind == "constant":
-        return h4.constant_b(float(spec.get("c", 1.0)))
+        return h4.constant_b(_number(spec.get("c", 1.0), "c"))
     if kind == "quadratic":
-        return h4.quadratic_b(float(spec.get("c", 0.25)))
+        return h4.quadratic_b(_number(spec.get("c", 0.25), "c"))
     if kind == "gaussian":
-        return h4.gaussian_b(float(spec.get("c", 1.0)))
+        return h4.gaussian_b(_number(spec.get("c", 1.0), "c"))
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
 def _make_kappa(spec: dict, kappa0: float, b_funcs=None) -> h4.ScalarField:
     kind = spec.get("kind", "from-b")
     if kind == "constant":
-        return h4.constant_kappa(float(spec.get("value", kappa0)))
+        return h4.constant_kappa(_number(spec.get("value", kappa0), "value"))
     if kind == "gaussian":
-        return h4.gaussian_kappa(kappa0, float(spec.get("c", 1.0)))
+        return h4.gaussian_kappa(kappa0, _number(spec.get("c", 1.0), "c"))
     if kind == "cross-term":
         axes = spec.get("axes", [1, 2])
         first, second = (_number(axes[i], "cross-term axes", True) - 1 for i in (0, 1))
-        return h4.cross_term_kappa(kappa0, float(spec.get("c", 1.0)), (first, second))
+        return h4.cross_term_kappa(kappa0, _number(spec.get("c", 1.0), "c"), (first, second))
     if kind == "from-b":
         if b_funcs is None:
             raise ConfigError("kappa kind 'from-b' needs profile functions")
@@ -247,7 +247,7 @@ def _make_kappa(spec: dict, kappa0: float, b_funcs=None) -> h4.ScalarField:
 def _make_lambda(spec: dict, kappa: h4.ScalarField, kappa0: float, lambda0: float) -> h4.ScalarField:
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return h4.constant_lambda(float(spec.get("value", lambda0)))
+        return h4.constant_lambda(_number(spec.get("value", lambda0), "value"))
     if kind == "kappa-reciprocal":
         return h4.reciprocal_quartic_lambda(kappa, kappa0, lambda0)
     raise ConfigError(f"unknown lambda kind {kind!r}")
@@ -263,8 +263,8 @@ def _make_profiles(b_specs) -> tuple:
 
 def _make_metric(cfg: dict, b_funcs=None, kappa_default: str = "constant") -> h4.FinslerConfig:
     """kappa, lam, kappa0 and lambda0; b_funcs default to the config's own profiles, if any."""
-    kappa0 = float(cfg.get("kappa0", 1.0))
-    lambda0 = float(cfg.get("lambda0", 1.0))
+    kappa0 = _number(cfg.get("kappa0", 1.0), "kappa0")
+    lambda0 = _number(cfg.get("lambda0", 1.0), "lambda0")
     if b_funcs is None and cfg.get("b"):
         b_funcs = _make_profiles(cfg["b"])
     kappa_spec = cfg.get("kappa")
@@ -289,7 +289,7 @@ def _make_connection(spec: dict) -> geo.ConnectionField:
         return geo.zero_connection(_number(spec.get("n", 4), "n", True))
     if kind == "structure-scaled":
         S = _make_algebra(_require(spec, "algebra", "connection spec"))
-        return geo.connection_from_structure(S, float(spec.get("scale", 1.0)))
+        return geo.connection_from_structure(S, _number(spec.get("scale", 1.0), "scale"))
     if kind == "finsler":
         metric = _make_metric(spec)
         orientation = spec.get("orientation", "transposed")
@@ -397,7 +397,7 @@ def _cmd_line_integral(cfg: dict, tol: float, rng) -> _Compute:
     expect = cfg.get("expect", "equal")
     if expect not in ("equal", "different"):
         raise ConfigError(f"unknown expectation {expect!r}")
-    min_gap = float(cfg.get("min_difference", 1e-3))
+    min_gap = _number(cfg.get("min_difference", 1e-3), "min_difference")
 
     def compute():
         values = [fl.line_integral(field, p, S, diff).coords for p in (path, path_b) if p is not None]

@@ -23,6 +23,7 @@ import numpy as np
 from .algebra import builtin_algebra
 from .errors import ConeError, ContractError, DomainError
 from .fields import (
+    _EPS,
     DEFAULT_DIFF,
     DiffConfig,
     GAPair,
@@ -33,8 +34,6 @@ from .fields import (
     grid_max,
     zero_gamma,
 )
-
-_EPS = float(np.finfo(float).eps)
 
 CONVENTIONS = ("as-printed", "reciprocal")
 ORIENTATIONS = ("as-printed", "transposed")
@@ -339,25 +338,22 @@ def gamma_matrices(xi, cfg: FinslerConfig, orientation: str = "transposed") -> n
 # the closed-form family
 # ---------------------------------------------------------------------------
 
+_COMPATIBILITY_DIFF = DiffConfig(h=_EPS ** 0.25)
+_DIAG = (Ellipsis, np.arange(4), np.arange(4))
+
+
 def compatibility_residual(kappa_field: ScalarField, xi) -> np.ndarray:
-    """Mixed second derivatives (..., 4, 4) of 4*log(kappa) at points (..., 4), by central
-    cross differences with base step eps^(1/4).  The off-diagonal entries must vanish
-    for the separable closed-form family to exist; the diagonal is reported as zero."""
-    xi = np.asarray(xi, dtype=float)
-    n = xi.shape[-1]
-    steps = DiffConfig(h=_EPS ** 0.25).step(xi)
+    """Mixed second derivatives (..., 4, 4) of 4*log(kappa) at points (..., 4): the FD Jacobian,
+    base step eps^(1/4), of kappa's log-gradient 4 grad(kappa) / kappa, averaged with its
+    transpose.  The off-diagonal entries must vanish for the separable closed-form family
+    to exist; the diagonal is reported as zero."""
+    def dlogk4(x):
+        kv, dk = kappa_field.value_and_grad(x)
+        return 4.0 * dk / kv[..., None]
 
-    def logk4(x):
-        return 4.0 * np.log(kappa_field(x))
-
-    e = steps[..., None, :] * np.eye(n)  # e[..., i, :] steps along axis i
-    out = np.zeros(xi.shape + (n,))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = e[..., i, :], e[..., j, :]
-            val = logk4(xi + a + b) - logk4(xi + a - b) - logk4(xi - a + b) + logk4(xi - a - b)
-            out[..., i, j] = out[..., j, i] = val / (4.0 * steps[..., i] * steps[..., j])
-    return out
+    out = fd_jacobian(dlogk4, xi, _COMPATIBILITY_DIFF)
+    out[_DIAG] = 0.0
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -418,10 +414,8 @@ def _phi(spec: H4FamilySpec, xi: np.ndarray, kv, lv, bvals: np.ndarray) -> np.nd
 def family_phi(spec: H4FamilySpec, xi) -> np.ndarray:
     """Components phi_i = phi0_i (kappa/kappa0)^4 (lam/lambda0) B_i exp(mu_i xi_i) at points (..., 4)."""
     xi = np.asarray(xi, dtype=float)
-    return _phi(spec, xi, spec.kappa(xi), spec.lam(xi), _profile_factors(spec, xi)[0])
-
-
-_DIAG = (Ellipsis, np.arange(4), np.arange(4))
+    kv, _, lv, _ = _kappa_and_lam(spec.kappa, spec.lam, _ARRAYS, np.moveaxis(xi, -1, 0))
+    return _phi(spec, xi, kv, lv, _profile_factors(spec, xi)[0])
 
 
 def _family_terms(spec: H4FamilySpec, xi: np.ndarray, logs: tuple | None = None):

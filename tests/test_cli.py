@@ -627,6 +627,24 @@ MALFORMED = [
     ("geodesic", dict(_ZERO, t_end=float("inf"))),
     ("geodesic", dict(_ZERO, t_end=True)),
     ("geodesic", dict(_ZERO, t_end="1")),
+    # every other config number is a finite JSON number too: no string, bool,
+    # null or non-finite number
+    ("family-verify", dict(_FAMILY, kappa0="2")),
+    ("family-verify", dict(_FAMILY, kappa0=True)),
+    ("family-verify", dict(_FAMILY, kappa0=1e400)),
+    ("family-verify", dict(_FAMILY, lambda0="1")),
+    ("family-verify", dict(_FAMILY, b={"kind": "quadratic", "c": "0.3"})),
+    ("family-verify", dict(_FAMILY, b={"kind": "constant", "c": True})),
+    ("family-verify", dict(_FAMILY, b={"kind": "gaussian", "c": 1e400})),
+    ("family-verify", dict(_FAMILY, kappa={"kind": "gaussian", "c": "1"})),
+    ("family-verify", dict(_FAMILY, kappa={"kind": "cross-term", "c": None})),
+    ("family-verify", dict(_FAMILY, kappa={"kind": "constant", "value": "2"})),
+    ("extremal", dict(_EXTREMAL, lam={"kind": "constant", "value": False})),
+    ("geodesic", {"connection": {"kind": "structure-scaled", "algebra": "complex", "scale": 1e400},
+                  "x0": [0, 0], "v0": [1, 1], "steps": 4}),
+    ("cr-residual", dict(_CR, field={"kind": "componentwise-exp", "scale": "1"})),
+    ("line-integral", {"algebra": "h4-psi", "field": {"kind": "identity"}, "path": _STRAIGHT,
+                       "path_b": _STRAIGHT, "expect": "different", "min_difference": "0.1"}),
 ]
 
 

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyan import builtin_algebra, cr_residual, derivative
-from polyan.fields import Box, DiffConfig, GAPair, zero_gamma
+from polyan.fields import Box, GAPair, zero_gamma
 from polyan.fields import fd_jacobian, grid_max
 from polyan.h4 import (
-    _EPS,
     CONVENTIONS,
     FinslerConfig,
     H4FamilySpec,
@@ -295,7 +294,8 @@ def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
     # the README family as the command line builds it: from-b kappa and the
     # kappa-reciprocal gauge of that same kappa; both conventions share one
     # evaluation of kappa on all 81 points, in one array call, and the gauge
-    # takes kappa's value and gradient instead of evaluating kappa again
+    # takes kappa's value and gradient instead of evaluating kappa again; so
+    # does family_phi
     b = tuple(quadratic_b(0.25) for _ in range(4))
     kappa = kappa_from_b(b, 1.0)
     spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=reciprocal_quartic_lambda(kappa, 1.0, 1.0), kappa=kappa)
@@ -306,7 +306,7 @@ def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
                 counts[key] = counts.get(key, 0) + 1
                 return inner(*args)
             monkeypatch.setattr(field, attr, counted)
-    for check in (family_residual, analytic_gamma_max):
+    for check in (family_residual, analytic_gamma_max, family_phi):
         counts.clear()
         check(spec, GRID)
         assert counts == {"kappa.formula": 1}
@@ -315,20 +315,6 @@ def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
 # ---------------------------------------------------------------------------
 # the array path against the per-point loops it replaced
 # ---------------------------------------------------------------------------
-
-def per_point_compatibility(kappa, xi):
-    """The cross differences of 4 ln kappa at one point, one probe at a time."""
-    steps = DiffConfig(h=_EPS ** 0.25).step(xi)
-    out = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ei, ej = np.zeros(4), np.zeros(4)
-            ei[i], ej[j] = steps[i], steps[j]
-            val = sum(sign * 4.0 * np.log(kappa(xi + si * ei + sj * ej))
-                      for sign, si, sj in ((1, 1, 1), (-1, 1, -1), (-1, -1, 1), (1, -1, -1)))
-            out[i, j] = out[j, i] = val / (4.0 * steps[i] * steps[j])
-    return out
-
 
 def per_point_gamma_max(spec, points):
     bare = GAPair(family_field(spec), zero_gamma(4), builtin_algebra("h4-psi"))
@@ -353,9 +339,10 @@ def family_specs(draw):
     kappa0, lambda0 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
     kind = draw(st.sampled_from(["constant", "gaussian", "cross-term", "from-b"]))
     c = draw(coefficient)
+    axes = draw(st.sampled_from([(0, 1), (1, 3), (2, 0)])) if kind == "cross-term" else None
     kappa = {"constant": lambda: constant_kappa(kappa0 * (1.0 + c)),
              "gaussian": lambda: gaussian_kappa(kappa0, c),
-             "cross-term": lambda: cross_term_kappa(kappa0, c, draw(st.sampled_from([(0, 1), (1, 3), (2, 0)]))),
+             "cross-term": lambda: cross_term_kappa(kappa0, c, axes),
              "from-b": lambda: kappa_from_b(b, kappa0)}[kind]()
     lam = draw(st.sampled_from([constant_lambda(lambda0 * 1.5),
                                 reciprocal_quartic_lambda(kappa, kappa0, lambda0)]))
@@ -364,13 +351,16 @@ def family_specs(draw):
                         lambda0=lambda0, convention=draw(st.sampled_from(CONVENTIONS)), kappa=kappa)
     points = np.array(draw(st.lists(st.lists(st.floats(-0.6, 0.6), min_size=4, max_size=4),
                                     min_size=1, max_size=6)))
-    return spec, points
+    mixed = np.zeros((4, 4))  # the exact mixed second derivatives of 4 ln kappa
+    if axes:
+        mixed[axes] = mixed[axes[::-1]] = c
+    return spec, points, mixed
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=family_specs(), use_fd=st.booleans())
 def test_family_residual_array_path_matches_per_point_loop(case, use_fd):
-    spec, points = case
+    spec, points, _ = case
     report = family_residual(spec, points, use_fd=use_fd)
     reference = reference_residuals(spec, points, use_fd)
     for conv in CONVENTIONS:
@@ -380,17 +370,19 @@ def test_family_residual_array_path_matches_per_point_loop(case, use_fd):
 @settings(max_examples=60, deadline=None)
 @given(case=family_specs())
 def test_compatibility_and_gamma_max_array_paths_match_per_point_loops(case):
-    spec, points = case
+    spec, points, mixed = case
     batched = compatibility_residual(spec.kappa, points)
     assert batched.shape == points.shape + (4,)
+    assert np.array_equal(batched, np.swapaxes(batched, -1, -2))
+    assert np.max(np.abs(batched - mixed)) <= 1e-10
     for xi, got in zip(points, batched):
-        assert_within_ulps(got, per_point_compatibility(spec.kappa, xi), 4)
+        assert np.array_equal(got, compatibility_residual(spec.kappa, xi))
     assert_within_ulps(analytic_gamma_max(spec, points), per_point_gamma_max(spec, points), 4)
 
 
 def test_grid_checks_make_a_fixed_number_of_array_calls():
     # the three grid checks evaluate kappa on the whole (m, 4) array at once:
-    # as many calls for 81 points as for 3, and 24 for the compatibility probes
+    # as many calls for 81 points as for 3, and one for the compatibility probes
     counts = {"func": 0, "value_and_grad": 0}
 
     def counted(name, fn):
@@ -411,5 +403,5 @@ def test_grid_checks_make_a_fixed_number_of_array_calls():
         seen.append(dict(counts))
         counts.update(func=0, value_and_grad=0)
         compatibility_residual(spec.kappa, points)
-        assert counts == {"func": 24, "value_and_grad": 0}
+        assert counts == {"func": 0, "value_and_grad": 1}
     assert seen[0] == seen[1]
