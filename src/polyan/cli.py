@@ -517,7 +517,9 @@ def run(command: str, config: dict, output: str | None = None, fmt: str | None =
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
     handler, default_tol, writes_trajectory = _HANDLERS[command]
-    tol = default_tol if tol is None else float(tol)
+    tol = default_tol if tol is None else _number(tol, "tol")
+    if tol < 0:
+        raise ConfigError(f"tol must not be negative, got {tol!r}")
     if fmt is None:
         fmt = "csv" if writes_trajectory else "json"
     if fmt not in ("json", "csv"):

@@ -545,7 +545,7 @@ def pair_change_basis(pair: GAPair, B) -> GAPair:
 # ---------------------------------------------------------------------------
 
 class ConnectionField:
-    """Position-dependent coefficients, one point -> (n, n, n) array G[i, k, j].
+    """Position-dependent coefficients: points (..., n) -> (..., n, n, n) arrays G[..., i, k, j], one row per point.
 
     acceleration, if given, maps one (x, v) of floats to -G[i, k, j] v_k v_j without building G.
     """
@@ -556,13 +556,14 @@ class ConnectionField:
         self.acceleration = acceleration
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        return _checked(self.func(x), x.shape[:-1] + (self.n,) * 3, "connection")
 
 
 def connection_residual(pair: GAPair, Gamma: ConnectionField, x) -> np.ndarray:
-    """Residual of gamma[i, k] = G[i, k, j] f_j, linking a pair to a shared connection."""
+    """Residual of gamma[i, k] = G[i, k, j] f_j at points x (..., n), linking a pair to a shared connection."""
     x = np.asarray(x, dtype=float)
-    return np.einsum("ikj,j->ik", Gamma(x), pair.f(x)) - pair.gamma(x)
+    return np.einsum("...ikj,...j->...ik", Gamma(x), pair.f(x)) - pair.gamma(x)
 
 
 def chain_conditions(Gamma: ConnectionField, S: StructureConstants, x, cfg: DiffConfig = DEFAULT_DIFF):
@@ -580,16 +581,16 @@ def chain_conditions(Gamma: ConnectionField, S: StructureConstants, x, cfg: Diff
     x = np.asarray(x, dtype=float)
     p = S.p
     G = Gamma(x)
-    G1 = G[:, u, :]
-    res_a = np.einsum("ij,jkr->ikr", G1, p) - np.einsum("ikj,jr->ikr", p, G1)
+    G1 = G[..., :, u, :]
+    res_a = np.einsum("...ij,jkr->...ikr", G1, p) - np.einsum("ikj,...jr->...ikr", p, G1)
 
-    dG = fd_jacobian(lambda q: _rowwise(Gamma, q), x, cfg)
-    t1 = dG[:, u, :, :].transpose(0, 2, 1)        # d G[i, u, r] / d x_k  -> [i, k, r]
-    t2 = dG[:, :, :, u]                           # d G[i, k, r] / d x_u
-    m1 = G - np.einsum("ikm,mj->ikj", p, G1)
-    term_a = np.einsum("ikj,jr->ikr", m1, G1)
-    m2 = G - np.einsum("jkm,mr->jkr", p, G1)
-    term_b = np.einsum("ij,jkr->ikr", G1, m2)
+    dG = fd_jacobian(Gamma, x, cfg)
+    t1 = np.swapaxes(dG[..., :, u, :, :], -1, -2)  # d G[i, u, r] / d x_k  -> [i, k, r]
+    t2 = dG[..., u]                                # d G[i, k, r] / d x_u
+    m1 = G - np.einsum("ikm,...mj->...ikj", p, G1)
+    term_a = np.einsum("...ikj,...jr->...ikr", m1, G1)
+    m2 = G - np.einsum("jkm,...mr->...jkr", p, G1)
+    term_b = np.einsum("...ij,...jkr->...ikr", G1, m2)
     res_b = t1 - t2 + term_a - term_b
     return res_a, res_b
 
@@ -612,14 +613,23 @@ def derivative_chain(pair: GAPair, Gamma: ConnectionField, m: int, cfg: DiffConf
         f = _chain_step(f, Gamma, u, cfg)
 
     def gamma_func(x, f=f):
-        return np.einsum("...ikj,...j->...ik", _rowwise(Gamma, x), f(x))
+        return np.einsum("...ikj,...j->...ik", Gamma(x), f(x))
 
     return GAPair(f, GammaField(S.n, gamma_func), S)
 
 
 def _chain_step(f: VectorField, Gamma: ConnectionField, u: int, cfg: DiffConfig) -> VectorField:
+    """f -> df/dx_u + G[:, u, :] f; without an analytic Jacobian, df/dx_u is the FD along x_u alone."""
+    def along_u(t, x):  # f at the points x, coordinate u moved to each of its probes t (..., [s,] 1)
+        return f.func(np.where(np.arange(f.n) == u, t, np.expand_dims(x, tuple(range(x.ndim - 1, t.ndim - 1)))))
+
     def func(x, f=f):
-        return f.jac(x, cfg)[..., :, u] + np.matvec(_rowwise(Gamma, x)[..., :, u, :], f(x))
+        if f.jacobian is None:
+            f.check_point(x)
+            d = fd_jacobian(lambda t: along_u(t, x), x[..., u:u + 1], cfg)[..., 0]
+        else:
+            d = f.jac(x, cfg)[..., :, u]
+        return d + np.matvec(Gamma(x)[..., :, u, :], f(x))
 
     return VectorField(f.n, func, domain=f.domain)
 

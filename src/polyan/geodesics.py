@@ -42,17 +42,18 @@ __all__ = [
 
 
 def zero_connection(n: int) -> ConnectionField:
-    return ConnectionField(n, lambda x: np.zeros((n, n, n)))
+    return ConnectionField(n, lambda x: np.zeros(x.shape[:-1] + (n, n, n)))
 
 
 def connection_from_structure(S, scale: float = 1.0) -> ConnectionField:
-    """Constant connection proportional to the structure constants."""
+    """Constant connection proportional to the structure constants; its acceleration contracts the one G."""
     g = scale * S.p
-    return ConnectionField(S.n, lambda x: g)
+    return ConnectionField(S.n, lambda x: np.broadcast_to(g, x.shape[:-1] + g.shape),
+                           _on_floats(lambda x, v: -np.einsum("ikj,k,j->i", g, v, v)))
 
 
 def finsler_connection(metric: FinslerConfig, orientation: str = "transposed") -> ConnectionField:
-    """G = gamma_matrices(x, metric, orientation), carrying the geodesic
+    """G = gamma_matrices(x, metric, orientation) at points (..., 4), carrying the geodesic
     acceleration in closed form on floats, a_i = v_i (s . v - (s_i - l_i) v_i) with
     s = grad ln sigma (sigma = kappa^4 lam) and l = grad ln lam: one kappa and
     one lam evaluation, no (4, 4, 4) array.  Both orientations contract to this
@@ -108,8 +109,8 @@ class IntegratorConfig:
 
 
 def geodesic_rhs(Gamma: ConnectionField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Acceleration a_i = -G[i, k, j] v_k v_j at position x and velocity v."""
-    return -np.einsum("ikj,k,j->i", Gamma(x), v, v)
+    """Accelerations a_i = -G[i, k, j] v_k v_j at positions x and velocities v (..., n)."""
+    return -np.einsum("...ikj,...k,...j->...i", Gamma(x), v, v)
 
 
 def _rk4(rhs, y0: np.ndarray, cfg: IntegratorConfig, what: str, clock: str, cone=None):

@@ -312,15 +312,14 @@ def _log_gradients(kappa: ScalarField, lam: ScalarField, xi, m: SimpleNamespace 
 
 
 def _connection(dln_lam: np.ndarray, dln_sigma: np.ndarray, orientation: str) -> np.ndarray:
-    g = np.zeros((4, 4, 4))
-    for i in range(4):
-        g[i, i, :] = -dln_sigma
-        g[i, i, i] = -dln_lam[i]
-    return g.transpose(0, 2, 1) if orientation == "transposed" else g
+    g, i = np.zeros(dln_sigma.shape[:-1] + (4, 4, 4)), np.arange(4)
+    g[..., i, i, :] = -dln_sigma[..., None, :]
+    g[..., i, i, i] = -dln_lam
+    return np.swapaxes(g, -1, -2) if orientation == "transposed" else g
 
 
 def gamma_matrices(xi, cfg: FinslerConfig, orientation: str = "transposed") -> np.ndarray:
-    """Connection coefficients of the quartic metric, G[i, k, j].
+    """Connection coefficients of the quartic metric, G[..., i, k, j] at points xi (..., 4).
 
     For each component i the i-th row (k = i) holds minus the log-sigma
     gradient, except the diagonal slot which holds minus the log-gauge

@@ -1,0 +1,131 @@
+"""Mutation runner: each mutant in MUTANTS is a one-place edit of the library that a test
+should notice.  Every mutant is applied to its own temporary copy of the repository, and
+only the test files it names run there; the mutant is killed when they fail.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutation/run.py            # every mutant
+    python tests/mutation/run.py cone-open  # the mutants named
+
+It first runs the named test files on an unmutated copy, which must pass.  It prints one
+line per mutant and then "killed k of n", which it also appends to $GITHUB_STEP_SUMMARY
+when that is set.  Exit code 0 when every mutant is killed, 1 when some survive, and 2
+when the unmutated copy fails or a mutant's old text is not found exactly once.
+
+The tier-1 suite does not collect this file: its name does not start with test_.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[2]
+PYTEST = [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", "-m", "pytest", "-q", "-x",
+          "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple  # test files to run, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("compatibility-step-1e-3", "src/polyan/h4.py",
+           "_COMPATIBILITY_DIFF = DiffConfig(h=_EPS ** 0.25)", "_COMPATIBILITY_DIFF = DiffConfig(h=1e-3)",
+           ("tests/test_h4.py", "tests/test_family.py")),
+    Mutant("box-margin-1e-3", "src/polyan/fields.py",
+           "np.all(x >= self.lo - 1e-9) and np.all(x <= self.hi + 1e-9)",
+           "np.all(x >= self.lo - 1e-3) and np.all(x <= self.hi + 1e-3)",
+           ("tests/test_fields.py",)),
+    Mutant("central-4-base-step-1e-2", "src/polyan/fields.py",
+           "base = _EPS ** 0.2", "base = 1e-2", ("tests/test_fields.py",)),
+    Mutant("cone-open", "src/polyan/geodesics.py",
+           "min(y[cone]) <= 0", "min(y[cone]) < 0", ("tests/test_geodesics.py",)),
+    Mutant("newton-tolerance-1e-7", "src/polyan/fields.py",
+           "<= 1e-13 * max(1.0,", "<= 1e-7 * max(1.0,", ("tests/test_transforms.py",)),
+    Mutant("central-4-denominator", "src/polyan/fields.py",
+           "8 * v[2] + v[3], 12 * h", "8 * v[2] + v[3], 12.000001 * h", ("tests/test_fields.py",)),
+    Mutant("drift-column-halved", "src/polyan/geodesics.py",
+           "drift = _relative_indicatrix(ys[:, :4], ys[:, 4:], metric)",
+           "drift = _relative_indicatrix(ys[:, :4], ys[:, 4:], metric) / 2",
+           ("tests/test_geodesics.py",)),
+    Mutant("connection-untransposed", "src/polyan/h4.py",
+           'return np.swapaxes(g, -1, -2) if orientation == "transposed" else g', "return g",
+           ("tests/test_h4.py", "tests/test_transforms.py")),
+    Mutant("chain-step-column-0", "src/polyan/fields.py",
+           "x[..., u:u + 1], cfg)[..., 0]", "x[..., 0:1], cfg)[..., 0]", ("tests/test_fields.py",)),
+    Mutant("tol-without-number", "src/polyan/cli.py",
+           'tol = default_tol if tol is None else _number(tol, "tol")',
+           "tol = default_tol if tol is None else float(tol)", ("tests/test_cli.py",)),
+)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "mutation")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _in_copy(tests, mutant: Mutant | None = None) -> subprocess.CompletedProcess:
+    """pytest on the test files in a fresh copy of the repository, with the mutant applied if given."""
+    with tempfile.TemporaryDirectory(prefix="polyan-mutant-") as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        if mutant is not None:
+            path = copy / mutant.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                raise LookupError(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} times "
+                                  f"in {mutant.file}, not once")
+            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        return subprocess.run([*PYTEST, *tests], cwd=copy, env=env, capture_output=True, text=True)
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    start = time.monotonic()
+    every_test = sorted({t for m in mutants for t in m.tests})
+    baseline = _in_copy(every_test)
+    if baseline.returncode != 0:
+        print(baseline.stdout[-4000:], baseline.stderr[-4000:], sep="\n", file=sys.stderr)
+        print(f"the unmutated copy fails {' '.join(every_test)}", file=sys.stderr)
+        return 2
+    survivors = []
+    for m in mutants:
+        try:
+            result = _in_copy(m.tests, m)
+        except LookupError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        killed = result.returncode != 0
+        if not killed:
+            survivors.append(m.name)
+        print(f"{'killed ' if killed else 'SURVIVED'} {m.name} ({m.file}; {' '.join(m.tests)})", flush=True)
+    score = f"killed {len(mutants) - len(survivors)} of {len(mutants)}"
+    print(f"{score} in {time.monotonic() - start:.0f} s")
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:
+        with open(summary, "a", encoding="utf-8") as fh:
+            fh.write(f"Mutation runner: {score}" + (f"; survived: {', '.join(survivors)}" if survivors else "") + "\n")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

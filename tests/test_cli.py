@@ -496,6 +496,16 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_must_be_a_finite_nonnegative_number(tmp_path, capsys, tol):
+    """--tol is read as every config number is: NaN would fail every check and inf pass it."""
+    code, text = run_cli(tmp_path, "algebra-check", {"algebra": "complex"}, extra=("--tol", tol))
+    assert (code, text) == (EXIT_CONFIG, "")
+    assert capsys.readouterr().err.startswith("config error: tol must")
+    with pytest.raises(cli.ConfigError, match="tol must"):
+        cli.run("algebra-check", {"algebra": "complex"}, tol=float(tol))
+
+
 def test_malformed_json_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

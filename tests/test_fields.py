@@ -48,6 +48,8 @@ from polyan.fields import (
     zero_gamma,
 )
 import polyan.fields as fields
+from polyan.algebra import transform_constants
+from polyan.geodesics import zero_connection
 from polyan.h4 import H4FamilySpec, constant_lambda, family_field, quadratic_b
 
 GRID = Box([-0.5] * 4, [0.5] * 4).grid(3)
@@ -100,6 +102,17 @@ def test_domain_violation_raises(h4_psi):
     pair = GAPair(field, zero_gamma(4), h4_psi)
     with pytest.raises(DomainError):
         covariant_derivative(pair, np.array([2.0, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("face, outward", ((0.0, -1.0), (1.0, 1.0)))
+def test_box_forgives_rounding_but_not_a_point_outside(face, outward):
+    """Box.contains' margin is 1e-9: a point 1e-10 past a face is in, one 1e-6 past it is not."""
+    field = VectorField(4, lambda x: x, domain=Box([0.0] * 4, [1.0] * 4))
+    x = np.array([0.5, 0.5, face + outward * 1e-10, 0.5])
+    assert np.array_equal(field(x), x)
+    x[2] = face + outward * 1e-6
+    with pytest.raises(DomainError):
+        field(x)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +331,15 @@ def test_central4_scheme_is_tighter(h4_psi):
     assert err4 < 1e-10
 
 
+def test_central4_default_step_is_verification_grade(rng):
+    """central-4's base step eps^(1/5) gets within 1e-11 of the exact Jacobian of exp(1.3 x),
+    about 7e-13; a base step of 1e-2 errs by about 5e-9.  (A quartic field cannot pin the
+    step: the 5-point stencil is exact on quartics at any step.)"""
+    field = componentwise_exp_field(4, 1.3)
+    x = rng.uniform(-1.0, 1.0, (50, 4))
+    assert np.max(np.abs(fd_jacobian(field.func, x, DiffConfig(scheme="central-4")) - field.jac(x))) <= 1e-11
+
+
 def test_gamma_field_shape(h4_psi):
     g = GammaField(4, lambda x: np.outer(x, x))
     assert g(np.ones(4)).shape == (4, 4)
@@ -424,6 +446,12 @@ def _point_only_diffeo(n, rng):
                   lambda x: np.eye(n) + alpha * np.cos(x[None, :] + phase), hess)
 
 
+def _row_dot(x, w):
+    """x . w per point of x (..., n), as a (..., 1, 1, 1) factor of a connection; unlike
+    x @ w, a stack rounds each row as one point does."""
+    return np.einsum("...i,i->...", x, w)[..., None, None, None]
+
+
 def _chain(S, rng, fd):
     if S.unit_index is None:
         return _random_pair(S, rng)
@@ -431,7 +459,7 @@ def _chain(S, rng, fd):
     pair = _random_pair(S, rng)
     if fd:
         pair = GAPair(pair.f.without_jacobian(), pair.gamma, S)
-    return derivative_chain(pair, ConnectionField(S.n, lambda x: c0 * (1.0 + x @ w)), 2)
+    return derivative_chain(pair, ConnectionField(S.n, lambda x: c0 * (1.0 + _row_dot(x, w))), 2)
 
 
 @pytest.mark.parametrize("scheme", ("central-2", "central-4"))
@@ -441,7 +469,7 @@ def test_chains_equal_the_per_column_reference(name, scheme, rng, monkeypatch):
     under the scheme asked for."""
     S, cfg = builtin_algebra(name), DiffConfig(scheme=scheme)
     c0, w = 0.3 * S.p + rng.uniform(-0.1, 0.1, S.p.shape), rng.uniform(-1, 1, S.n)
-    Gamma = ConnectionField(S.n, lambda x: c0 * (1.0 + np.sin(x @ w)))
+    Gamma = ConnectionField(S.n, lambda x: c0 * (1.0 + np.sin(_row_dot(x, w))))
     pair = _random_pair(S, rng)
     pairs = (pair, GAPair(pair.f.without_jacobian(), pair.gamma, S))
     x, points = rng.uniform(-0.5, 0.5, S.n), rng.uniform(-0.5, 0.5, (3, S.n))
@@ -455,6 +483,28 @@ def test_chains_equal_the_per_column_reference(name, scheme, rng, monkeypatch):
     monkeypatch.setattr(fields, "fd_jacobian", lambda func, x, *_: reference_fd_jacobian(func, x, cfg))
     for a, b in zip(got, results(), strict=True):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme, points", (("central-2", 9), ("central-4", 25)))
+def test_fd_chain_step_probes_only_the_unit_direction(h4_e, rng, scheme, points):
+    """An order-2 chain of a field without Jacobian evaluates it on (s + 1)^2 points per chain
+    point, s = 2 or 4 probes along the unit direction, not on (s n + 1)^2."""
+    f, seen = random_smooth_field(4, rng), []
+    counting = VectorField(4, lambda x: seen.append(x.size // 4) or f.func(x))
+    chain = derivative_chain(GAPair(counting, zero_gamma(4), h4_e), zero_connection(4), 2, DiffConfig(scheme=scheme))
+    chain.f(rng.uniform(-0.5, 0.5, 4))
+    assert sum(seen) == points
+
+
+def test_chain_steps_along_the_unit_wherever_it_sits(rng):
+    """The chain differentiates along the unit's basis direction, here the second one."""
+    S = transform_constants(builtin_algebra("complex"), BasisChange(np.eye(2)[::-1], "complex", "swapped"))
+    assert S.unit_index == 1
+    f = random_smooth_field(2, rng)
+    x = rng.uniform(-0.5, 0.5, 2)
+    for field in (f, f.without_jacobian()):
+        first = derivative_chain(GAPair(field, zero_gamma(2), S), zero_connection(2), 1)
+        assert np.max(np.abs(first.f(x) - f.jac(x)[:, 1])) < 1e-9
 
 
 def _with_domain(S, rng):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyan import ConeError, ContractError, DomainError, IntegrationError
+from polyan import ConeError, ContractError, DomainError, IntegrationError, builtin_algebra, builtin_names
+from polyan.fields import (
+    DiffConfig,
+    chain_conditions,
+    connection_residual,
+    gamma_from_prescribed,
+    random_smooth_field,
+)
 from polyan.geodesics import (
     ConnectionField,
     ExtremalState,
@@ -17,6 +24,7 @@ from polyan.geodesics import (
     GeodesicState,
     GeodesicTrajectory,
     IntegratorConfig,
+    _rk4,
     connection_from_structure,
     cross_check_forms,
     extremal_velocity,
@@ -37,6 +45,7 @@ from polyan.h4 import (
     constant_kappa,
     constant_lambda,
     cross_term_kappa,
+    gamma_matrices,
     gaussian_b,
     gaussian_kappa,
     kappa_from_b,
@@ -224,6 +233,14 @@ def test_cone_exit_mid_run_raises():
     e0 = ExtremalState(np.ones(4) * 0.5, momenta(np.ones(4), np.ones(4) * 0.5, metric))
     with pytest.raises(ConeError):
         integrate_extremal(metric, e0, IntegratorConfig(steps=8, t_end=40.0))
+
+
+def test_a_momentum_driven_to_exactly_zero_leaves_the_cone():
+    """The cone is open: RK4 with a constant rate -1 takes a momentum of 1 to exactly 0.0 in
+    one unit step, and that aborts."""
+    with pytest.raises(ConeError, match="step 1"):
+        _rk4(lambda y: [0.0, -1.0], np.array([0.5, 1.0]), IntegratorConfig(steps=1, t_end=1.0),
+             "extremal", "tau", cone=slice(1, None))
 
 
 def test_extremal_fencepost():
@@ -585,6 +602,70 @@ def test_cone_exit_mid_run_is_the_numpy_cone_error():
 def test_connection_from_structure(h4_e):
     conn = connection_from_structure(h4_e, scale=0.5)
     assert np.array_equal(conn(XI0), 0.5 * h4_e.p)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_structure_acceleration_is_the_contraction(name, rng):
+    """connection_from_structure's closed-form acceleration is bitwise geodesic_rhs of its own
+    G, and so are its trajectories."""
+    S = builtin_algebra(name)
+    conn = connection_from_structure(S, scale=0.7)
+    contraction_only = ConnectionField(S.n, conn.func)
+    for _ in range(20):
+        x, v = rng.uniform(-1.0, 1.0, S.n), rng.uniform(-2.0, 2.0, S.n)
+        assert np.array_equal(conn.acceleration(x.tolist(), v.tolist()), geodesic_rhs(contraction_only, x, v))
+    s0, cfg = GeodesicState(rng.uniform(-0.5, 0.5, S.n), rng.uniform(0.5, 1.0, S.n)), IntegratorConfig(steps=200)
+    fast, ref = integrate_geodesic(conn, s0, cfg), integrate_geodesic(contraction_only, s0, cfg)
+    assert np.array_equal(fast.x, ref.x) and np.array_equal(fast.v, ref.v)
+
+
+def _user_connection(seed):
+    """A position-dependent connection written for stacks; the row dot product is an einsum,
+    since x @ w rounds a stack (BLAS gemv) differently from one point (ddot)."""
+    r = np.random.default_rng(seed)
+    c0, w = r.uniform(-0.3, 0.3, (4, 4, 4)), r.uniform(-1.0, 1.0, 4)
+    return ConnectionField(4, lambda x: c0 * np.sin(np.einsum("...i,i->...", x, w))[..., None, None, None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["zero", "structure", "finsler", "user"]), metric=metrics(),
+       orientation=st.sampled_from(["as-printed", "transposed"]), seed=st.integers(0, 2**32 - 1),
+       m=st.integers(1, 4))
+def test_connections_on_many_points_equal_one_point_calls(kind, metric, orientation, seed, m):
+    rng = np.random.default_rng(seed)
+    S = builtin_algebra("h4-e")
+    conn = {"zero": lambda: zero_connection(4), "structure": lambda: connection_from_structure(S, 0.6),
+            "finsler": lambda: finsler_connection(metric, orientation), "user": lambda: _user_connection(seed)}[kind]()
+    pair = gamma_from_prescribed(random_smooth_field(4, rng), random_smooth_field(4, rng), S)
+    points, velocities = rng.uniform(-0.5, 0.5, (m, 4)), rng.uniform(-1.0, 1.0, (m, 4))
+
+    def rows_equal(batched, one_point):
+        assert batched.shape[0] == m
+        for i in range(m):
+            assert np.array_equal(batched[i], one_point(points[i], velocities[i]))
+
+    rows_equal(conn(points), lambda x, v: conn(x))
+    rows_equal(geodesic_rhs(conn, points, velocities), lambda x, v: geodesic_rhs(conn, x, v))
+    rows_equal(connection_residual(pair, conn, points), lambda x, v: connection_residual(pair, conn, x))
+    for scheme in ("central-2", "central-4"):
+        cfg = DiffConfig(scheme=scheme)
+        for k, batched in enumerate(chain_conditions(conn, S, points, cfg)):
+            rows_equal(batched, lambda x, v: chain_conditions(conn, S, x, cfg)[k])
+    for o in ("as-printed", "transposed"):
+        rows_equal(gamma_matrices(points, metric, o), lambda x, v: gamma_matrices(x, metric, o))
+
+
+@pytest.mark.parametrize("point_only", [lambda g: (lambda x: g), lambda g: (lambda x: g * np.sin(x[0]))],
+                         ids=["constant", "first-coordinate"])
+def test_point_only_connections_fail_on_a_stack(point_only, h4_e):
+    """A connection written for one point gives one (n, n, n) array on a stack too, which
+    raises ContractError, in a call and in the chain code's probes."""
+    conn = ConnectionField(4, point_only(0.3 * h4_e.p))
+    assert conn(XI0).shape == (4, 4, 4)
+    with pytest.raises(ContractError, match=r"connection returned shape \(4, 4, 4\), expected \(2, 4, 4, 4\)"):
+        conn(np.stack([XI0, XI0]))
+    with pytest.raises(ContractError, match="connection"):
+        chain_conditions(conn, h4_e, XI0)
 
 
 def test_csv_export_row_counts():

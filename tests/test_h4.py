@@ -223,6 +223,23 @@ def test_compatibility_residual_detects_cross_term():
     assert abs(r[2, 3]) < 1e-11
 
 
+def test_compatibility_step_resolves_a_curved_mixed_derivative():
+    """kappa = exp(sin(x1 x2) / 4) has the mixed derivative cos s - s sin s (s = x1 x2) of
+    4 log kappa; the check's base step eps^(1/4) gets within 1e-8 of it on [-1, 1]^4, where
+    a step of 1e-3 errs by about 2e-7."""
+    def value_and_grad(x):
+        s = x[..., 0] * x[..., 1]
+        kv = np.exp(np.sin(s) / 4.0)
+        g = np.zeros(x.shape)
+        g[..., 0], g[..., 1] = kv * np.cos(s) * x[..., 1] / 4.0, kv * np.cos(s) * x[..., 0] / 4.0
+        return kv, g
+
+    xi = np.random.default_rng(5).uniform(-1.0, 1.0, (50, 4))
+    s = xi[:, 0] * xi[:, 1]
+    r = compatibility_residual(ScalarField(lambda x: value_and_grad(x)[0], value_and_grad), xi)
+    assert np.max(np.abs(r[:, 0, 1] - (np.cos(s) - s * np.sin(s)))) <= 1e-8
+
+
 @pytest.mark.parametrize("axes", [(0, 0), (4, 5), (-1, 2), (1, 4)])
 def test_cross_term_kappa_rejects_bad_axes(axes):
     with pytest.raises(ContractError):

@@ -124,6 +124,11 @@ def test_inverse_point_newton_fallback(rng):
 # chain conditions and derivative chains
 # ---------------------------------------------------------------------------
 
+def constant_connection(g):
+    """The connection G(x) = g, one copy per point of a stack."""
+    return ConnectionField(4, lambda x: np.broadcast_to(g, x.shape[:-1] + g.shape))
+
+
 def test_zero_connection_passes_both_conditions(h4_e):
     res_a, res_b = chain_conditions(zero_connection(4), h4_e, X0)
     assert np.array_equal(res_a, np.zeros((4, 4, 4)))
@@ -131,7 +136,7 @@ def test_zero_connection_passes_both_conditions(h4_e):
 
 
 def test_structure_proportional_connection_is_compatible(h4_e):
-    G = ConnectionField(4, lambda x: 0.3 * h4_e.p.astype(float))
+    G = constant_connection(0.3 * h4_e.p.astype(float))
     res_a, res_b = chain_conditions(G, h4_e, X0)
     assert np.max(np.abs(res_a)) < 1e-14
     assert np.max(np.abs(res_b)) < 1e-9
@@ -139,7 +144,7 @@ def test_structure_proportional_connection_is_compatible(h4_e):
 
 def test_perturbed_connection_fails_conditions(h4_e, rng):
     noise = rng.uniform(-0.2, 0.2, (4, 4, 4))
-    G = ConnectionField(4, lambda x: 0.3 * h4_e.p.astype(float) + noise)
+    G = constant_connection(0.3 * h4_e.p.astype(float) + noise)
     res_a, res_b = chain_conditions(G, h4_e, X0)
     assert np.max(np.abs(res_a)) > 1e-3
     assert np.max(np.abs(res_b)) > 1e-3
@@ -159,7 +164,7 @@ def test_chain_of_polynomial_field_stays_analytic(h4_e):
 def test_chain_iterates_fail_for_bad_connection(h4_e, rng):
     pair = square_pair(h4_e)
     noise = rng.uniform(-0.5, 0.5, (4, 4, 4))
-    G = ConnectionField(4, lambda x: noise)
+    G = constant_connection(noise)
     chained = derivative_chain(pair, G, 1)
     assert np.max(np.abs(cr_residual(chained, X0))) > 1e-3
 
