@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -495,32 +496,44 @@ def h4_basis_change() -> BasisChange:
 # JSON loading
 # ---------------------------------------------------------------------------
 
+def _number(value, what: str, integral: bool = False, shape: tuple = ()):
+    """A finite JSON number, not a bool, and a whole one when integral (as an int);
+    for a shape, nested lists of them of exactly that shape (None: any length), as
+    a float or int array.  Anything else raises ContractError."""
+    kind = "integer" if integral else "number"
+    if not shape:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max and not (integral and value % 1):
+            return int(value) if integral else float(value)
+        raise ContractError(f"{what} must be a finite {kind}, got {value!r}")
+    if isinstance(value, list) and shape[0] in (None, len(value)):
+        return np.array([_number(v, f"{what}[{k}]", integral, shape[1:]) for k, v in enumerate(value)],
+                        dtype=int if integral else float)
+    raise ContractError(f"{what} must be a list of shape {shape} of finite {kind}s, got {value!r}")
+
+
 def algebra_from_dict(doc: dict) -> StructureConstants:
     """Build structure constants from a JSON-style document.
 
     Expected shape: {"n": int, "unit_index": int (optional), "name": str
     (optional), "entries": [{"k": int, "i": int, "j": int, "value": num}]},
-    indices 1-based, unlisted entries zero.
+    indices 1-based, unlisted entries zero; every number is read by _number.
     """
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContractError("algebra document needs an integer 'n'") from exc
+    if not isinstance(doc, dict):
+        raise ContractError(f"an algebra document is an object, got {doc!r}")
+    n = _number(doc.get("n"), "algebra document's n", integral=True)
     if n < 1:
         raise ContractError("dimension must be positive")
     p = np.zeros((n, n, n), dtype=float)
     for entry in doc.get("entries", []):
-        try:
-            k, i, j = int(entry["k"]), int(entry["i"]), int(entry["j"])
-            value = float(entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContractError(f"malformed entry {entry!r}") from exc
+        if not (isinstance(entry, dict) and {"k", "i", "j", "value"} <= entry.keys()):
+            raise ContractError(f"malformed entry {entry!r}")
+        k, i, j = (_number(entry[key], f"entry {key}", integral=True) for key in "kij")
         if not (1 <= k <= n and 1 <= i <= n and 1 <= j <= n):
             raise ContractError(f"entry index out of range in {entry!r}")
-        p[k - 1, i - 1, j - 1] = value
-    unit_index = doc.get("unit_index")
-    if unit_index is not None:
-        unit_index = int(unit_index)
+        p[k - 1, i - 1, j - 1] = _number(entry["value"], "entry value")
+    unit_index = None
+    if "unit_index" in doc:
+        unit_index = _number(doc["unit_index"], "unit_index", integral=True)
         if not 1 <= unit_index <= n:
             raise ContractError(f"unit_index {unit_index} out of range")
         unit_index -= 1

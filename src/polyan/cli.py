@@ -24,6 +24,7 @@ from . import algebra as alg
 from . import fields as fl
 from . import geodesics as geo
 from . import h4
+from .algebra import _number
 from .errors import (
     ContractError,
     DomainError,
@@ -106,13 +107,6 @@ def render_report(report: dict) -> str:
 # catalogs: config dicts to library objects
 # ---------------------------------------------------------------------------
 
-def _number(value, what: str, integral: bool = False):
-    """A finite JSON number, not a bool; when integral, a whole one, as an int."""
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max and not (integral and value % 1):
-        return int(value) if integral else float(value)
-    raise ConfigError(f"{what} must be a finite {'integer' if integral else 'number'}, got {value!r}")
-
-
 def _require(cfg: dict, key: str, what: str = "config"):
     if key not in cfg:
         raise ConfigError(f"{what} is missing required key {key!r}")
@@ -122,9 +116,11 @@ def _require(cfg: dict, key: str, what: str = "config"):
 def _make_algebra(spec) -> alg.StructureConstants:
     if isinstance(spec, str):
         return alg.builtin_algebra(spec)
-    if isinstance(spec, dict):
-        return alg.load_algebra(spec["file"]) if "file" in spec else alg.algebra_from_dict(spec)
-    raise ConfigError("algebra must be a built-in name or a document")
+    if isinstance(spec, dict) and isinstance(spec.get("file"), str):
+        return alg.load_algebra(spec["file"])
+    if isinstance(spec, dict) and "file" not in spec:
+        return alg.algebra_from_dict(spec)
+    raise ConfigError(f"algebra must be a built-in name, a document or a file name string, got {spec!r}")
 
 
 def _make_field(spec: dict, n: int) -> fl.VectorField:
@@ -132,48 +128,42 @@ def _make_field(spec: dict, n: int) -> fl.VectorField:
         raise ConfigError("field spec must be an object with a 'kind'")
     kind = _require(spec, "kind", "field spec")
     if kind == "constant":
-        values = np.asarray(_require(spec, "value", "constant field"), dtype=float)
-        if values.shape != (n,):
-            raise ConfigError("constant field value has wrong length")
-        return fl.constant_field(values)
-    if kind == "linear":
-        a = np.asarray(_require(spec, "matrix", "linear field"), dtype=float)
-        if a.shape != (n, n):
-            raise ConfigError("linear field matrix has wrong shape")
-        return fl.linear_field(a, spec.get("offset"))
-    if kind == "identity":
-        return fl.identity_field(n)
-    if kind == "componentwise-power":
-        return fl.componentwise_power_field(n, _number(spec.get("power", 2), "power", True))
-    if kind == "componentwise-exp":
-        return fl.componentwise_exp_field(n, _number(spec.get("scale", 1.0), "scale"))
-    if kind == "monomial":
+        field = fl.constant_field(_number(_require(spec, "value", "constant field"), "value", shape=(n,)))
+    elif kind == "linear":
+        matrix = _number(_require(spec, "matrix", "linear field"), "matrix", shape=(n, n))
+        offset = _number(spec["offset"], "offset", shape=(n,)) if "offset" in spec else None
+        field = fl.linear_field(matrix, offset)
+    elif kind == "identity":
+        field = fl.identity_field(n)
+    elif kind == "componentwise-power":
+        field = fl.componentwise_power_field(n, _number(spec.get("power", 2), "power", True))
+    elif kind == "componentwise-exp":
+        field = fl.componentwise_exp_field(n, _number(spec.get("scale", 1.0), "scale"))
+    elif kind == "monomial":
         component = _number(_require(spec, "component", "monomial field"), "component", True) - 1
-        exponents = _require(spec, "exponents", "monomial field")
+        exponents = _number(_require(spec, "exponents", "monomial field"), "exponents", True, (n,))
         if not 0 <= component < n:
             raise ConfigError("monomial component out of range")
-        return fl.monomial_field(n, component, exponents)
-    if kind == "h4-family":
+        field = fl.monomial_field(n, component, exponents)
+    elif kind == "h4-family":
         if n != 4:
             raise ConfigError("the family field is four-dimensional")
-        return h4.family_field(_make_family_spec(spec.get("family", spec)))
-    raise ConfigError(f"unknown field kind {kind!r}")
+        field = h4.family_field(_make_family_spec(spec.get("family", spec)))
+    else:
+        raise ConfigError(f"unknown field kind {kind!r}")
+    if "domain" in spec:
+        field = fl.VectorField(n, field.func, jacobian=field.jacobian, domain=_make_box(spec["domain"], n, 1.0))
+    return field
 
 
-def _with_domain(field: fl.VectorField, spec: dict, n: int) -> fl.VectorField:
-    if "domain" not in spec:
-        return field
-    dom = spec["domain"]
-    lo = np.asarray(dom.get("min", [-1.0] * n), dtype=float)
-    hi = np.asarray(dom.get("max", [1.0] * n), dtype=float)
-    if lo.shape != (n,) or hi.shape != (n,):
-        raise ConfigError("field domain bounds have wrong length")
-    return fl.VectorField(field.n, field.func, jacobian=field.jacobian, domain=fl.Box(lo, hi))
+def _make_box(spec: dict, n: int, half_width: float) -> fl.Box:
+    """A box from a spec's min and max, each n numbers, by default [-half_width, half_width]^n."""
+    return fl.Box(*(_number(spec.get(key, [sign * half_width] * n), key, shape=(n,))
+                    for key, sign in (("min", -1.0), ("max", 1.0))))
 
 
 def _make_pair(cfg: dict, S: alg.StructureConstants) -> fl.GAPair:
-    fspec = _require(cfg, "field")
-    field = _with_domain(_make_field(fspec, S.n), fspec, S.n)
+    field = _make_field(_require(cfg, "field"), S.n)
     gspec = cfg.get("gamma", {"kind": "zero"})
     kind = gspec.get("kind", "zero")
     if kind == "zero":
@@ -185,35 +175,26 @@ def _make_pair(cfg: dict, S: alg.StructureConstants) -> fl.GAPair:
 
 
 def _make_grid(spec: dict, n: int) -> np.ndarray:
-    if not isinstance(spec, dict):
-        raise ConfigError("grid must be an object")
-    lo = np.asarray(spec.get("min", [-0.5] * n), dtype=float)
-    hi = np.asarray(spec.get("max", [0.5] * n), dtype=float)
+    box = _make_box(spec, n, 0.5)
     points = _number(spec.get("points_per_axis", 3), "points_per_axis", True)
-    if lo.shape != (n,) or hi.shape != (n,):
-        raise ConfigError("grid bounds have wrong length")
     if points < 1:
         raise ConfigError("points_per_axis must be positive")
-    return fl.Box(lo, hi).grid(points)
+    return box.grid(points)
 
 
 def _make_path(spec: dict, n: int) -> fl.Path:
     kind = _require(spec, "kind", "path spec")
+
+    def point(key, shape=(n,)):
+        return _number(_require(spec, key, "path"), key, shape=shape)
+
     if kind == "straight":
-        path = fl.straight_path(_require(spec, "from", "path"), _require(spec, "to", "path"))
-    elif kind == "polyline":
-        path = fl.polyline_path(_require(spec, "vertices", "path"))
-    elif kind == "rectangle":
-        path = fl.rectangle_loop(
-            _require(spec, "origin", "path"),
-            _require(spec, "edge1", "path"),
-            _require(spec, "edge2", "path"),
-        )
-    else:
-        raise ConfigError(f"unknown path kind {kind!r}")
-    if path.start.shape != (n,):
-        raise ConfigError("path points have wrong length")
-    return path
+        return fl.straight_path(point("from"), point("to"))
+    if kind == "polyline":
+        return fl.polyline_path(point("vertices", (None, n)))
+    if kind == "rectangle":
+        return fl.rectangle_loop(point("origin"), point("edge1"), point("edge2"))
+    raise ConfigError(f"unknown path kind {kind!r}")
 
 
 def _make_b(spec: dict) -> h4.ScalarFunc1D:
@@ -234,9 +215,8 @@ def _make_kappa(spec: dict, kappa0: float, b_funcs=None) -> h4.ScalarField:
     if kind == "gaussian":
         return h4.gaussian_kappa(kappa0, _number(spec.get("c", 1.0), "c"))
     if kind == "cross-term":
-        axes = spec.get("axes", [1, 2])
-        first, second = (_number(axes[i], "cross-term axes", True) - 1 for i in (0, 1))
-        return h4.cross_term_kappa(kappa0, _number(spec.get("c", 1.0), "c"), (first, second))
+        axes = _number(spec.get("axes", [1, 2]), "cross-term axes", True, (2,)) - 1
+        return h4.cross_term_kappa(kappa0, _number(spec.get("c", 1.0), "c"), axes)
     if kind == "from-b":
         if b_funcs is None:
             raise ConfigError("kappa kind 'from-b' needs profile functions")
@@ -277,7 +257,8 @@ def _make_family_spec(cfg: dict) -> h4.H4FamilySpec:
     b_funcs = _make_profiles(cfg.get("b", {"kind": "constant", "c": 1.0}))
     metric = _make_metric(cfg, b_funcs, kappa_default="from-b")
     return h4.H4FamilySpec(
-        phi0=cfg.get("phi0", [1.0, 1.0, 1.0, 1.0]), mu=cfg.get("mu", [0.0, 0.0, 0.0, 0.0]),
+        phi0=_number(cfg.get("phi0", [1.0] * 4), "phi0", shape=(4,)),
+        mu=_number(cfg.get("mu", [0.0] * 4), "mu", shape=(4,)),
         b=b_funcs, lam=metric.lam, kappa0=metric.kappa0, lambda0=metric.lambda0,
         convention=cfg.get("convention", "reciprocal"), kappa=metric.kappa,
     )
@@ -286,16 +267,15 @@ def _make_family_spec(cfg: dict) -> h4.H4FamilySpec:
 def _make_connection(spec: dict) -> geo.ConnectionField:
     kind = _require(spec, "kind", "connection spec")
     if kind == "zero":
-        return geo.zero_connection(_number(spec.get("n", 4), "n", True))
+        n = _number(spec.get("n", 4), "n", True)
+        if n < 1:
+            raise ConfigError("a zero connection's n must be positive")
+        return geo.zero_connection(n)
     if kind == "structure-scaled":
         S = _make_algebra(_require(spec, "algebra", "connection spec"))
         return geo.connection_from_structure(S, _number(spec.get("scale", 1.0), "scale"))
     if kind == "finsler":
-        metric = _make_metric(spec)
-        orientation = spec.get("orientation", "transposed")
-        if orientation not in h4.ORIENTATIONS:
-            raise ConfigError(f"orientation must be one of {h4.ORIENTATIONS}")
-        return geo.finsler_connection(metric, orientation)
+        return geo.finsler_connection(_make_metric(spec), spec.get("orientation", "transposed"))
     raise ConfigError(f"unknown connection kind {kind!r}")
 
 
@@ -419,9 +399,7 @@ def _cmd_line_integral(cfg: dict, tol: float, rng) -> _Compute:
 
 def _cmd_geodesic(cfg: dict, tol: float, rng) -> _Compute:
     gamma = _make_connection(_require(cfg, "connection"))
-    s0 = geo.GeodesicState(_require(cfg, "x0"), _require(cfg, "v0"))
-    if gamma.n != s0.x.shape[0]:
-        raise ConfigError("connection dimension disagrees with x0")
+    s0 = geo.GeodesicState(*(_number(_require(cfg, key), key, shape=(gamma.n,)) for key in ("x0", "v0")))
     icfg = geo.IntegratorConfig(steps=_number(cfg.get("steps", 1000), "steps", True),
                                 t_end=_number(cfg.get("t_end", 1.0), "t_end"))
 
@@ -439,13 +417,14 @@ def _cmd_geodesic(cfg: dict, tol: float, rng) -> _Compute:
 
 def _cmd_extremal(cfg: dict, tol: float, rng) -> _Compute:
     metric = _make_metric(cfg)
-    xi0 = np.asarray(_require(cfg, "xi0"), dtype=float)
+    xi0 = _number(_require(cfg, "xi0"), "xi0", shape=(4,))
     icfg = geo.IntegratorConfig(
         steps=_number(cfg.get("steps", 1000), "steps", True),
         t_end=_number(cfg.get("t_end", 1.0), "t_end"),
         drift_tol=tol,
     )
-    p0 = cfg["p0"] if "p0" in cfg else h4.momenta(_require(cfg, "dxi0"), xi0, metric)
+    p0 = (_number(cfg["p0"], "p0", shape=(4,)) if "p0" in cfg
+          else h4.momenta(_number(_require(cfg, "dxi0"), "dxi0", shape=(4,)), xi0, metric))
     e0 = geo.ExtremalState(xi0, p0)
     geo._check_start(metric, e0, icfg.drift_tol)
 
@@ -517,7 +496,10 @@ def run(command: str, config: dict, output: str | None = None, fmt: str | None =
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
     handler, default_tol, writes_trajectory = _HANDLERS[command]
-    tol = default_tol if tol is None else _number(tol, "tol")
+    try:
+        tol = default_tol if tol is None else _number(tol, "tol")
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
     if tol < 0:
         raise ConfigError(f"tol must not be negative, got {tol!r}")
     if fmt is None:

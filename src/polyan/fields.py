@@ -21,7 +21,7 @@ from .algebra import (
     multiply,
     transform_constants,
 )
-from .errors import ContractError, DomainError, SingularQError, ZeroDivisorError
+from .errors import ContractError, DomainError, PolyanError, SingularQError, ZeroDivisorError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -557,7 +557,15 @@ class ConnectionField:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return _checked(self.func(x), x.shape[:-1] + (self.n,) * 3, "connection")
+        try:
+            out = self.func(x)
+        except (ValueError, TypeError, IndexError) as exc:
+            if isinstance(exc, PolyanError) or x.ndim < 2:
+                raise
+            raise ContractError(f"a connection maps points (..., n) to (..., n, n, n), but on points {x.shape}: "
+                                f"{str(exc).strip()}; lift a one-point connection with "
+                                'np.vectorize(G, signature="(n)->(n,n,n)")') from exc
+        return _checked(out, x.shape[:-1] + (self.n,) * 3, "connection")
 
 
 def connection_residual(pair: GAPair, Gamma: ConnectionField, x) -> np.ndarray:

@@ -24,7 +24,6 @@ from .algebra import builtin_algebra
 from .errors import ConeError, ContractError, DomainError
 from .fields import (
     _EPS,
-    DEFAULT_DIFF,
     DiffConfig,
     GAPair,
     GammaField,
@@ -452,15 +451,14 @@ class FamilyReport:
     n_points: int
 
 
-def family_residual(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIFF,
-                    use_fd: bool = False) -> FamilyReport:
+def family_residual(spec: H4FamilySpec, points) -> FamilyReport:
     """Evaluate all sixteen defining relations on a grid, for both conventions.
 
     The residual is the max-abs mismatch of the gamma-object demanded by the
     constant-multiplier requirement against the one induced by the shared
     transposed connection, one pass over the (m, 4) points per convention, from one
     evaluation of the metric; the convention with the smaller grid maximum is
-    selected.  use_fd replaces the exact Jacobian by finite differences.
+    selected.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     logs = _log_gradients(spec.kappa, spec.lam, points)
@@ -468,8 +466,6 @@ def family_residual(spec: H4FamilySpec, points, cfg: DiffConfig = DEFAULT_DIFF,
     for conv in CONVENTIONS:
         placed = replace(spec, convention=conv)
         phi, jac, gamma_conn = _family_terms(placed, points, logs)
-        if use_fd:
-            jac = fd_jacobian(lambda x: family_phi(placed, x), points, cfg)
         gamma_mult = -jac
         gamma_mult[_DIAG] += placed.mu * phi
         residuals[conv] = grid_max(np.abs(gamma_conn - gamma_mult))

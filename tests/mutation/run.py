@@ -67,6 +67,19 @@ MUTANTS = (
     Mutant("tol-without-number", "src/polyan/cli.py",
            'tol = default_tol if tol is None else _number(tol, "tol")',
            "tol = default_tol if tol is None else float(tol)", ("tests/test_cli.py",)),
+    Mutant("number-accepts-bools", "src/polyan/algebra.py",
+           "if type(value) in (int, float) and", "if isinstance(value, (int, float)) and",
+           ("tests/test_algebra.py", "tests/test_cli.py")),
+    Mutant("number-accepts-infinity", "src/polyan/algebra.py",
+           "abs(value) <= sys.float_info.max", "abs(value) <= math.inf",
+           ("tests/test_algebra.py", "tests/test_cli.py")),
+    Mutant("number-skips-shape", "src/polyan/algebra.py",
+           "isinstance(value, list) and shape[0] in (None, len(value))", "isinstance(value, list)",
+           ("tests/test_algebra.py", "tests/test_cli.py")),
+    Mutant("number-accepts-fractional-counts", "src/polyan/algebra.py",
+           " and not (integral and value % 1)", "", ("tests/test_algebra.py", "tests/test_cli.py")),
+    Mutant("field-ignores-domain", "src/polyan/cli.py",
+           'if "domain" in spec:', "if False:", ("tests/test_cli.py",)),
 )
 
 

@@ -31,6 +31,7 @@ from polyan.fields import (
     GAPair,
     constant_field,
     covariant_derivative,
+    fd_jacobian,
     gamma_from_prescribed,
     gamma_transform,
     grid_max,
@@ -62,6 +63,8 @@ from polyan.h4 import (
     constant_b,
     constant_lambda,
     cross_term_kappa,
+    family_field,
+    family_phi,
     family_residual,
     gaussian_kappa,
     kappa_from_b,
@@ -291,7 +294,9 @@ def test_criterion_7_h4_family():
         phi0=[1, 1, 1, 1], mu=[1, 0, 0, 0],
         b=tuple(constant_b(1.0) for _ in range(4)), lam=constant_lambda(1.0),
     )
-    trivial_res = grid_max(family_residual(trivial, grid, use_fd=True).residuals.values())
+    # the relations with the exact Jacobian, and that Jacobian against finite differences
+    fd_error = np.abs(fd_jacobian(lambda x: family_phi(trivial, x), grid) - family_field(trivial).jac(grid))
+    trivial_res = grid_max([*family_residual(trivial, grid).residuals.values(), grid_max(fd_error)])
 
     b = tuple(quadratic_b(0.25) for _ in range(4))
     reduced = H4FamilySpec(

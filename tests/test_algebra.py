@@ -319,6 +319,18 @@ def test_load_algebra_from_file(tmp_path):
         {"n": 2, "entries": [{"k": 3, "i": 1, "j": 1, "value": 1}]},
         {"n": 2, "entries": [{"k": 1, "i": 1, "value": 1}]},
         {"n": 2, "unit_index": 5},
+        # every document number is a finite JSON number, and n, k, i, j and unit_index are whole
+        {"n": 2, "entries": [{"k": 1, "i": 1, "j": 1, "value": float("inf")}]},
+        {"n": 2, "entries": [{"k": 1, "i": 1, "j": 1, "value": "nan"}]},
+        {"n": 2.7},
+        {"n": "2"},
+        {"n": 2, "unit_index": True},
+        {"n": 2, "unit_index": None},
+        {"n": 2, "entries": [{"k": 1, "i": 1, "j": 1, "value": True}]},
+        {"n": 2, "entries": [{"k": 1, "i": 1, "j": 1, "value": "1"}]},
+        {"n": 2, "entries": [{"k": 1.5, "i": 1, "j": 1, "value": 1}]},
+        {"n": 2, "entries": [[1, 1, 1, 1]]},
+        [2],
     ],
 )
 def test_malformed_documents_rejected(doc):

@@ -590,6 +590,8 @@ _ZERO = {"connection": {"kind": "zero", "n": 4}, "x0": [0, 0, 0, 0], "v0": [1, 1
 _STRAIGHT = {"kind": "straight", "from": [0, 0, 0, 0], "to": [1, 2, 3, 4]}
 _EXTREMAL = {"kappa": {"kind": "gaussian", "c": 1.0}, "lam": {"kind": "constant", "value": 16.0},
              "xi0": [0.05, 0.1, 0.15, 0.2], "dxi0": [1.0, 1.2, 0.8, 1.1], "steps": 10}
+_PLANE = {"connection": {"kind": "structure-scaled", "algebra": "complex"}, "x0": [0, 0], "v0": [1, 1], "steps": 4}
+_DOC = {"n": 2, "unit_index": 1, "entries": [{"k": 1, "i": 1, "j": 1, "value": 1}]}
 
 MALFORMED = [
     ("cr-residual", dict(_CR, grid={"points_per_axis": "x"})),
@@ -655,6 +657,30 @@ MALFORMED = [
     ("cr-residual", dict(_CR, field={"kind": "componentwise-exp", "scale": "1"})),
     ("line-integral", {"algebra": "h4-psi", "field": {"kind": "identity"}, "path": _STRAIGHT,
                        "path_b": _STRAIGHT, "expect": "different", "min_difference": "0.1"}),
+    # vectors and algebra documents are read the same way, with an exact shape
+    ("algebra-check", {"algebra": {"n": 2, "entries": [{"k": 1, "i": 1, "j": 1, "value": 1e400}]}}),
+    ("algebra-check", {"algebra": {"n": 2, "entries": [{"k": 1, "i": 1, "j": 1, "value": "nan"}]}}),
+    ("algebra-check", {"algebra": {"file": 0}}),
+    ("algebra-check", {"algebra": dict(_DOC, n=2.7)}),
+    ("algebra-check", {"algebra": dict(_DOC, n="2")}),
+    ("algebra-check", {"algebra": dict(_DOC, unit_index=True)}),
+    ("algebra-check", {"algebra": dict(_DOC, entries=[{"k": 1, "i": 1, "j": 1, "value": True}])}),
+    ("algebra-check", {"algebra": dict(_DOC, entries=[{"k": 1, "i": 1, "j": 1, "value": "1"}])}),
+    ("cr-residual", dict(_CR, field={"kind": "constant", "value": [1, 2, 3, None]})),
+    ("cr-residual", dict(_CR, field={"kind": "monomial", "component": 1, "exponents": [0.5, 0, 0, 0]})),
+    ("cr-residual", {"algebra": "complex", "field": {"kind": "linear", "matrix": [[1, 0], [None, 1]]}}),
+    ("geodesic", dict(_ZERO, connection={"kind": "zero", "n": 0}, x0=[], v0=[])),
+    ("geodesic", dict(_ZERO, x0=[0, 0], v0=[1, 1])),
+    ("geodesic", dict(_PLANE, x0=[True, False])),
+    ("geodesic", dict(_PLANE, v0=["1", "2"])),
+    ("family-verify", dict(_FAMILY, phi0=[1, 2, 3, None])),
+    ("family-verify", dict(_FAMILY, mu=[1e400, 0, 0, 0])),
+    ("family-verify", dict(_FAMILY, mu=[True, 0, 0, 0])),
+    ("extremal", dict(_EXTREMAL, dxi0=[1, 1, 1, "1"])),
+    ("line-integral", {"algebra": "complex", "field": {"kind": "identity"},
+                       "path": {"kind": "straight", "from": [0, None], "to": [1, 1]}}),
+    ("line-integral", {"algebra": "h4-psi", "field": {"kind": "identity"},
+                       "path": {"kind": "straight", "from": [0, 0], "to": [1, 2]}}),
 ]
 
 
@@ -664,6 +690,33 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, command, confi
     assert code == EXIT_CONFIG
     assert text == ""
     assert "config error:" in capsys.readouterr().err
+
+
+def test_algebra_file_must_be_a_string(tmp_path):
+    """{"file": 0} would open file descriptor 0 and read the algebra from stdin."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"algebra": {"file": 0}}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "polyan.cli", "algebra-check", "--config", str(cfg_path)],
+                          input=json.dumps(_DOC), capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    assert done.stderr.startswith("config error:")
+
+
+def test_line_integral_field_keeps_its_domain(tmp_path):
+    config = {"algebra": "complex",
+              "field": {"kind": "identity", "domain": {"min": [0, 0], "max": [0.1, 0.1]}},
+              "path": {"kind": "straight", "from": [0, 0], "to": [1, 1]}}
+    code, text = run_cli(tmp_path, "line-integral", config)
+    assert code == EXIT_RUNTIME
+    report = json.loads(text)
+    assert report["results"]["error"].startswith("DomainError:")
+    assert report["pass"] is False
+    config["field"]["domain"]["max"] = [1, 1]
+    code, text = run_cli(tmp_path, "line-integral", config, name="inside.json")
+    assert code == EXIT_OK
+    assert json.loads(text)["results"]["integral"] == pytest.approx([0.0, 1.0])
 
 
 def test_integral_float_counts_and_negative_t_end_are_accepted(tmp_path):
@@ -737,6 +790,13 @@ def _node_paths(node, prefix=()):
 FUZZ_CASES = [(command, base, path) for command, base in FUZZ_BASES for path in _node_paths(base)]
 
 
+def _numeric(node) -> bool:
+    """A JSON number, or a non-empty list of numeric nodes: what the config number reader reads."""
+    if isinstance(node, list):
+        return bool(node) and all(map(_numeric, node))
+    return type(node) in (int, float)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(FUZZ_VALUES))
 def test_config_fuzz_keeps_exit_code_contract(tmp_path_factory, case, value):
@@ -745,10 +805,13 @@ def test_config_fuzz_keeps_exit_code_contract(tmp_path_factory, case, value):
     node = config
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    old, node[path[-1]] = node[path[-1]], value
     tmp = tmp_path_factory.mktemp("fuzz")
     code, text = run_cli(tmp, command, config, extra=["--format", "json"])
     assert code in (EXIT_OK, EXIT_TOL, EXIT_CONFIG, EXIT_RUNTIME)
+    # a number or a list of them, replaced by anything but a number of the same shape
+    if _numeric(old) and not (type(old) in (int, float) and type(value) is int):
+        assert code == EXIT_CONFIG, (path, old, value)
     if code == EXIT_TOL:
         report = json.loads(text)
         worst = report["max_residual"]

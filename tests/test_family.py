@@ -80,8 +80,8 @@ def test_constant_profiles_satisfy_all_relations():
     report = family_residual(spec, GRID)
     assert report.residuals["as-printed"] < 1e-12
     assert report.residuals["reciprocal"] < 1e-12
-    report_fd = family_residual(spec, GRID, use_fd=True)
-    assert max(report_fd.residuals.values()) < 1e-9
+    fd = fd_jacobian(lambda x: family_phi(spec, x), GRID)
+    assert np.max(np.abs(fd - family_field(spec).jac(GRID))) < 1e-9
 
 
 def test_constant_profiles_are_analytic_too():
@@ -247,18 +247,14 @@ def reference_gamma(spec, xi):
     return np.einsum("ikj,j->ik", gamma_matrices(xi, metric, "transposed"), family_phi(spec, xi))
 
 
-def reference_residuals(spec, points, use_fd):
+def reference_residuals(spec, points):
     residuals = {}
     for conv in CONVENTIONS:
         placed = replace(spec, convention=conv)
         values = []
         for xi in points:
             phi = family_phi(placed, xi)
-            if use_fd:
-                jac = fd_jacobian(lambda x: family_phi(placed, x), xi)
-            else:
-                jac = reference_jacobian(placed, xi)
-            gamma_mult = -jac + np.diag(placed.mu * phi)
+            gamma_mult = -reference_jacobian(placed, xi) + np.diag(placed.mu * phi)
             values.append(float(np.max(np.abs(reference_gamma(placed, xi) - gamma_mult))))
         residuals[conv] = grid_max(values)
     return residuals
@@ -285,9 +281,17 @@ def test_shared_evaluation_matches_reference_bitwise(spec):
         for xi in GRID[::7]:
             assert np.array_equal(field.jac(xi), reference_jacobian(placed, xi))
             assert np.array_equal(pair.gamma(xi), reference_gamma(placed, xi))
-    for use_fd in (False, True):
-        report = family_residual(spec, GRID[::3], use_fd=use_fd)
-        assert report.residuals == reference_residuals(spec, GRID[::3], use_fd)
+    assert family_residual(spec, GRID[::3]).residuals == reference_residuals(spec, GRID[::3])
+    assert_fd_matches_exact_jacobian(spec, GRID[::3])
+
+
+def assert_fd_matches_exact_jacobian(spec, points):
+    """The finite-difference Jacobian of family_phi agrees with family_field's exact one."""
+    for conv in CONVENTIONS:
+        placed = replace(spec, convention=conv)
+        exact = family_field(placed).jac(points)
+        fd = fd_jacobian(lambda x: family_phi(placed, x), points)
+        assert np.all(np.abs(fd - exact) <= 1e-8 * np.maximum(1.0, np.abs(exact)))
 
 
 def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
@@ -358,13 +362,14 @@ def family_specs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=family_specs(), use_fd=st.booleans())
-def test_family_residual_array_path_matches_per_point_loop(case, use_fd):
+@given(case=family_specs())
+def test_family_residual_array_path_matches_per_point_loop(case):
     spec, points, _ = case
-    report = family_residual(spec, points, use_fd=use_fd)
-    reference = reference_residuals(spec, points, use_fd)
+    report = family_residual(spec, points)
+    reference = reference_residuals(spec, points)
     for conv in CONVENTIONS:
         assert_within_ulps(report.residuals[conv], reference[conv], 4)
+    assert_fd_matches_exact_jacobian(spec, points)
 
 
 @settings(max_examples=60, deadline=None)

@@ -508,9 +508,10 @@ def test_chain_steps_along_the_unit_wherever_it_sits(rng):
 
 
 def _with_domain(S, rng):
-    from polyan.cli import _with_domain
+    from polyan.cli import _make_field
 
-    f = _with_domain(componentwise_exp_field(S.n, 0.7), {"domain": {"min": [-1] * S.n, "max": [1] * S.n}}, S.n)
+    f = _make_field({"kind": "componentwise-exp", "scale": 0.7,
+                     "domain": {"min": [-1] * S.n, "max": [1] * S.n}}, S.n)
     return GAPair(f, zero_gamma(S.n), S)
 
 

@@ -169,6 +169,33 @@ def test_blowup_aborts_with_diagnostic():
         )
 
 
+def test_one_point_connection_on_a_stack_names_its_lift():
+    """A connection written for one point that fails inside numpy on a stack raises
+    ContractError naming the np.vectorize lift; the connection's own errors pass unchanged."""
+    h4_e = builtin_algebra("h4-e")
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+
+    def one_point(y):
+        return h4_e.p * (1 + y @ np.ones(4))
+
+    with pytest.raises(ContractError, match=r'lift a one-point connection with np\.vectorize\(G, '
+                                            r'signature="\(n\)->\(n,n,n\)"\)') as info:
+        chain_conditions(ConnectionField(4, one_point), h4_e, x)
+    assert isinstance(info.value.__cause__, ValueError)
+    lifted = ConnectionField(4, np.vectorize(one_point, signature="(n)->(n,n,n)"))
+    assert np.array_equal(lifted(x), one_point(x))
+    assert all(np.all(np.isfinite(r)) for r in chain_conditions(lifted, h4_e, x))
+    with pytest.raises(ValueError) as info:  # on one point there is nothing to lift
+        ConnectionField(4, lambda y: y[:3] + y)(x)
+    assert not isinstance(info.value, ContractError)
+
+    def outside(y):
+        raise DomainError("outside the connection's domain")
+
+    with pytest.raises(DomainError, match="outside the connection's domain"):
+        ConnectionField(4, outside)(np.zeros((3, 4)))
+
+
 def test_state_validation():
     with pytest.raises(ContractError):
         GeodesicState(np.zeros(3), np.zeros(4))
