@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12  # relative determinant threshold of the singularity tests
+_MAX_DIMENSION = 64  # of a document's algebra: the associativity check holds n^4 floats, 134 MB at 64
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -521,8 +522,8 @@ def algebra_from_dict(doc: dict) -> StructureConstants:
     if not isinstance(doc, dict):
         raise ContractError(f"an algebra document is an object, got {doc!r}")
     n = _number(doc.get("n"), "algebra document's n", integral=True)
-    if n < 1:
-        raise ContractError("dimension must be positive")
+    if not 1 <= n <= _MAX_DIMENSION:
+        raise ContractError(f"dimension must be in 1..{_MAX_DIMENSION}, got {n}")
     p = np.zeros((n, n, n), dtype=float)
     for entry in doc.get("entries", []):
         if not (isinstance(entry, dict) and {"k", "i", "j", "value"} <= entry.keys()):

@@ -147,6 +147,19 @@ class VectorField:
         self.func = func
         self.jacobian = jacobian
         self.domain = domain
+        self._rows_checked = False
+
+    def _rows(self, x: np.ndarray):
+        """func at points x; on the first call with two or more rows, rows 0 and 1 alone must give
+        the values they have in the stack, which a func written for one point may not."""
+        out = self.func(x)
+        if not self._rows_checked and x.ndim > 1 and x.size >= 2 * self.n and np.shape(out) == x.shape:
+            self._rows_checked = True
+            alone = [self.func(r) for r in x.reshape(-1, self.n)[:2]]
+            if not np.array_equal(np.reshape(out, (-1, self.n))[:2], alone, equal_nan=True):
+                raise ContractError("vector field gives a stack's rows other values than each row alone; lift a "
+                                    'one-point field with np.vectorize(f, signature="(n)->(n)")')
+        return out
 
     def check_point(self, x: np.ndarray):
         if self.domain is not None and not self.domain.contains(x):
@@ -156,12 +169,12 @@ class VectorField:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self.check_point(x)
-        return _checked(self.func(x), x.shape[:-1] + (self.n,), "vector field")
+        return _checked(self._rows(x), x.shape[:-1] + (self.n,), "vector field")
 
     def jac(self, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self.check_point(x)
-        jac = self.jacobian(x) if self.jacobian is not None else fd_jacobian(self.func, x, cfg)
+        jac = self.jacobian(x) if self.jacobian is not None else fd_jacobian(self._rows, x, cfg)
         return _checked(jac, x.shape[:-1] + (self.n, self.n), "Jacobian")
 
     def without_jacobian(self) -> "VectorField":
@@ -515,8 +528,9 @@ def transform_pair(pair: GAPair, diffeo: Diffeo) -> GAPair:
         u = diffeo.inverse_point(y)
         return _transport(diffeo, u, pair.f(u), pair.gamma(u))[2]
 
-    return GAPair(VectorField(n, lambda y: _rowwise(f_at, y)),
-                  GammaField(n, lambda y: _rowwise(gamma_at, y)), pair.S)
+    f = VectorField(n, lambda y: _rowwise(f_at, y))
+    f._rows_checked = True  # each row is its own one-point call; the guard would add two Newton solves
+    return GAPair(f, GammaField(n, lambda y: _rowwise(gamma_at, y)), pair.S)
 
 
 def pair_change_basis(pair: GAPair, B) -> GAPair:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConeError, ContractError, DomainError, IntegrationError
 from .fields import ConnectionField
-from .h4 import (_FLOATS, ORIENTATIONS, FinslerConfig, _dot, _kappa_and_lam, _log_gradients, _on_floats, _quartic,
+from .h4 import (ORIENTATIONS, FinslerConfig, _compiled, _dot, _kappa_and_lam, _log_gradients, _on_floats, _quartic,
                  _raise_if, gamma_matrices)
 
 __all__ = [
@@ -52,20 +52,22 @@ def connection_from_structure(S, scale: float = 1.0) -> ConnectionField:
                            _on_floats(lambda x, v: -np.einsum("ikj,k,j->i", g, v, v)))
 
 
+def _acceleration(metric: FinslerConfig, m, x, v) -> list:
+    """The geodesic acceleration a_i = v_i (s . v - (s_i - l_i) v_i) at one point x and velocity v
+    in the forms m, with s = grad ln sigma (sigma = kappa^4 lam) and l = grad ln lam."""
+    _, _, dln_lam, dln_sigma = _log_gradients(metric.kappa, metric.lam, x, m)
+    sv = _dot(dln_sigma, v)
+    return [w * (sv - (s - l) * w) for w, s, l in zip(v, dln_sigma, dln_lam)]
+
+
 def finsler_connection(metric: FinslerConfig, orientation: str = "transposed") -> ConnectionField:
     """G = gamma_matrices(x, metric, orientation) at points (..., 4), carrying the geodesic
-    acceleration in closed form on floats, a_i = v_i (s . v - (s_i - l_i) v_i) with
-    s = grad ln sigma (sigma = kappa^4 lam) and l = grad ln lam: one kappa and
-    one lam evaluation, no (4, 4, 4) array.  Both orientations contract to this
-    same acceleration, so the orientation is checked here, when built."""
+    acceleration in closed form, compiled from the metric's formulas into one function of
+    floats: one kappa and one lam evaluation, no (4, 4, 4) array.  Both orientations contract
+    to this same acceleration, so the orientation is checked here, when built."""
     if orientation not in ORIENTATIONS:
         raise ContractError(f"orientation must be one of {ORIENTATIONS}")
-
-    def acceleration(x, v):
-        _, _, dln_lam, dln_sigma = _log_gradients(metric.kappa, metric.lam, x, _FLOATS)
-        sv = _dot(dln_sigma, v)
-        return [w * (sv - (s - l) * w) for w, s, l in zip(v, dln_sigma, dln_lam)]
-
+    acceleration = _compiled(_acceleration, metric, x=4, v=4)
     return ConnectionField(4, lambda x: gamma_matrices(x, metric, orientation), acceleration)
 
 
@@ -209,6 +211,26 @@ def _check_start(metric: FinslerConfig, e0: ExtremalState, drift_tol: float) -> 
         )
 
 
+def _rates(p, kv, dkappa, lv) -> list:
+    """The extremal's position and momentum rates from its momenta and kappa's and lam's values."""
+    prod, scale = p[0] * p[1] * p[2] * p[3], (kv / 4.0) ** 4
+    return [prod / q * lv for q in p] + [scale * (4.0 * d / kv) * lv for d in dkappa]
+
+
+def _rates_on_numpy_floats(p, kv, dkappa, lv) -> list:
+    """The rates where Python floats raise: an overflowing power or a zero divisor gives inf or nan."""
+    return _rates([np.float64(q) for q in p], np.float64(kv), dkappa, lv)
+
+
+def _extremal(metric: FinslerConfig, m, y) -> list:
+    """The rates at a state y = (xi, p) in the traced form m; kappa's evaluation is outside
+    the fallback's scope, so an exp overflow there raises."""
+    xi, p = y[:4], y[4:]
+    kv, dkappa, lv, _ = _kappa_and_lam(metric.kappa, metric.lam, m, xi)
+    m.handle(ArithmeticError, _rates_on_numpy_floats, p, kv, dkappa, lv)
+    return _rates(p, kv, dkappa, lv)
+
+
 def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: IntegratorConfig) -> ExtremalTrajectory:
     """Momentum-form extremal flow with the indicatrix constraint monitored.
 
@@ -218,20 +240,7 @@ def integrate_extremal(metric: FinslerConfig, e0: ExtremalState, cfg: Integrator
     error.  Leaving the momentum cone aborts.
     """
     _check_start(metric, e0, cfg.drift_tol)
-
-    def rates(p, kv, dkappa, lv):
-        prod, scale = math.prod(p), (kv / 4.0) ** 4
-        return [prod / q * lv for q in p] + [scale * (4.0 * d / kv) * lv for d in dkappa]
-
-    def rhs(y):
-        xi, p = y[:4], y[4:]
-        kv, dkappa, lv, _ = _kappa_and_lam(metric.kappa, metric.lam, _FLOATS, xi)
-        try:
-            return rates(p, kv, dkappa, lv)
-        except ArithmeticError:  # an overflowing power or a zero divisor: numpy floats give inf or nan
-            return rates([np.float64(q) for q in p], np.float64(kv), dkappa, lv)
-
-    tau, ys = _rk4(rhs, np.concatenate([e0.xi, e0.p]), cfg, "extremal", "tau",
+    tau, ys = _rk4(_compiled(_extremal, metric, y=8), np.concatenate([e0.xi, e0.p]), cfg, "extremal", "tau",
                    cone=slice(4, None))
     drift = _relative_indicatrix(ys[:, :4], ys[:, 4:], metric)
     return ExtremalTrajectory(tau=tau, xi=ys[:, :4].copy(), p=ys[:, 4:].copy(), drift=drift)

@@ -45,7 +45,7 @@ class ScalarField:
     to the values and the gradients (..., n) from one evaluation, else the gradient
     is a central finite difference of func.  On one point the field gives a numpy float.
     formula(m, x) is the value and the gradient's components at a point x[i] in the forms
-    m of arrays (_ARRAYS) or floats (_FLOATS), through m.call for callables; a gauge
+    m of arrays (_ARRAYS) or of a trace (_Trace), through m.call for callables; a gauge
     of a field kappa keeps it, and of_kappa(m, kappa's value and gradient) gives it.
     """
 
@@ -90,8 +90,11 @@ class ScalarFunc1D:
 
 
 def _raise_if(bad, error: type, message: str) -> None:
-    """Raise error(message) if bad holds anywhere (a bool or numpy bool skips .any())."""
-    if bad.any() if isinstance(bad, np.ndarray) else bad:
+    """Raise error(message) if bad holds anywhere (a bool or numpy bool skips .any());
+    a traced bad emits that test into its listing."""
+    if isinstance(bad, _Var):
+        bad.trace.lines.append(f"if {bad.text}: raise {bad.trace.bind(error, error.__name__)}({message!r})")
+    elif bad.any() if isinstance(bad, np.ndarray) else bad:
         raise error(message)
 
 
@@ -135,22 +138,111 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
-def _float_exp(t):
-    """np.exp of a float as a float, raising OverflowError where it overflows;
-    math.exp differs from np.exp in the last bit on some inputs."""
-    if (v := float(np.exp(t))) == math.inf:
-        raise OverflowError("math range error")
-    return v
-
-
-# What a formula does differently on points of arrays, np.moveaxis(points, -1, 0),
-# where a gradient is a list or an array (n, ...) of components, and of floats.
-_ARRAYS = SimpleNamespace(exp=_exp, quartic=_quartic, call=_on_arrays,
+# What a formula does on points of arrays, np.moveaxis(points, -1, 0), where a
+# gradient is a list or an array (n, ...) of components.
+_ARRAYS = SimpleNamespace(exp=_exp, quartic=_quartic, call=_on_arrays, apply=lambda f, t: f(t),
                           full=lambda t, value: _filled(np.shape(t), value),
                           zeros=lambda x: _filled(np.shape(x), 0.0))
-_FLOATS = SimpleNamespace(exp=_float_exp, quartic=lambda t: float(_quartic(t)),
-                          call=lambda f, x: _on_floats(f)(x),
-                          full=lambda t, value: value, zeros=lambda x: [0.0] * len(x))
+
+
+class _Var:
+    """A float of a traced formula, shown by its name or literal in the listing; each
+    operation on it appends one assignment to the listing, in the order Python runs it."""
+
+    def __init__(self, trace: _Trace, text: str):
+        self.trace, self.text = trace, text
+
+    def __bool__(self):
+        raise TypeError("a traced value has no truth value; test it with _raise_if")
+
+    def __abs__(self):
+        return self.trace.apply(abs, self, name="abs")
+
+    def __array_ufunc__(self, ufunc, method, *args):
+        return self.trace.apply(ufunc, *args, name=ufunc.__name__)
+
+
+_OPS = "add + sub - mul * truediv / pow ** or | lt < le <= eq == ne != gt > ge >=".split()
+for _op, _sign in zip(_OPS[::2], _OPS[1::2]):
+    setattr(_Var, f"__{_op}__", lambda a, b, s=_sign: a.trace.emit(f"{a.text} {s} {a.trace.literal(b)}"))
+    setattr(_Var, f"__r{_op}__", lambda a, b, s=_sign: a.trace.emit(f"{a.trace.literal(b)} {s} {a.text}"))
+
+
+class _Trace:
+    """The traced form of a formula at one point of floats: values are _Vars, and the
+    formula leaves a listing of straight-line code.  Constants are repr literals; callables
+    are bound by name and called opaquely."""
+
+    def __init__(self):
+        self.lines, self.names, self.handler = [], {"inf": math.inf, "nan": math.nan}, []
+
+    def literal(self, a) -> str:
+        if isinstance(a, (list, np.ndarray)):
+            return f"[{', '.join(map(self.literal, a))}]"
+        if type(a) in (int, float):
+            return f"({a!r})" if math.copysign(1.0, a) < 0 else repr(a)
+        return a.text if isinstance(a, _Var) else self.bind(a)
+
+    def bind(self, obj, name: str | None = None) -> str:
+        name = name or f"f{len(self.names)}"
+        self.names[name] = obj
+        return name
+
+    def emit(self, expr: str) -> _Var:
+        self.lines.append(f"t{len(self.lines)} = {expr}")
+        return _Var(self, f"t{len(self.lines) - 1}")
+
+    def apply(self, f: Callable, *args, name: str | None = None) -> _Var:
+        return self.emit(f"{self.bind(f, name)}({', '.join(map(self.literal, args))})")
+
+    def exp(self, t) -> _Var:
+        """np.exp as a float, raising OverflowError where it overflows; math.exp differs
+        from np.exp in the last bit on some inputs."""
+        v = self.apply(float, np.exp(t), name="float")
+        _raise_if(v == math.inf, OverflowError, "math range error")
+        return v
+
+    def quartic(self, t) -> _Var:
+        return self.apply(float, self.apply(_quartic, t, name="_quartic"), name="float")
+
+    def call(self, value_and_grad: Callable, x) -> tuple:
+        """value_and_grad of points through the _on_floats adapter: np.array in, .tolist() out."""
+        out = self.apply(_on_floats(value_and_grad), x)
+        return self.emit(f"{out.text}[0]"), [self.emit(f"{out.text}[1][{k}]") for k in range(len(x))]
+
+    def full(self, t, value) -> _Var:
+        return _Var(self, self.literal(value))
+
+    def zeros(self, x) -> list:
+        return [self.full(x, 0.0)] * len(x)
+
+    def handle(self, error: type, fallback: Callable, *args) -> None:
+        """The lines from here on run in a try block, whose handler of error returns fallback(*args)."""
+        self.handler = [len(self.lines), f"except {self.bind(error, error.__name__)}:",
+                        f"    return {self.bind(fallback, fallback.__name__)}({self.literal(list(args))[1:-1]})"]
+
+    def body(self, out) -> list:
+        """The lines and a return of out, from the handler's line on in its try block."""
+        lines = self.lines + [f"return {self.literal(out)}"]
+        if not self.handler:
+            return lines
+        start, *handler = self.handler
+        return lines[:start] + ["try:"] + [f"    {s}" for s in lines[start:]] + handler
+
+
+@functools.lru_cache(maxsize=32)
+def _compiled(form: Callable, cfg, **sizes) -> Callable:
+    """form(cfg, m, *params) traced once in the form m = _Trace() and compiled into one
+    function of the params, each a sequence of sizes[name] floats: straight-line code that runs
+    form's float operations in the order form runs them, so it rounds and raises as form does.
+    Its __doc__ is its source."""
+    m = _Trace()
+    params = {name: [_Var(m, f"{name}{i}") for i in range(n)] for name, n in sizes.items()}
+    body = [f"{m.literal(v)[1:-1]} = {name}" for name, v in params.items()] + m.body(form(cfg, m, *params.values()))
+    source = f"def rhs({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in body)
+    exec(source, m.names)
+    m.names["rhs"].__doc__ = source
+    return m.names["rhs"]
 
 
 def constant_b(c: float = 1.0) -> ScalarFunc1D:
@@ -200,12 +292,12 @@ def kappa_from_b(b_funcs, kappa0: float = 1.0) -> ScalarField:
     k0 = float(kappa0)
 
     def formula(m, x):
-        v = [b(t) for b, t in zip(bs, x)]
+        v = [m.apply(b, t) for b, t in zip(bs, x)]
         _raise_if((v[0] == 0.0) | (v[1] == 0.0) | (v[2] == 0.0) | (v[3] == 0.0), DomainError,
                   "component function vanishes on the evaluation point")
         logs = [np.log(abs(w)) for w in v]
         val = k0 * m.exp((logs[0] + logs[1] + logs[2] + logs[3]) / 4.0)
-        return val, [val * (b.d(t) / w) / 4.0 for b, t, w in zip(bs, x, v)]
+        return val, [val * (m.apply(b.d, t) / w) / 4.0 for b, t, w in zip(bs, x, v)]
 
     return ScalarField.of(formula)
 
@@ -289,7 +381,7 @@ def indicatrix(p, xi, cfg: FinslerConfig) -> float:
     return float(np.prod(p)) - (kap / 4.0) ** 4
 
 
-def _kappa_and_lam(kappa: ScalarField, lam: ScalarField, m: SimpleNamespace, x) -> tuple:
+def _kappa_and_lam(kappa: ScalarField, lam: ScalarField, m, x) -> tuple:
     """kappa's value and gradient, then lam's, at a point x[i] in the forms m; a gauge
     of this kappa takes kappa's value and gradient instead of evaluating kappa again."""
     kv, dk = kappa.formula(m, x)
@@ -297,16 +389,13 @@ def _kappa_and_lam(kappa: ScalarField, lam: ScalarField, m: SimpleNamespace, x) 
     return kv, dk, lv, dlam
 
 
-def _log_gradients(kappa: ScalarField, lam: ScalarField, xi, m: SimpleNamespace = _ARRAYS):
-    """kappa, lam, grad ln lam and grad ln sigma (sigma = kappa^4 lam) at points (..., 4),
-    or, in float forms m, at one point of floats, the gradients as lists."""
-    x = np.moveaxis(xi, -1, 0) if m is _ARRAYS else xi
-    kv, dk, lv, dlam = _kappa_and_lam(kappa, lam, m, x)
+def _log_gradients(kappa: ScalarField, lam: ScalarField, xi, m=_ARRAYS):
+    """kappa, lam, grad ln lam and grad ln sigma (sigma = kappa^4 lam) at points (..., 4) in the forms m;
+    in a _Trace the point's four components are traced values, and so are the results' entries."""
+    kv, dk, lv, dlam = _kappa_and_lam(kappa, lam, m, np.moveaxis(xi, -1, 0))
     _raise_if((kv <= 0) | (lv <= 0), DomainError, "kappa and the gauge must stay positive")
     dln_lam = [d / lv for d in dlam]
     dln_sigma = [4.0 * d / kv + e for d, e in zip(dk, dln_lam)]
-    if m is not _ARRAYS:
-        return kv, lv, dln_lam, dln_sigma
     return kv, lv, np.stack(dln_lam, axis=-1), np.stack(dln_sigma, axis=-1)
 
 

@@ -80,6 +80,22 @@ MUTANTS = (
            " and not (integral and value % 1)", "", ("tests/test_algebra.py", "tests/test_cli.py")),
     Mutant("field-ignores-domain", "src/polyan/cli.py",
            'if "domain" in spec:', "if False:", ("tests/test_cli.py",)),
+    Mutant("compiled-positivity-raise-dropped", "src/polyan/h4.py",
+           '    _raise_if((kv <= 0) | (lv <= 0), DomainError, "kappa and the gauge must stay positive")',
+           '    m is _ARRAYS and _raise_if((kv <= 0) | (lv <= 0), DomainError, "kappa and the gauge must stay positive")',
+           ("tests/test_geodesics.py",)),
+    Mutant("compiled-dot-reassociated", "src/polyan/h4.py",
+           "return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]",
+           "return (a[0] * b[0] + a[1] * b[1]) + (a[2] * b[2] + a[3] * b[3])", ("tests/test_geodesics.py",)),
+    Mutant("compiled-fallback-covers-kappa", "src/polyan/h4.py",
+           "self.handler = [len(self.lines),", "self.handler = [0,", ("tests/test_geodesics.py",)),
+    Mutant("compiled-constants-15g", "src/polyan/h4.py",
+           'return f"({a!r})" if math.copysign(1.0, a) < 0 else repr(a)',
+           'return f"({a:.15g})" if math.copysign(1.0, a) < 0 else f"{a:.15g}"', ("tests/test_geodesics.py",)),
+    Mutant("field-rows-unchecked", "src/polyan/fields.py",
+           "if not self._rows_checked and", "if False and", ("tests/test_fields.py",)),
+    Mutant("algebra-dimension-unbounded", "src/polyan/algebra.py",
+           "if not 1 <= n <= _MAX_DIMENSION:", "if not 1 <= n:", ("tests/test_algebra.py",)),
 )
 
 

@@ -331,6 +331,8 @@ def test_load_algebra_from_file(tmp_path):
         {"n": 2, "entries": [{"k": 1.5, "i": 1, "j": 1, "value": 1}]},
         {"n": 2, "entries": [[1, 1, 1, 1]]},
         [2],
+        # n is bounded before (n, n, n) constants are allocated
+        {"n": 1000000},
     ],
 )
 def test_malformed_documents_rejected(doc):

@@ -681,6 +681,8 @@ MALFORMED = [
                        "path": {"kind": "straight", "from": [0, None], "to": [1, 1]}}),
     ("line-integral", {"algebra": "h4-psi", "field": {"kind": "identity"},
                        "path": {"kind": "straight", "from": [0, 0], "to": [1, 2]}}),
+    # an algebra document's n is bounded before its (n, n, n) constants are allocated
+    ("algebra-check", {"algebra": {"n": 1000000}}),
 ]
 
 

@@ -485,6 +485,18 @@ def test_chains_equal_the_per_column_reference(name, scheme, rng, monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_a_field_written_for_one_point_fails_on_a_stack():
+    """x * x[0] scales a point by its first coordinate but a stack by its first row; the first
+    call on a stack, here the FD probes, compares rows 0 and 1 alone and names the lift."""
+    x = np.array([0.3, 0.2, 0.1, 0.4])
+    for call in (lambda f: f.jac(x), lambda f: f(np.stack([x, 2 * x]))):
+        with pytest.raises(ContractError, match=r'np\.vectorize\(f, signature="\(n\)->\(n\)"\)'):
+            call(VectorField(4, lambda x: x * x[0]))
+    lifted = VectorField(4, np.vectorize(lambda x: x * x[0], signature="(n)->(n)"))
+    exact = x[0] * np.eye(4) + np.outer(x, [1, 0, 0, 0])
+    assert np.max(np.abs(lifted.jac(x) - exact)) < 1e-9
+
+
 @pytest.mark.parametrize("scheme, points", (("central-2", 9), ("central-4", 25)))
 def test_fd_chain_step_probes_only_the_unit_direction(h4_e, rng, scheme, points):
     """An order-2 chain of a field without Jacobian evaluates it on (s + 1)^2 points per chain
@@ -492,7 +504,11 @@ def test_fd_chain_step_probes_only_the_unit_direction(h4_e, rng, scheme, points)
     f, seen = random_smooth_field(4, rng), []
     counting = VectorField(4, lambda x: seen.append(x.size // 4) or f.func(x))
     chain = derivative_chain(GAPair(counting, zero_gamma(4), h4_e), zero_connection(4), 2, DiffConfig(scheme=scheme))
-    chain.f(rng.uniform(-0.5, 0.5, 4))
+    x = rng.uniform(-0.5, 0.5, 4)
+    chain.f(x)
+    assert sum(seen) == points + 2  # and, once per field, its first stack's rows 0 and 1 alone
+    seen.clear()
+    chain.f(x)
     assert sum(seen) == points
 
 

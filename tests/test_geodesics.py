@@ -24,6 +24,7 @@ from polyan.geodesics import (
     GeodesicState,
     GeodesicTrajectory,
     IntegratorConfig,
+    _extremal,
     _rk4,
     connection_from_structure,
     cross_check_forms,
@@ -40,6 +41,7 @@ from polyan.h4 import (
     FinslerConfig,
     ScalarField,
     ScalarFunc1D,
+    _compiled,
     _log_gradients,
     constant_b,
     constant_kappa,
@@ -365,10 +367,17 @@ def test_extremal_matches_reference_bitwise(kappa_kind, lambda_kind):
     assert np.array_equal(traj.drift, drift)
 
 
+def compiled_rhs(metric, form):
+    """The one function an RK4 stage of the form calls, compiled once per metric."""
+    return _compiled(_extremal, metric, y=8) if form == "extremal" else finsler_connection(metric).acceleration
+
+
 @pytest.mark.parametrize("lambda_kind", sorted(LAMBDAS))
 @pytest.mark.parametrize("form", ["extremal", "geodesic"])
 def test_each_rk4_stage_evaluates_kappa_once(form, lambda_kind, monkeypatch):
-    # a gauge of kappa takes kappa's value and gradient instead of evaluating kappa again
+    # kappa's formula runs once, when the form is compiled for the metric, and the compiled
+    # stage calls exp once: a gauge of kappa takes kappa's value and gradient instead of
+    # evaluating kappa again
     metric = make_metric("gaussian", lambda_kind)
     e0 = ExtremalState(XI0, momenta(DXI0, XI0, metric))
     v0 = extremal_velocity(metric, e0)
@@ -376,11 +385,123 @@ def test_each_rk4_stage_evaluates_kappa_once(form, lambda_kind, monkeypatch):
     formula = metric.kappa.formula
     monkeypatch.setattr(metric.kappa, "formula", lambda m, x: calls.append(x) or formula(m, x))
     cfg = IntegratorConfig(steps=25, t_end=0.1)
-    if form == "extremal":
-        integrate_extremal(metric, e0, cfg)
-    else:
-        integrate_geodesic(finsler_connection(metric), GeodesicState(XI0, v0), cfg)
-    assert len(calls) == 4 * cfg.steps
+    for _ in range(2):
+        if form == "extremal":
+            integrate_extremal(metric, e0, cfg)
+        else:
+            integrate_geodesic(finsler_connection(metric), GeodesicState(XI0, v0), cfg)
+    assert len(calls) == 1
+    assert compiled_rhs(metric, form).__doc__.count(" = exp(") == 1
+
+
+GAUSSIAN_GEODESIC_LISTING = """\
+def rhs(x, v):
+    x0, x1, x2, x3 = x
+    v0, v1, v2, v3 = v
+    t0 = x0 * x0
+    t1 = x1 * x1
+    t2 = t0 + t1
+    t3 = x2 * x2
+    t4 = t2 + t3
+    t5 = x3 * x3
+    t6 = t4 + t5
+    t7 = 0.225 * t6
+    t8 = exp(t7)
+    t9 = float(t8)
+    t10 = t9 == inf
+    if t10: raise OverflowError('math range error')
+    t12 = 1.1 * t9
+    t13 = t12 * 0.45
+    t14 = t13 * x0
+    t15 = t12 * 0.45
+    t16 = t15 * x1
+    t17 = t12 * 0.45
+    t18 = t17 * x2
+    t19 = t12 * 0.45
+    t20 = t19 * x3
+    t21 = t12 <= 0
+    t22 = 12.0 <= 0
+    t23 = t21 | t22
+    if t23: raise DomainError('kappa and the gauge must stay positive')
+    t25 = 0.0 / 12.0
+    t26 = 0.0 / 12.0
+    t27 = 0.0 / 12.0
+    t28 = 0.0 / 12.0
+    t29 = 4.0 * t14
+    t30 = t29 / t12
+    t31 = t30 + t25
+    t32 = 4.0 * t16
+    t33 = t32 / t12
+    t34 = t33 + t26
+    t35 = 4.0 * t18
+    t36 = t35 / t12
+    t37 = t36 + t27
+    t38 = 4.0 * t20
+    t39 = t38 / t12
+    t40 = t39 + t28
+    t41 = t31 * v0
+    t42 = t34 * v1
+    t43 = t41 + t42
+    t44 = t37 * v2
+    t45 = t43 + t44
+    t46 = t40 * v3
+    t47 = t45 + t46
+    t48 = t31 - t25
+    t49 = t48 * v0
+    t50 = t47 - t49
+    t51 = v0 * t50
+    t52 = t34 - t26
+    t53 = t52 * v1
+    t54 = t47 - t53
+    t55 = v1 * t54
+    t56 = t37 - t27
+    t57 = t56 * v2
+    t58 = t47 - t57
+    t59 = v2 * t58
+    t60 = t40 - t28
+    t61 = t60 * v3
+    t62 = t47 - t61
+    t63 = v3 * t62
+    return [t51, t55, t59, t63]
+"""
+
+
+def test_compiled_geodesic_listing():
+    # one stage of the geodesic for gaussian kappa and a constant gauge: kappa's value and
+    # gradient, the positivity test, the log-gradients and the acceleration, in the order the
+    # formulas run them on floats, every constant a repr literal
+    assert finsler_connection(make_metric("gaussian", "constant")).acceleration.__doc__ == GAUSSIAN_GEODESIC_LISTING
+
+
+def test_listings_hold_no_config_string():
+    # callables are bound by name, so no kind name or repr of a config object reaches the source
+    from polyan.cli import _make_metric
+
+    profiles = [{"kind": kind, "c": 0.5} for kind in ("constant", "quadratic", "gaussian", "quadratic")]
+    kappas = [{"kind": "constant", "value": 1.3}, {"kind": "gaussian", "c": 0.9},
+              {"kind": "cross-term", "c": 0.7, "axes": [2, 4]}, {"kind": "from-b"}]
+    for kappa in kappas:
+        for lam in ({"kind": "constant", "value": 12.0}, {"kind": "kappa-reciprocal"}):
+            config = {"b": profiles, "kappa": kappa, "lam": lam, "kappa0": 1.1, "lambda0": 2.0}
+            strings = {spec["kind"] for spec in [*profiles, kappa, lam]}
+            metric = _make_metric(config)
+            for form in ("extremal", "geodesic"):
+                listing = compiled_rhs(metric, form).__doc__
+                assert listing.startswith("def rhs(")
+                assert not [s for s in strings if s in listing], (kappa, lam, form)
+
+
+@pytest.mark.parametrize("form", ["extremal", "geodesic"])
+def test_kappa_exp_overflow_mid_run_is_the_overflow_error(form):
+    # kappa's exp overflows at a stage: it raises there, outside the extremal's numpy-float fallback
+    metric = FinslerConfig(kappa=gaussian_kappa(1.0, 1.0), lam=constant_lambda(16.0))
+    w0 = momenta(DXI0, XI0, metric)
+    w0 = w0 if form == "extremal" else extremal_velocity(metric, ExtremalState(XI0, w0))
+    cfg = IntegratorConfig(steps=200, t_end=50.0)
+    with pytest.raises(OverflowError, match="math range error"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            float_trajectory(metric, form, XI0, w0, cfg)
+    assert_same_outcome(metric, form, XI0, w0, cfg)
 
 
 @pytest.mark.parametrize("kappa_kind", sorted(KAPPAS))
@@ -585,6 +706,18 @@ def test_profile_vanishing_mid_run_is_the_numpy_domain_error(form):
     with pytest.raises(DomainError, match="component function vanishes on the evaluation point"):
         float_trajectory(metric, form, XI0, w0, cfg)
     assert_same_outcome(metric, form, XI0, w0, cfg)
+
+
+@pytest.mark.parametrize("lambda_kind", sorted(LAMBDAS))
+def test_kappa_underflow_in_the_geodesic_is_the_domain_error(lambda_kind):
+    # kappa = exp(-10 |x|^2) is 0.0 at x = (5, 5, 5, 5): the positivity test stops the first
+    # stage under either gauge, before a Python float divides by it
+    kappa = gaussian_kappa(1.0, -40.0)
+    metric = FinslerConfig(kappa=kappa, lam=LAMBDAS[lambda_kind](kappa), kappa0=1.1, lambda0=2.0)
+    xi0, cfg = np.full(4, 5.0), IntegratorConfig(steps=3, t_end=1.0)
+    with pytest.raises(DomainError, match="kappa and the gauge must stay positive"):
+        float_trajectory(metric, "geodesic", xi0, DXI0, cfg)
+    assert_same_outcome(metric, "geodesic", xi0, DXI0, cfg)
 
 
 def test_kappa_underflow_mid_run_is_the_numpy_integration_error():
