@@ -9,6 +9,7 @@ through the algebra product, which the residual operations here measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -124,12 +125,30 @@ def fd_jacobian(func, x: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarr
     return np.ascontiguousarray(d.transpose(*range(x.ndim - 1), *range(x.ndim, d.ndim), x.ndim - 1))
 
 
-def _checked(out, shape: tuple, what: str) -> np.ndarray:
-    """out as a float array, which must have the given shape."""
-    out = np.asarray(out, dtype=float)
-    if out.shape != shape:
-        raise ContractError(f"{what} returned shape {out.shape}, expected {shape}")
-    return out
+def _stack_call(owner, what: str, func, x: np.ndarray, lead: tuple, value: tuple, alone=None) -> np.ndarray:
+    """func(x), a callable of owner, at a stack lead of points (..., n) or of path parameters (...), as a
+    float array lead + value.  On two or more points it gives one row per point, bitwise the point's value
+    alone: numpy's errors, another shape and, on func's first such call, rows 0 and 1 unequal to func of
+    each alone (or to alone) raise ContractError naming the np.vectorize lift; polyan's errors pass."""
+    many = len(lead) > 0 and math.prod(lead) > 1
+    try:
+        out = np.asarray(func(x), dtype=float)
+        if out.shape != lead + value:  # on a stack, a ValueError to be named with the lift below
+            raise (ValueError if many else ContractError)(f"{what} returned shape {out.shape}, expected {lead + value}")
+        if many and id(func) not in getattr(owner, "_rows_checked", ()):
+            rows = x.reshape((-1,) + x.shape[len(lead):])
+            alone = [func(rows[r, ...]) for r in (0, 1)] if alone is None else alone
+            if not all(np.array_equal(o, a, equal_nan=True) for o, a in zip(out.reshape((-1,) + value), alone)):
+                raise ValueError("rows 0 and 1 alone give other values than in the stack")
+            vars(owner).setdefault("_rows_checked", set()).add(id(func))
+        return out
+    except (ValueError, TypeError, IndexError) as exc:
+        if isinstance(exc, PolyanError) or not many:
+            raise
+        signature = f'({"n" * (x.ndim > len(lead))})->({",".join("n" * len(value))})'
+        raise ContractError(f"a {what} gives one row per point, but on {x.shape}: {str(exc).strip()}; lift a one-point "
+                            f'{what} with np.vectorize({"G" if what == "connection" else "f"}, signature="{signature}")'
+                            ) from exc
 
 
 def _rowwise(func, x: np.ndarray) -> np.ndarray:
@@ -147,19 +166,10 @@ class VectorField:
         self.func = func
         self.jacobian = jacobian
         self.domain = domain
-        self._rows_checked = False
 
-    def _rows(self, x: np.ndarray):
-        """func at points x; on the first call with two or more rows, rows 0 and 1 alone must give
-        the values they have in the stack, which a func written for one point may not."""
-        out = self.func(x)
-        if not self._rows_checked and x.ndim > 1 and x.size >= 2 * self.n and np.shape(out) == x.shape:
-            self._rows_checked = True
-            alone = [self.func(r) for r in x.reshape(-1, self.n)[:2]]
-            if not np.array_equal(np.reshape(out, (-1, self.n))[:2], alone, equal_nan=True):
-                raise ContractError("vector field gives a stack's rows other values than each row alone; lift a "
-                                    'one-point field with np.vectorize(f, signature="(n)->(n)")')
-        return out
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        """func at points x (..., n), without the domain check."""
+        return _stack_call(self, "vector field", self.func, x, x.shape[:-1], (self.n,))
 
     def check_point(self, x: np.ndarray):
         if self.domain is not None and not self.domain.contains(x):
@@ -169,13 +179,14 @@ class VectorField:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self.check_point(x)
-        return _checked(self._rows(x), x.shape[:-1] + (self.n,), "vector field")
+        return self._rows(x)
 
     def jac(self, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self.check_point(x)
-        jac = self.jacobian(x) if self.jacobian is not None else fd_jacobian(self._rows, x, cfg)
-        return _checked(jac, x.shape[:-1] + (self.n, self.n), "Jacobian")
+        if self.jacobian is None:
+            return fd_jacobian(self._rows, x, cfg)
+        return _stack_call(self, "Jacobian", self.jacobian, x, x.shape[:-1], (self.n, self.n))
 
     def without_jacobian(self) -> "VectorField":
         """Copy that forgets the analytic Jacobian (forces finite differences)."""
@@ -191,7 +202,7 @@ class GammaField:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return _checked(self.func(x), x.shape[:-1] + (self.n, self.n), "gamma field")
+        return _stack_call(self, "gamma field", self.func, x, x.shape[:-1], (self.n, self.n))
 
 
 def zero_gamma(n: int) -> GammaField:
@@ -528,9 +539,10 @@ def transform_pair(pair: GAPair, diffeo: Diffeo) -> GAPair:
         u = diffeo.inverse_point(y)
         return _transport(diffeo, u, pair.f(u), pair.gamma(u))[2]
 
-    f = VectorField(n, lambda y: _rowwise(f_at, y))
-    f._rows_checked = True  # each row is its own one-point call; the guard would add two Newton solves
-    return GAPair(f, GammaField(n, lambda y: _rowwise(gamma_at, y)), pair.S)
+    f, gamma = VectorField(n, lambda y: _rowwise(f_at, y)), GammaField(n, lambda y: _rowwise(gamma_at, y))
+    for field in (f, gamma):  # each row is its own one-point call; the check would add two Newton solves
+        field._rows_checked = {id(field.func)}
+    return GAPair(f, gamma, pair.S)
 
 
 def pair_change_basis(pair: GAPair, B) -> GAPair:
@@ -571,15 +583,7 @@ class ConnectionField:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        try:
-            out = self.func(x)
-        except (ValueError, TypeError, IndexError) as exc:
-            if isinstance(exc, PolyanError) or x.ndim < 2:
-                raise
-            raise ContractError(f"a connection maps points (..., n) to (..., n, n, n), but on points {x.shape}: "
-                                f"{str(exc).strip()}; lift a one-point connection with "
-                                'np.vectorize(G, signature="(n)->(n,n,n)")') from exc
-        return _checked(out, x.shape[:-1] + (self.n,) * 3, "connection")
+        return _stack_call(self, "connection", self.func, x, x.shape[:-1], (self.n,) * 3)
 
 
 def connection_residual(pair: GAPair, Gamma: ConnectionField, x) -> np.ndarray:
@@ -643,7 +647,7 @@ def derivative_chain(pair: GAPair, Gamma: ConnectionField, m: int, cfg: DiffConf
 def _chain_step(f: VectorField, Gamma: ConnectionField, u: int, cfg: DiffConfig) -> VectorField:
     """f -> df/dx_u + G[:, u, :] f; without an analytic Jacobian, df/dx_u is the FD along x_u alone."""
     def along_u(t, x):  # f at the points x, coordinate u moved to each of its probes t (..., [s,] 1)
-        return f.func(np.where(np.arange(f.n) == u, t, np.expand_dims(x, tuple(range(x.ndim - 1, t.ndim - 1)))))
+        return f._rows(np.where(np.arange(f.n) == u, t, np.expand_dims(x, tuple(range(x.ndim - 1, t.ndim - 1)))))
 
     def func(x, f=f):
         if f.jacobian is None:
@@ -662,8 +666,8 @@ def _chain_step(f: VectorField, Gamma: ConnectionField, u: int, cfg: DiffConfig)
 
 class Path:
     """Piecewise-smooth parametric curve on [0, 1]: func, and velocity if given (else a central
-    difference in the parameter), map parameters (...) to points (..., n), and a result of
-    another shape raises ContractError; func is tried on two parameters when built.
+    difference in the parameter), map parameters (...) to points (..., n), one row per parameter;
+    func is checked on the stack [0, 1] against its start and end when built.
     Quadrature splits at the breakpoints, where the velocity may jump."""
 
     def __init__(self, func, velocity=None, breakpoints=()):
@@ -672,26 +676,20 @@ class Path:
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
         if any(not 0.0 < b < 1.0 for b in self.breakpoints):
             raise ContractError("breakpoints must lie strictly inside (0, 1)")
-        self.start = np.asarray(func(np.asarray(0.0)), dtype=float)
+        self.start, self.end = (np.asarray(func(np.asarray(t)), dtype=float) for t in (0.0, 1.0))
         if self.start.ndim != 1:
             raise ContractError(f"path returned shape {self.start.shape} for one parameter, expected (n,)")
-        self.end = self(1.0)
-        try:
-            self(np.array([0.0, 1.0]))
-        except (ValueError, TypeError, IndexError) as exc:
-            lift = 'np.vectorize(f, signature="()->(n)")'
-            raise ContractError(f"a path maps parameters (...) to points (..., n), but on two parameters: "
-                                f"{str(exc).strip()}; lift a one-point path with {lift}") from exc
+        _stack_call(self, "path", func, np.array([0.0, 1.0]), (2,), self.start.shape, alone=(self.start, self.end))
 
     def __call__(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
-        return _checked(self.func(tau), tau.shape + self.start.shape, "path")
+        return _stack_call(self, "path", self.func, tau, tau.shape, self.start.shape)
 
     def vel(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
         if self.velocity is None:
             return fd_jacobian(lambda t: self(t[..., 0]), tau[..., None], DiffConfig(h=1e-7))[..., 0]
-        return _checked(self.velocity(tau), tau.shape + self.start.shape, "path velocity")
+        return _stack_call(self, "path velocity", self.velocity, tau, tau.shape, self.start.shape)
 
 
 def straight_path(x0, x1) -> Path:

@@ -501,7 +501,8 @@ def _phi(spec: H4FamilySpec, xi: np.ndarray, kv, lv, bvals: np.ndarray) -> np.nd
 def family_phi(spec: H4FamilySpec, xi) -> np.ndarray:
     """Components phi_i = phi0_i (kappa/kappa0)^4 (lam/lambda0) B_i exp(mu_i xi_i) at points (..., 4)."""
     xi = np.asarray(xi, dtype=float)
-    kv, _, lv, _ = _kappa_and_lam(spec.kappa, spec.lam, _ARRAYS, np.moveaxis(xi, -1, 0))
+    kv = spec.kappa.func(xi)  # values alone: a gauge of kappa takes its value, with no gradient
+    lv = spec.lam.of_kappa(_ARRAYS, kv, ())[0] if spec.lam.kappa is spec.kappa else spec.lam.func(xi)
     return _phi(spec, xi, kv, lv, _profile_factors(spec, xi)[0])
 
 

@@ -93,9 +93,32 @@ MUTANTS = (
            'return f"({a!r})" if math.copysign(1.0, a) < 0 else repr(a)',
            'return f"({a:.15g})" if math.copysign(1.0, a) < 0 else f"{a:.15g}"', ("tests/test_geodesics.py",)),
     Mutant("field-rows-unchecked", "src/polyan/fields.py",
-           "if not self._rows_checked and", "if False and", ("tests/test_fields.py",)),
+           "if many and id(func) not in", "if False and id(func) not in", ("tests/test_fields.py",)),
     Mutant("algebra-dimension-unbounded", "src/polyan/algebra.py",
            "if not 1 <= n <= _MAX_DIMENSION:", "if not 1 <= n:", ("tests/test_algebra.py",)),
+    Mutant("gamma-rows-unchecked", "src/polyan/fields.py",
+           '        return _stack_call(self, "gamma field",',
+           '        vars(self).setdefault("_rows_checked", {id(self.func)})\n'
+           '        return _stack_call(self, "gamma field",', ("tests/test_fields.py",)),
+    Mutant("connection-lift-unwrapped", "src/polyan/fields.py",
+           "if isinstance(exc, PolyanError) or not many:",
+           'if isinstance(exc, PolyanError) or not many or what == "connection":', ("tests/test_geodesics.py",)),
+    Mutant("path-rows-unchecked", "src/polyan/fields.py",
+           '        _stack_call(self, "path", func,',
+           '        self._rows_checked = {id(func)}\n        _stack_call(self, "path", func,',
+           ("tests/test_line_integral.py",)),
+    Mutant("rows-exempt-everywhere", "src/polyan/fields.py",
+           'getattr(owner, "_rows_checked", ())', 'getattr(owner, "_rows_checked", (id(func),))',
+           ("tests/test_fields.py", "tests/test_geodesics.py", "tests/test_line_integral.py")),
+    Mutant("grid-max-ignores-nan", "src/polyan/fields.py",
+           "return float(np.max(values)) if values.size", "return float(np.nanmax(values)) if values.size",
+           ("tests/test_fields.py", "tests/test_cli.py")),
+    Mutant("non-finite-worst-exits-1", "src/polyan/cli.py",
+           "    if non_finite:\n        return EXIT_RUNTIME", "    if non_finite:\n        return EXIT_TOL",
+           ("tests/test_cli.py",)),
+    Mutant("json-non-finite-as-number", "src/polyan/cli.py",
+           'return format(obj, ".17g") if math.isfinite(obj) else "null"', 'return format(obj, ".17g")',
+           ("tests/test_cli.py",)),
 )
 
 

@@ -15,6 +15,7 @@ from polyan.h4 import (
     FinslerConfig,
     H4FamilySpec,
     ScalarField,
+    _family_terms,
     analytic_gamma_max,
     compatibility_residual,
     constant_b,
@@ -298,8 +299,10 @@ def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
     # the README family as the command line builds it: from-b kappa and the
     # kappa-reciprocal gauge of that same kappa; both conventions share one
     # evaluation of kappa on all 81 points, in one array call, and the gauge
-    # takes kappa's value and gradient instead of evaluating kappa again; so
-    # does family_phi
+    # takes kappa's value and gradient instead of evaluating kappa again;
+    # analytic_gamma_max also evaluates rows 0 and 1 alone, the one-time row
+    # check of the family field's Jacobian; family_phi takes kappa's values
+    # alone, and the gauge takes its value from them
     b = tuple(quadratic_b(0.25) for _ in range(4))
     kappa = kappa_from_b(b, 1.0)
     spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=reciprocal_quartic_lambda(kappa, 1.0, 1.0), kappa=kappa)
@@ -310,10 +313,44 @@ def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
                 counts[key] = counts.get(key, 0) + 1
                 return inner(*args)
             monkeypatch.setattr(field, attr, counted)
-    for check in (family_residual, analytic_gamma_max, family_phi):
+    for check, expected in ((family_residual, {"kappa.formula": 1}), (analytic_gamma_max, {"kappa.formula": 3}),
+                            (family_phi, {"kappa.func": 1})):
         counts.clear()
         check(spec, GRID)
-        assert counts == {"kappa.formula": 1}
+        assert counts == expected
+
+
+@pytest.mark.parametrize("gauge", ["constant", "kappa-reciprocal"])
+def test_family_phi_evaluates_a_gradientless_kappa_once(gauge):
+    """family_phi needs kappa's values alone: a ScalarField(func) kappa, whose gradient is a
+    finite difference, is called once on the points and never on FD probes, and a gauge of kappa
+    takes its value from those values."""
+    shapes = []
+
+    def kappa_func(x):
+        shapes.append(x.shape)
+        return np.exp(0.1 * np.sum(x * x, axis=-1))
+
+    kappa = ScalarField(kappa_func)
+    lam = constant_lambda(1.5) if gauge == "constant" else reciprocal_quartic_lambda(kappa, 1.0, 1.0)
+    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=tuple(quadratic_b(0.25) for _ in range(4)), lam=lam, kappa=kappa)
+    phi = family_phi(spec, GRID)
+    assert shapes == [(81, 4)]
+    assert np.array_equal(phi, _family_terms(spec, GRID)[0])
+
+
+@pytest.mark.parametrize("gauge", ["constant", "kappa-reciprocal"])
+@pytest.mark.parametrize("kind", ["constant", "gaussian", "cross-term", "from-b"])
+def test_family_phi_of_builtin_kinds_is_the_phi_of_the_family_terms(kind, gauge):
+    """family_phi, from kappa's values alone, is bitwise the phi that _family_terms builds from
+    kappa's value and gradient, for every built-in kind and both gauges."""
+    b = (quadratic_b(0.3), gaussian_b(0.6), quadratic_b(-0.2), gaussian_b(-0.4))
+    kappa = {"constant": constant_kappa(1.3), "gaussian": gaussian_kappa(1.1, 0.9),
+             "cross-term": cross_term_kappa(1.1, 0.7, (1, 3)), "from-b": kappa_from_b(b, 1.1)}[kind]
+    lam = constant_lambda(2.5) if gauge == "constant" else reciprocal_quartic_lambda(kappa, 1.1, 2.0)
+    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=lam, kappa0=1.1, lambda0=2.0, kappa=kappa)
+    for points in (GRID, GRID[5]):
+        assert np.array_equal(family_phi(spec, points), _family_terms(spec, points)[0])
 
 
 # ---------------------------------------------------------------------------

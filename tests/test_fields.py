@@ -1,8 +1,11 @@
 """Covariant derivatives, Cauchy-Riemann residuals and derivative forms."""
 
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyan import (
@@ -41,16 +44,29 @@ from polyan.fields import (
     monomial_field,
     pair_combine,
     pair_product,
+    polyline_path,
     random_smooth_field,
+    rectangle_loop,
     residual_grid_report,
     square_pair,
+    straight_path,
     transform_pair,
     zero_gamma,
 )
 import polyan.fields as fields
 from polyan.algebra import transform_constants
-from polyan.geodesics import zero_connection
-from polyan.h4 import H4FamilySpec, constant_lambda, family_field, quadratic_b
+from polyan.geodesics import connection_from_structure, finsler_connection, zero_connection
+from polyan.h4 import (
+    FinslerConfig,
+    H4FamilySpec,
+    constant_lambda,
+    family_field,
+    family_pair,
+    gaussian_kappa,
+    kappa_from_b,
+    quadratic_b,
+    reciprocal_quartic_lambda,
+)
 
 GRID = Box([-0.5] * 4, [0.5] * 4).grid(3)
 
@@ -497,6 +513,21 @@ def test_a_field_written_for_one_point_fails_on_a_stack():
     assert np.max(np.abs(lifted.jac(x) - exact)) < 1e-9
 
 
+def test_a_matrix_written_for_one_point_fails_on_a_stack():
+    """y[:, None] * y[None, :] is a point's outer product, but on a stack of two points in two
+    dimensions a (2, 2, 2) array of other values, with the right shape: unchecked, cr_residual gives
+    maxima 0.23 and 0.34 here where each point alone gives 0.12 and 0.7.  Rows 0 and 1 alone show it."""
+    outer, x = (lambda y: y[:, None] * y[None, :]), np.array([[0.3, -0.2], [0.5, 0.7]])
+    lift = re.escape('lift a one-point gamma field with np.vectorize(f, signature="(n)->(n,n)")')
+    with pytest.raises(ContractError, match=lift):
+        cr_residual(GAPair(identity_field(2), GammaField(2, outer), builtin_algebra("complex")), x)
+    lift = re.escape('lift a one-point Jacobian with np.vectorize(f, signature="(n)->(n,n)")')
+    with pytest.raises(ContractError, match=lift):
+        VectorField(2, lambda y: y, jacobian=outer).jac(x)
+    lifted = GammaField(2, np.vectorize(outer, signature="(n)->(n,n)"))
+    assert np.array_equal(lifted(x), [outer(y) for y in x])
+
+
 @pytest.mark.parametrize("scheme, points", (("central-2", 9), ("central-4", 25)))
 def test_fd_chain_step_probes_only_the_unit_direction(h4_e, rng, scheme, points):
     """An order-2 chain of a field without Jacobian evaluates it on (s + 1)^2 points per chain
@@ -506,7 +537,9 @@ def test_fd_chain_step_probes_only_the_unit_direction(h4_e, rng, scheme, points)
     chain = derivative_chain(GAPair(counting, zero_gamma(4), h4_e), zero_connection(4), 2, DiffConfig(scheme=scheme))
     x = rng.uniform(-0.5, 0.5, 4)
     chain.f(x)
-    assert sum(seen) == points + 2  # and, once per field, its first stack's rows 0 and 1 alone
+    # and, once per field, its first stack's rows 0 and 1 alone: 2 points for the field itself and
+    # 2 (s + 1) for the first chain step's rows, each a one-point step
+    assert sum(seen) == points + 2 + 2 * math.isqrt(points)
     seen.clear()
     chain.f(x)
     assert sum(seen) == points
@@ -578,6 +611,82 @@ def test_fields_on_many_points_equal_one_point_calls(name, kind, seed, m):
             continue  # no derivative form: a dual number in a basis without the unit
         for p in (pair, bare):
             assert_rows_equal(cr_residual(p, points, cfg), points, lambda x: cr_residual(p, x, cfg))
+
+
+def _pair_calls(pair):
+    return [pair.f, pair.f.jac, pair.gamma, pair.f.without_jacobian().jac], pair.n
+
+
+def _path_calls(path):
+    return [path, path.vel], None
+
+
+def _chain_calls(S, rng, connection):
+    assume(S.unit_index is not None)
+    return _pair_calls(derivative_chain(_random_pair(S, rng), connection, 2))
+
+
+def _family_calls(rng, reciprocal):
+    b = tuple(quadratic_b(c) for c in rng.uniform(-0.5, 0.5, 4))
+    kappa = kappa_from_b(b, 1.2)
+    lam = reciprocal_quartic_lambda(kappa, 1.2, 2.0) if reciprocal else constant_lambda(2.0)
+    spec = H4FamilySpec(phi0=rng.uniform(0.5, 2.0, 4), mu=rng.uniform(-0.5, 0.5, 4), b=b, lam=lam,
+                        kappa0=1.2, lambda0=2.0)
+    return _pair_calls(family_pair(spec))
+
+
+def _finsler_calls(rng, reciprocal):
+    kappa = gaussian_kappa(1.2, rng.uniform(-1.0, 1.0))
+    lam = reciprocal_quartic_lambda(kappa, 1.2, 2.0) if reciprocal else constant_lambda(2.0)
+    orientation = ("as-printed", "transposed")[rng.integers(2)]
+    return [finsler_connection(FinslerConfig(kappa, lam, 1.2, 2.0), orientation)], 4
+
+
+# every kind of object the library builds from a callable: (algebra, rng) -> (its callables, the
+# dimension of their points, or None for a path's parameters)
+LIBRARY_KINDS = {
+    "prescribed": lambda S, rng: _pair_calls(_random_pair(S, rng)),
+    "product": lambda S, rng: _pair_calls(PAIR_KINDS["product"](S, rng)),
+    "combine": lambda S, rng: _pair_calls(PAIR_KINDS["combine"](S, rng)),
+    "square": lambda S, rng: _pair_calls(square_pair(S)),
+    "change basis": lambda S, rng: _pair_calls(PAIR_KINDS["change basis"](S, rng)),
+    "chain over the zero connection": lambda S, rng: _chain_calls(S, rng, zero_connection(S.n)),
+    "chain over a structure connection": lambda S, rng: _chain_calls(S, rng, connection_from_structure(S, 0.3)),
+    "family, constant gauge": lambda S, rng: _family_calls(rng, False),
+    "family, reciprocal gauge": lambda S, rng: _family_calls(rng, True),
+    "finsler, constant gauge": lambda S, rng: _finsler_calls(rng, False),
+    "finsler, reciprocal gauge": lambda S, rng: _finsler_calls(rng, True),
+    "straight path": lambda S, rng: _path_calls(straight_path(*rng.uniform(-1, 1, (2, S.n)))),
+    "polyline path": lambda S, rng: _path_calls(polyline_path(rng.uniform(-1, 1, (4, S.n)))),
+    "rectangle loop": lambda S, rng: _path_calls(rectangle_loop(*rng.uniform(-1, 1, (3, S.n)))),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(builtin_names()), kind=st.sampled_from(sorted(LIBRARY_KINDS)),
+       seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6))
+def test_library_objects_pass_their_row_check(name, kind, seed, m):
+    """Each field, connection and path the library builds gives every row of a stack bitwise its
+    point's value alone, so the row check on the first stack of each callable never fires."""
+    rng = np.random.default_rng(seed)
+    calls, n = LIBRARY_KINDS[kind](builtin_algebra(name), rng)
+    stack = rng.uniform(0.0, 1.0, m) if n is None else rng.uniform(-0.5, 0.5, (m, n))
+    for call in calls:
+        assert_rows_equal(call(stack), stack, call)
+
+
+def test_transform_pair_inverts_each_point_once(h4_e, rng, monkeypatch):
+    """transform_pair's fields apply the map row by row, so they skip the row check, which
+    would cost two more Newton inversions per field: one inverse_point call per point."""
+    diffeo = _point_only_diffeo(4, rng)
+    pair, calls = transform_pair(_random_pair(h4_e, rng), diffeo), []
+    monkeypatch.setattr(diffeo, "inverse_point", lambda y, inverse=diffeo.inverse_point: calls.append(y) or inverse(y))
+    points = rng.uniform(-0.4, 0.4, (3, 4))
+    covariant_derivative(pair, points)  # 8 central-2 probes and one gamma point per point
+    assert len(calls) == 27
+    calls.clear()
+    covariant_derivative(pair, points[0])
+    assert len(calls) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,19 @@ def test_one_point_connection_on_a_stack_names_its_lift():
         ConnectionField(4, outside)(np.zeros((3, 4)))
 
 
+def test_one_point_connection_of_the_right_shape_fails_on_a_stack(h4_e):
+    """x[:, None, None] * p scales G[i] by x_i at a point, but a stack's G[r, i, k, j] by x[r, j],
+    with the right shape (m, 4, 4, 4); rows 0 and 1 alone show it."""
+    def one_point(x):
+        return x[:, None, None] * h4_e.p
+
+    with pytest.raises(ContractError, match=r'lift a one-point connection with np\.vectorize\(G, '
+                                            r'signature="\(n\)->\(n,n,n\)"\)'):
+        ConnectionField(4, one_point)(np.stack([XI0, 2 * XI0]))
+    with pytest.raises(ContractError, match="rows 0 and 1 alone"):
+        chain_conditions(ConnectionField(4, one_point), h4_e, XI0)
+
+
 def test_state_validation():
     with pytest.raises(ContractError):
         GeodesicState(np.zeros(3), np.zeros(4))

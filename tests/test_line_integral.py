@@ -1,6 +1,7 @@
 """Line integrals of fields along parametric paths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ def test_one_point_path_is_rejected_when_built(algebra, error):
     lifted = Path(np.vectorize(lambda t: t * a, signature="()->(n)"))
     assert np.allclose(line_integral(identity_field(S.n), lifted, S).coords,
                        line_integral(identity_field(S.n), straight_path(np.zeros(S.n), a), S).coords)
+
+
+def test_one_point_path_of_the_right_shape_is_rejected(h4_psi):
+    """np.array([t, t * t]) is a point for one parameter, but the transposed points for a stack of
+    two; the path is checked on [0, 1] against its start and end, with no call beyond those three,
+    and its velocity on its first stack."""
+    calls = []
+    lift = re.escape('np.vectorize(f, signature="()->(n)")')
+    with pytest.raises(ContractError, match=f"rows 0 and 1 alone.*{lift}"):
+        Path(lambda t: calls.append(np.shape(t)) or np.array([t, t * t]))
+    assert calls == [(), (), (2,)]
+    ramp = Path(np.vectorize(lambda t: np.array([t, t * t]), signature="()->(n)"))
+    assert np.array_equal(ramp(np.array([0.5, 1.0])), [[0.5, 0.25], [1.0, 1.0]])
+    bad_velocity = Path(lambda t: t[..., None] * A, velocity=lambda t: np.ones(np.shape(t) + (1,)) * A * np.max(t))
+    with pytest.raises(ContractError, match=f"path velocity gives one row per point.*rows 0 and 1 alone.*{lift}"):
+        line_integral(identity_field(4), bad_velocity, h4_psi)
 
 
 # ---------------------------------------------------------------------------
