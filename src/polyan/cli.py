@@ -174,11 +174,16 @@ def _make_pair(cfg: dict, S: alg.StructureConstants) -> fl.GAPair:
     raise ConfigError(f"unknown gamma kind {kind!r}")
 
 
+_MAX_GRID_POINTS = 100_000  # of points_per_axis ** n: cr-residual peaks at about 1 KB a point, 112 MB at 17^4 on H4
+
+
 def _make_grid(spec: dict, n: int) -> np.ndarray:
     box = _make_box(spec, n, 0.5)
     points = _number(spec.get("points_per_axis", 3), "points_per_axis", True)
     if points < 1:
         raise ConfigError("points_per_axis must be positive")
+    if points ** n > _MAX_GRID_POINTS:
+        raise ConfigError(f"a grid of points_per_axis ** n = {points} ** {n} points is above {_MAX_GRID_POINTS}")
     return box.grid(points)
 
 

@@ -125,27 +125,33 @@ def fd_jacobian(func, x: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarr
     return np.ascontiguousarray(d.transpose(*range(x.ndim - 1), *range(x.ndim, d.ndim), x.ndim - 1))
 
 
-def _stack_call(owner, what: str, func, x: np.ndarray, lead: tuple, value: tuple, alone=None) -> np.ndarray:
+def _stack_call(owner, what: str, func, x: np.ndarray, lead: tuple, *values: tuple, alone=None):
     """func(x), a callable of owner, at a stack lead of points (..., n) or of path parameters (...), as a
-    float array lead + value.  On two or more points it gives one row per point, bitwise the point's value
-    alone: numpy's errors, another shape and, on func's first such call, rows 0 and 1 unequal to func of
-    each alone (or to alone) raise ContractError naming the np.vectorize lift; polyan's errors pass."""
-    many = len(lead) > 0 and math.prod(lead) > 1
+    float array lead + value, or a tuple of them for a func of several values.  On two or more points it
+    gives one row per point, bitwise the point's value alone: numpy's errors, another shape and, on func's
+    first such call, rows 0 and 1 unequal to func of each alone (or to alone) raise ContractError naming the
+    np.vectorize lift; polyan's errors pass."""
+    many, one = len(lead) > 0 and math.prod(lead) > 1, len(values) == 1
     try:
-        out = np.asarray(func(x), dtype=float)
-        if out.shape != lead + value:  # on a stack, a ValueError to be named with the lift below
-            raise (ValueError if many else ContractError)(f"{what} returned shape {out.shape}, expected {lead + value}")
+        out = np.asarray(func(x), dtype=float) if one else tuple(np.asarray(o, dtype=float) for o in func(x))
+        shape, expected = (out.shape, lead + values[0]) if one else (tuple(o.shape for o in out),
+                                                                   tuple(lead + v for v in values))
+        if shape != expected:  # on a stack, a ValueError to be named with the lift below
+            raise (ValueError if many else ContractError)(f"{what} returned shape {shape}, expected {expected}")
         if many and id(func) not in getattr(owner, "_rows_checked", ()):
             rows = x.reshape((-1,) + x.shape[len(lead):])
             alone = [func(rows[r, ...]) for r in (0, 1)] if alone is None else alone
-            if not all(np.array_equal(o, a, equal_nan=True) for o, a in zip(out.reshape((-1,) + value), alone)):
+            outs, alone = ((out,), [(a,) for a in alone]) if one else (out, alone)
+            if not all(np.array_equal(o.reshape((-1,) + v)[r], a[k], equal_nan=True)
+                       for k, (o, v) in enumerate(zip(outs, values)) for r, a in enumerate(alone)):
                 raise ValueError("rows 0 and 1 alone give other values than in the stack")
             vars(owner).setdefault("_rows_checked", set()).add(id(func))
         return out
     except (ValueError, TypeError, IndexError) as exc:
         if isinstance(exc, PolyanError) or not many:
             raise
-        signature = f'({"n" * (x.ndim > len(lead))})->({",".join("n" * len(value))})'
+        outputs = ",".join(f'({",".join("n" * len(v))})' for v in values)
+        signature = f'({"n" * (x.ndim > len(lead))})->{outputs}'
         raise ContractError(f"a {what} gives one row per point, but on {x.shape}: {str(exc).strip()}; lift a one-point "
                             f'{what} with np.vectorize({"G" if what == "connection" else "f"}, signature="{signature}")'
                             ) from exc
@@ -274,8 +280,12 @@ def cr_residual(pair: GAPair, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
     their own tolerance.  With gamma = 0 this is exactly the analyticity
     residual of the plain theory.
     """
-    D = covariant_derivative(pair, x, cfg)
-    return D - np.einsum("ikj,...j->...ik", pair.S.p, _derivative_coords(pair.S, D))
+    return _cr_from(pair.S, covariant_derivative(pair, x, cfg))
+
+
+def _cr_from(S: StructureConstants, D: np.ndarray) -> np.ndarray:
+    """The Cauchy-Riemann residual D - p . f' of covariant derivative matrices D (..., n, n)."""
+    return D - np.einsum("ikj,...j->...ik", S.p, _derivative_coords(S, D))
 
 
 def grid_max(values) -> float:
@@ -573,13 +583,13 @@ def pair_change_basis(pair: GAPair, B) -> GAPair:
 class ConnectionField:
     """Position-dependent coefficients: points (..., n) -> (..., n, n, n) arrays G[..., i, k, j], one row per point.
 
-    acceleration, if given, maps one (x, v) of floats to -G[i, k, j] v_k v_j without building G.
+    rates, if given, maps a state y = (x, v), a list of 2n floats, to the list (v, a), a_i = -G[i, k, j] v_k v_j.
     """
 
-    def __init__(self, n: int, func: Callable, acceleration: Callable | None = None):
+    def __init__(self, n: int, func: Callable, rates: Callable | None = None):
         self.n = int(n)
         self.func = func
-        self.acceleration = acceleration
+        self.rates = rates
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

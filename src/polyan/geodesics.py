@@ -9,6 +9,7 @@ drift is logged as a correctness signal and never projected away.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ import numpy as np
 
 from .errors import ConeError, ContractError, DomainError, IntegrationError
 from .fields import ConnectionField
-from .h4 import (ORIENTATIONS, FinslerConfig, _compiled, _dot, _kappa_and_lam, _log_gradients, _on_floats, _quartic,
-                 _raise_if, gamma_matrices)
+from .h4 import (ORIENTATIONS, FinslerConfig, _compiled, _dot, _kappa_and_lam, _log_gradients, _quartic, _raise_if,
+                 gamma_matrices)
 
 __all__ = [
     "ConnectionField",
@@ -46,29 +47,28 @@ def zero_connection(n: int) -> ConnectionField:
 
 
 def connection_from_structure(S, scale: float = 1.0) -> ConnectionField:
-    """Constant connection proportional to the structure constants; its acceleration contracts the one G."""
-    g = scale * S.p
-    return ConnectionField(S.n, lambda x: np.broadcast_to(g, x.shape[:-1] + g.shape),
-                           _on_floats(lambda x, v: -np.einsum("ikj,k,j->i", g, v, v)))
+    """Constant connection proportional to the structure constants; its rates contract the one G."""
+    g, n = scale * S.p, S.n
+    return ConnectionField(n, lambda x: np.broadcast_to(g, x.shape[:-1] + g.shape),
+                           lambda y: y[n:] + (-np.einsum("ikj,k,j->i", g, v := np.array(y[n:]), v)).tolist())
 
 
-def _acceleration(metric: FinslerConfig, m, x, v) -> list:
-    """The geodesic acceleration a_i = v_i (s . v - (s_i - l_i) v_i) at one point x and velocity v
-    in the forms m, with s = grad ln sigma (sigma = kappa^4 lam) and l = grad ln lam."""
+def _geodesic(metric: FinslerConfig, m, y) -> list:
+    """The rates (v, a) at a state y = (x, v) in the forms m, with the acceleration
+    a_i = v_i (s . v - (s_i - l_i) v_i), s = grad ln sigma (sigma = kappa^4 lam) and l = grad ln lam."""
+    x, v = y[:4], y[4:]
     _, _, dln_lam, dln_sigma = _log_gradients(metric.kappa, metric.lam, x, m)
     sv = _dot(dln_sigma, v)
-    return [w * (sv - (s - l) * w) for w, s, l in zip(v, dln_sigma, dln_lam)]
+    return v + [w * (sv - (s - l) * w) for w, s, l in zip(v, dln_sigma, dln_lam)]
 
 
 def finsler_connection(metric: FinslerConfig, orientation: str = "transposed") -> ConnectionField:
-    """G = gamma_matrices(x, metric, orientation) at points (..., 4), carrying the geodesic
-    acceleration in closed form, compiled from the metric's formulas into one function of
-    floats: one kappa and one lam evaluation, no (4, 4, 4) array.  Both orientations contract
-    to this same acceleration, so the orientation is checked here, when built."""
+    """G = gamma_matrices(x, metric, orientation) at points (..., 4), with the geodesic's rates compiled
+    from the metric's formulas into one function of floats: one kappa and one lam evaluation, no
+    (4, 4, 4) array.  Both orientations have these rates, so the orientation is checked when built."""
     if orientation not in ORIENTATIONS:
         raise ContractError(f"orientation must be one of {ORIENTATIONS}")
-    acceleration = _compiled(_acceleration, metric, x=4, v=4)
-    return ConnectionField(4, lambda x: gamma_matrices(x, metric, orientation), acceleration)
+    return ConnectionField(4, lambda x: gamma_matrices(x, metric, orientation), _compiled(_geodesic, metric, y=8))
 
 
 @dataclass(frozen=True)
@@ -157,18 +157,18 @@ class GeodesicTrajectory:
         return {"tau": self.sigma, "xi": self.x, "v": self.v}
 
 
+def _contracted_rates(Gamma: ConnectionField, y: list) -> list:
+    """The rates (v, geodesic_rhs) at a state y = (x, v) of floats, for a connection without rates of its own."""
+    return y[Gamma.n:] + geodesic_rhs(Gamma, np.array(y[:Gamma.n]), np.array(y[Gamma.n:])).tolist()
+
+
 def integrate_geodesic(Gamma: ConnectionField, s0: GeodesicState, cfg: IntegratorConfig) -> GeodesicTrajectory:
-    """Fixed-step RK4 trajectory with steps + 1 samples, deterministic; the acceleration
-    is the connection's own where it has one, else geodesic_rhs through the adapter."""
+    """Fixed-step RK4 trajectory with steps + 1 samples, deterministic, of the connection's rates or geodesic_rhs."""
     n = s0.x.shape[0]
     if Gamma.n != n:
         raise ContractError("connection dimension disagrees with the state")
-    acceleration = Gamma.acceleration or _on_floats(lambda x, v: geodesic_rhs(Gamma, x, v))
-
-    def rhs(y):
-        return y[n:] + acceleration(y[:n], y[n:])
-
-    sigma, ys = _rk4(rhs, np.concatenate([s0.x, s0.v]), cfg, "geodesic", "sigma")
+    rates = Gamma.rates or functools.partial(_contracted_rates, Gamma)
+    sigma, ys = _rk4(rates, np.concatenate([s0.x, s0.v]), cfg, "geodesic", "sigma")
     return GeodesicTrajectory(sigma=sigma, x=ys[:, :n].copy(), v=ys[:, n:].copy())
 
 

@@ -28,10 +28,10 @@ from .fields import (
     GAPair,
     GammaField,
     VectorField,
-    cr_residual,
+    _cr_from,
+    _stack_call,
     fd_jacobian,
     grid_max,
-    zero_gamma,
 )
 
 CONVENTIONS = ("as-printed", "reciprocal")
@@ -43,15 +43,20 @@ class ScalarField:
 
     func maps points (..., n) to values (...); value_and_grad, if given, maps them
     to the values and the gradients (..., n) from one evaluation, else the gradient
-    is a central finite difference of func.  On one point the field gives a numpy float.
+    is a central finite difference of func.  Both keep the stack contract of fields
+    (one row per point, bitwise a one-point call).  On one point the field gives a numpy float.
     formula(m, x) is the value and the gradient's components at a point x[i] in the forms
     m of arrays (_ARRAYS) or of a trace (_Trace), through m.call for callables; a gauge
     of a field kappa keeps it, and of_kappa(m, kappa's value and gradient) gives it.
     """
 
     def __init__(self, func: Callable, value_and_grad: Callable | None = None):
-        self.func = func
-        self.value_and_grad = value_and_grad or (lambda x: (func(x), fd_jacobian(func, x)))
+        self.func = lambda x: _stack_call(self, "scalar field", func, x, x.shape[:-1], ())
+        if value_and_grad is None:
+            self.value_and_grad = lambda x: (self.func(x), fd_jacobian(self.func, x))
+        else:
+            self.value_and_grad = lambda x: _stack_call(self, "value_and_grad", value_and_grad, x, x.shape[:-1], (),
+                                                        x.shape[-1:])
         self.formula = lambda m, x: m.call(self.value_and_grad, x)
         self.kappa = self.of_kappa = None
 
@@ -62,8 +67,10 @@ class ScalarField:
             v, g = formula(_ARRAYS, np.moveaxis(x, -1, 0))
             return v, np.moveaxis(g, 0, -1) if isinstance(g, np.ndarray) else np.stack(g, axis=-1)
 
-        field = cls(lambda x: formula(_ARRAYS, np.moveaxis(x, -1, 0))[0], value_and_grad)
-        field.formula = formula
+        # an array formula gives one row per point by construction, so the kind skips the stack contract
+        field = cls(None)
+        field.func = lambda x: formula(_ARRAYS, np.moveaxis(x, -1, 0))[0]
+        field.value_and_grad, field.formula = value_and_grad, formula
         return field
 
     def __call__(self, x):
@@ -125,11 +132,6 @@ def _on_arrays(value_and_grad: Callable, x):
     """value_and_grad of points (..., n) at a point of arrays x[i], the gradient's components first."""
     v, g = value_and_grad(np.moveaxis(x, 0, -1))
     return v, np.moveaxis(g, -1, 0)
-
-
-def _on_floats(f: Callable) -> Callable:
-    """f, a function of arrays, as one of sequences of floats: np.array in, .tolist() out."""
-    return lambda *args: [r.tolist() for r in f(*map(np.array, args))]
 
 
 def _dot(a, b):
@@ -206,8 +208,8 @@ class _Trace:
         return self.apply(float, self.apply(_quartic, t, name="_quartic"), name="float")
 
     def call(self, value_and_grad: Callable, x) -> tuple:
-        """value_and_grad of points through the _on_floats adapter: np.array in, .tolist() out."""
-        out = self.apply(_on_floats(value_and_grad), x)
+        """value_and_grad of points through an adapter of floats: np.array in, .tolist() out."""
+        out = self.apply(lambda x: [r.tolist() for r in value_and_grad(np.array(x))], x)
         return self.emit(f"{out.text}[0]"), [self.emit(f"{out.text}[1][{k}]") for k in range(len(x))]
 
     def full(self, t, value) -> _Var:
@@ -231,15 +233,14 @@ class _Trace:
 
 
 @functools.lru_cache(maxsize=32)
-def _compiled(form: Callable, cfg, **sizes) -> Callable:
-    """form(cfg, m, *params) traced once in the form m = _Trace() and compiled into one
-    function of the params, each a sequence of sizes[name] floats: straight-line code that runs
-    form's float operations in the order form runs them, so it rounds and raises as form does.
-    Its __doc__ is its source."""
+def _compiled(form: Callable, cfg, y: int) -> Callable:
+    """form(cfg, m, state) traced once in the form m = _Trace() and compiled into one function
+    of a state of y floats: straight-line code that runs form's float operations in the order
+    form runs them, so it rounds and raises as form does.  Its __doc__ is its source."""
     m = _Trace()
-    params = {name: [_Var(m, f"{name}{i}") for i in range(n)] for name, n in sizes.items()}
-    body = [f"{m.literal(v)[1:-1]} = {name}" for name, v in params.items()] + m.body(form(cfg, m, *params.values()))
-    source = f"def rhs({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in body)
+    state = [_Var(m, f"y{i}") for i in range(y)]
+    body = [f"{m.literal(state)[1:-1]} = y"] + m.body(form(cfg, m, state))
+    source = "def rhs(y):\n" + "".join(f"    {s}\n" for s in body)
     exec(source, m.names)
     m.names["rhs"].__doc__ = source
     return m.names["rhs"]
@@ -567,9 +568,9 @@ def analytic_gamma_max(spec: H4FamilySpec, points) -> float:
     """Largest gamma-object entry the bare field would need to be analytic.
 
     Reconstructed as minus the plain-analyticity residual of the pair
-    {phi, 0}, one contraction of the exact Jacobians at all points; it vanishes
-    exactly when the family reduces to an analytic function, as happens under
-    the reciprocal-quartic gauge.
+    {phi, 0}, one contraction of the exact Jacobians at all points from one
+    _family_terms pass; it vanishes exactly when the family reduces to an
+    analytic function, as happens under the reciprocal-quartic gauge.
     """
-    bare = GAPair(family_field(spec), zero_gamma(4), builtin_algebra("h4-psi"))
-    return grid_max(np.abs(cr_residual(bare, points)))
+    jac = _family_terms(spec, np.asarray(points, dtype=float))[1]
+    return grid_max(np.abs(_cr_from(builtin_algebra("h4-psi"), jac)))

@@ -119,6 +119,16 @@ MUTANTS = (
     Mutant("json-non-finite-as-number", "src/polyan/cli.py",
            'return format(obj, ".17g") if math.isfinite(obj) else "null"', 'return format(obj, ".17g")',
            ("tests/test_cli.py",)),
+    Mutant("structure-rates-sign-dropped", "src/polyan/geodesics.py",
+           '(-np.einsum("ikj,k,j->i", g,', '(np.einsum("ikj,k,j->i", g,', ("tests/test_geodesics.py",)),
+    Mutant("fallback-position-rates-are-x", "src/polyan/geodesics.py",
+           "return y[Gamma.n:] + geodesic_rhs(", "return y[:Gamma.n] + geodesic_rhs(", ("tests/test_geodesics.py",)),
+    Mutant("grid-unbounded", "src/polyan/cli.py",
+           "if points ** n > _MAX_GRID_POINTS:", "if False:", ("tests/test_cli.py",)),
+    Mutant("scalar-rows-unchecked", "src/polyan/h4.py",
+           "        self.kappa = self.of_kappa = None\n",
+           "        self.kappa = self.of_kappa = None\n        self._rows_checked = {id(func), id(value_and_grad)}\n",
+           ("tests/test_h4.py",)),
 )
 
 

@@ -706,6 +706,35 @@ def test_algebra_file_must_be_a_string(tmp_path):
     assert done.stderr.startswith("config error:")
 
 
+@pytest.mark.parametrize("command", ["cr-residual", "pair-ops", "family-verify"])
+def test_a_grid_too_large_to_hold_is_a_config_error(tmp_path, command):
+    """points_per_axis ** n is bounded before the grid is built: 100 ** 4 points, 3.2 GB for the
+    grid alone, exit 2 with nothing allocated.  The run has a 1.5 GB address space, so a command
+    that built the grid first fails fast instead, with a MemoryError traceback and exit 1."""
+    import resource
+
+    limit = 1_500_000_000
+    cfg_path = tmp_path / "cfg.json"
+    config = {"algebra": "h4-psi", "field": {"kind": "identity"}, "grid": {"points_per_axis": 100}}
+    cfg_path.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "polyan.cli", command, "--config", str(cfg_path)], capture_output=True,
+                          text=True, env=env, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    assert done.stderr == "config error: a grid of points_per_axis ** n = 100 ** 4 points is above 100000\n"
+
+
+def test_grid_bound_keeps_every_grid_up_to_its_limit():
+    assert cli._make_grid({"points_per_axis": 9}, 4).shape == (6561, 4)
+    assert cli._make_grid({"points_per_axis": 17}, 4).shape == (83521, 4)
+    assert cli._make_grid({"points_per_axis": 2}, 16).shape == (65536, 16)
+    for points, n in ((18, 4), (2, 17)):
+        with pytest.raises(cli.ConfigError, match=rf"= {points} \*\* {n} points is above 100000"):
+            cli._make_grid({"points_per_axis": points}, n)
+
+
 def test_line_integral_field_keeps_its_domain(tmp_path):
     config = {"algebra": "complex",
               "field": {"kind": "identity", "domain": {"min": [0, 0], "max": [0.1, 0.1]}},

@@ -300,9 +300,9 @@ def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
     # kappa-reciprocal gauge of that same kappa; both conventions share one
     # evaluation of kappa on all 81 points, in one array call, and the gauge
     # takes kappa's value and gradient instead of evaluating kappa again;
-    # analytic_gamma_max also evaluates rows 0 and 1 alone, the one-time row
-    # check of the family field's Jacobian; family_phi takes kappa's values
-    # alone, and the gauge takes its value from them
+    # analytic_gamma_max takes the exact Jacobian from one pass, with no field
+    # and so no row check; family_phi takes kappa's values alone, and the gauge
+    # takes its value from them
     b = tuple(quadratic_b(0.25) for _ in range(4))
     kappa = kappa_from_b(b, 1.0)
     spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=reciprocal_quartic_lambda(kappa, 1.0, 1.0), kappa=kappa)
@@ -313,7 +313,7 @@ def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
                 counts[key] = counts.get(key, 0) + 1
                 return inner(*args)
             monkeypatch.setattr(field, attr, counted)
-    for check, expected in ((family_residual, {"kappa.formula": 1}), (analytic_gamma_max, {"kappa.formula": 3}),
+    for check, expected in ((family_residual, {"kappa.formula": 1}), (analytic_gamma_max, {"kappa.formula": 1}),
                             (family_phi, {"kappa.func": 1})):
         counts.clear()
         check(spec, GRID)
@@ -335,7 +335,7 @@ def test_family_phi_evaluates_a_gradientless_kappa_once(gauge):
     lam = constant_lambda(1.5) if gauge == "constant" else reciprocal_quartic_lambda(kappa, 1.0, 1.0)
     spec = H4FamilySpec(phi0=PHI0, mu=MU, b=tuple(quadratic_b(0.25) for _ in range(4)), lam=lam, kappa=kappa)
     phi = family_phi(spec, GRID)
-    assert shapes == [(81, 4)]
+    assert shapes == [(81, 4), (4,), (4,)]  # then rows 0 and 1 alone: the one-time row check
     assert np.array_equal(phi, _family_terms(spec, GRID)[0])
 
 
@@ -422,6 +422,16 @@ def test_compatibility_and_gamma_max_array_paths_match_per_point_loops(case):
     assert_within_ulps(analytic_gamma_max(spec, points), per_point_gamma_max(spec, points), 4)
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=family_specs())
+def test_analytic_gamma_max_is_the_bare_pair_residual_bitwise(case):
+    """One _family_terms pass gives bitwise the largest CR residual of the pair {phi, 0}."""
+    spec, points, _ = case
+    bare = GAPair(family_field(spec), zero_gamma(4), builtin_algebra("h4-psi"))
+    for xi in (points, points[0]):
+        assert np.array_equal(analytic_gamma_max(spec, xi), grid_max(np.abs(cr_residual(bare, xi))), equal_nan=True)
+
+
 def test_grid_checks_make_a_fixed_number_of_array_calls():
     # the three grid checks evaluate kappa on the whole (m, 4) array at once:
     # as many calls for 81 points as for 3, and one for the compatibility probes
@@ -437,6 +447,7 @@ def test_grid_checks_make_a_fixed_number_of_array_calls():
     inner = kappa_from_b(b, 1.0)
     kappa = ScalarField(counted("func", inner.func), counted("value_and_grad", inner.value_and_grad))
     spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=reciprocal_quartic_lambda(kappa, 1.0, 1.0), kappa=kappa)
+    kappa.value_and_grad(GRID[:2])  # the one-time row check, two one-point calls, before the counts
     seen = []
     for points in (GRID[:3], GRID):
         counts.update(func=0, value_and_grad=0)

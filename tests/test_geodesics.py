@@ -382,7 +382,7 @@ def test_extremal_matches_reference_bitwise(kappa_kind, lambda_kind):
 
 def compiled_rhs(metric, form):
     """The one function an RK4 stage of the form calls, compiled once per metric."""
-    return _compiled(_extremal, metric, y=8) if form == "extremal" else finsler_connection(metric).acceleration
+    return _compiled(_extremal, metric, y=8) if form == "extremal" else finsler_connection(metric).rates
 
 
 @pytest.mark.parametrize("lambda_kind", sorted(LAMBDAS))
@@ -408,15 +408,14 @@ def test_each_rk4_stage_evaluates_kappa_once(form, lambda_kind, monkeypatch):
 
 
 GAUSSIAN_GEODESIC_LISTING = """\
-def rhs(x, v):
-    x0, x1, x2, x3 = x
-    v0, v1, v2, v3 = v
-    t0 = x0 * x0
-    t1 = x1 * x1
+def rhs(y):
+    y0, y1, y2, y3, y4, y5, y6, y7 = y
+    t0 = y0 * y0
+    t1 = y1 * y1
     t2 = t0 + t1
-    t3 = x2 * x2
+    t3 = y2 * y2
     t4 = t2 + t3
-    t5 = x3 * x3
+    t5 = y3 * y3
     t6 = t4 + t5
     t7 = 0.225 * t6
     t8 = exp(t7)
@@ -425,13 +424,13 @@ def rhs(x, v):
     if t10: raise OverflowError('math range error')
     t12 = 1.1 * t9
     t13 = t12 * 0.45
-    t14 = t13 * x0
+    t14 = t13 * y0
     t15 = t12 * 0.45
-    t16 = t15 * x1
+    t16 = t15 * y1
     t17 = t12 * 0.45
-    t18 = t17 * x2
+    t18 = t17 * y2
     t19 = t12 * 0.45
-    t20 = t19 * x3
+    t20 = t19 * y3
     t21 = t12 <= 0
     t22 = 12.0 <= 0
     t23 = t21 | t22
@@ -452,30 +451,30 @@ def rhs(x, v):
     t38 = 4.0 * t20
     t39 = t38 / t12
     t40 = t39 + t28
-    t41 = t31 * v0
-    t42 = t34 * v1
+    t41 = t31 * y4
+    t42 = t34 * y5
     t43 = t41 + t42
-    t44 = t37 * v2
+    t44 = t37 * y6
     t45 = t43 + t44
-    t46 = t40 * v3
+    t46 = t40 * y7
     t47 = t45 + t46
     t48 = t31 - t25
-    t49 = t48 * v0
+    t49 = t48 * y4
     t50 = t47 - t49
-    t51 = v0 * t50
+    t51 = y4 * t50
     t52 = t34 - t26
-    t53 = t52 * v1
+    t53 = t52 * y5
     t54 = t47 - t53
-    t55 = v1 * t54
+    t55 = y5 * t54
     t56 = t37 - t27
-    t57 = t56 * v2
+    t57 = t56 * y6
     t58 = t47 - t57
-    t59 = v2 * t58
+    t59 = y6 * t58
     t60 = t40 - t28
-    t61 = t60 * v3
+    t61 = t60 * y7
     t62 = t47 - t61
-    t63 = v3 * t62
-    return [t51, t55, t59, t63]
+    t63 = y7 * t62
+    return [y4, y5, y6, y7, t51, t55, t59, t63]
 """
 
 
@@ -483,7 +482,7 @@ def test_compiled_geodesic_listing():
     # one stage of the geodesic for gaussian kappa and a constant gauge: kappa's value and
     # gradient, the positivity test, the log-gradients and the acceleration, in the order the
     # formulas run them on floats, every constant a repr literal
-    assert finsler_connection(make_metric("gaussian", "constant")).acceleration.__doc__ == GAUSSIAN_GEODESIC_LISTING
+    assert finsler_connection(make_metric("gaussian", "constant")).rates.__doc__ == GAUSSIAN_GEODESIC_LISTING
 
 
 def test_listings_hold_no_config_string():
@@ -545,7 +544,7 @@ def test_closed_form_acceleration_matches_contraction(kappa_kind, lambda_kind, o
     for x, v in _random_states(rng, 20):
         _, _, dln_lam, dln_sigma = _log_gradients(metric.kappa, metric.lam, x)
         bound = 8.0 * eps * (np.max(np.abs(dln_sigma)) + np.max(np.abs(dln_lam))) * np.max(np.abs(v)) ** 2
-        assert np.max(np.abs(conn.acceleration(x, v) - geodesic_rhs(conn, x, v))) <= bound
+        assert np.max(np.abs(conn.rates([*x, *v])[4:] - geodesic_rhs(conn, x, v))) <= bound
 
 
 @pytest.mark.parametrize("kappa_kind, lambda_kind, orientation", [
@@ -786,7 +785,7 @@ def test_structure_acceleration_is_the_contraction(name, rng):
     contraction_only = ConnectionField(S.n, conn.func)
     for _ in range(20):
         x, v = rng.uniform(-1.0, 1.0, S.n), rng.uniform(-2.0, 2.0, S.n)
-        assert np.array_equal(conn.acceleration(x.tolist(), v.tolist()), geodesic_rhs(contraction_only, x, v))
+        assert np.array_equal(conn.rates(x.tolist() + v.tolist())[S.n:], geodesic_rhs(contraction_only, x, v))
     s0, cfg = GeodesicState(rng.uniform(-0.5, 0.5, S.n), rng.uniform(0.5, 1.0, S.n)), IntegratorConfig(steps=200)
     fast, ref = integrate_geodesic(conn, s0, cfg), integrate_geodesic(contraction_only, s0, cfg)
     assert np.array_equal(fast.x, ref.x) and np.array_equal(fast.v, ref.v)
@@ -826,6 +825,38 @@ def test_connections_on_many_points_equal_one_point_calls(kind, metric, orientat
             rows_equal(batched, lambda x, v: chain_conditions(conn, S, x, cfg)[k])
     for o in ("as-printed", "transposed"):
         rows_equal(gamma_matrices(points, metric, o), lambda x, v: gamma_matrices(x, metric, o))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["zero", "structure", "finsler", "user"]), metric=metrics(),
+       orientation=st.sampled_from(["as-printed", "transposed"]), name=st.sampled_from(builtin_names()),
+       seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40))
+def test_every_connection_steps_its_reference_rates_bitwise(kind, metric, orientation, name, seed, steps):
+    """A connection's trajectory, through its own rates or the contraction's, is bitwise RK4 on arrays
+    of the acceleration as written out: v (s . v - (s - l) v) for a Finsler connection, and
+    geodesic_rhs of G for the structure, zero and user connections; aborts included."""
+    rng = np.random.default_rng(seed)
+    S = builtin_algebra(name)
+    conn = {"zero": lambda: zero_connection(S.n), "structure": lambda: connection_from_structure(S, 0.6),
+            "finsler": lambda: finsler_connection(metric, orientation), "user": lambda: _user_connection(seed)}[kind]()
+    n, cfg = conn.n, IntegratorConfig(steps=steps, t_end=1.0)
+    x0, v0 = rng.uniform(-0.5, 0.5, n), rng.uniform(-1.0, 1.0, n)
+
+    def run():
+        traj = integrate_geodesic(conn, GeodesicState(x0, v0), cfg)
+        return np.hstack([traj.x, traj.v])
+
+    if kind == "finsler":
+        expected = outcome(numpy_trajectory, metric, "geodesic", x0, v0, cfg)
+    else:
+        contraction = ConnectionField(n, conn.func)
+        expected = outcome(reference_rk4, lambda y: np.concatenate([y[n:], geodesic_rhs(contraction, y[:n], y[n:])]),
+                           np.concatenate([x0, v0]), cfg, "geodesic", "sigma")
+    got = outcome(run)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("point_only", [lambda g: (lambda x: g), lambda g: (lambda x: g * np.sin(x[0]))],

@@ -1,6 +1,7 @@
 """Quartic metric, indicatrix, momenta and connection matrices of H4."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,33 @@ def test_fd_gradient_matches_per_coordinate_loop():
             e[k] = h[k]
             expected[k] = (kappa.func(x + e) - kappa.func(x - e)) / (2 * h[k])
         assert np.array_equal(bare.gradient(x), expected)
+
+
+def _one_point_kappa(x):
+    """A kappa's value and gradient written for one point: on a stack, x[0] is the first row."""
+    return 1 + 0.1 * x[0] ** 2, np.array([0.2 * x[0], 0 * x[1], 0 * x[2], 0 * x[3]])
+
+
+def test_one_point_scalar_field_fails_on_a_stack():
+    """On four points the one-point kappa gives arrays of the right shapes but wrong rows; the
+    one-time row check raises ContractError naming the lift, and the lift gives each point's row."""
+    stack = np.random.default_rng(2).uniform(-0.5, 0.5, (4, 4))
+    kappa = ScalarField(lambda x: _one_point_kappa(x)[0], _one_point_kappa)
+    metric = FinslerConfig(kappa=kappa, lam=constant_lambda(2.0))
+    one_point = [gamma_matrices(x, metric) for x in stack]
+    lift = 'lift a one-point {} with np.vectorize(f, signature="(n)->{}")'
+    with pytest.raises(ContractError, match=re.escape(lift.format("value_and_grad", "(),(n)"))):
+        gamma_matrices(stack, metric)
+    with pytest.raises(ContractError, match=re.escape(lift.format("scalar field", "()"))):
+        kappa.func(stack)
+    lifted = ScalarField(np.vectorize(lambda x: _one_point_kappa(x)[0], signature="(n)->()"),
+                         np.vectorize(_one_point_kappa, signature="(n)->(),(n)"))
+    rows = gamma_matrices(stack, FinslerConfig(kappa=lifted, lam=constant_lambda(2.0)))
+    assert all(np.array_equal(row, g) for row, g in zip(rows, one_point))
+    with pytest.raises(ContractError, match=re.escape("scalar field returned shape (2,), expected ()")):
+        ScalarField(lambda x: np.ones(2))(XI)
+    with pytest.raises(ContractError, match=re.escape("returned shape ((), (3,)), expected ((), (4,))")):
+        ScalarField(np.sum, lambda x: (np.sum(x), x[:3])).gradient(XI)
 
 
 def test_value_and_gradient_agrees_with_separate_calls(rng):
