@@ -260,12 +260,11 @@ def _make_metric(cfg: dict, b_funcs=None, kappa_default: str = "constant") -> h4
 
 def _make_family_spec(cfg: dict) -> h4.H4FamilySpec:
     b_funcs = _make_profiles(cfg.get("b", {"kind": "constant", "c": 1.0}))
-    metric = _make_metric(cfg, b_funcs, kappa_default="from-b")
     return h4.H4FamilySpec(
         phi0=_number(cfg.get("phi0", [1.0] * 4), "phi0", shape=(4,)),
         mu=_number(cfg.get("mu", [0.0] * 4), "mu", shape=(4,)),
-        b=b_funcs, lam=metric.lam, kappa0=metric.kappa0, lambda0=metric.lambda0,
-        convention=cfg.get("convention", "reciprocal"), kappa=metric.kappa,
+        b=b_funcs, metric=_make_metric(cfg, b_funcs, kappa_default="from-b"),
+        convention=cfg.get("convention", "reciprocal"),
     )
 
 
@@ -452,7 +451,7 @@ def _cmd_family_verify(cfg: dict, tol: float, rng) -> _Compute:
 
     def compute():
         report = h4.family_residual(spec, points)
-        compat_max = fl.grid_max(np.abs(h4.compatibility_residual(spec.kappa, points)))
+        compat_max = fl.grid_max(np.abs(h4.compatibility_residual(spec.metric.kappa, points)))
         gamma_needed = h4.analytic_gamma_max(spec, points)
         best = report.residuals[report.selected]
         results = {

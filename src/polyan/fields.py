@@ -86,9 +86,9 @@ class Box:
 
     def grid(self, points_per_axis: int) -> np.ndarray:
         """All grid points as an (m, n) array, fastest index last."""
-        axes = [np.linspace(self.lo[k], self.hi[k], points_per_axis) for k in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        p = points_per_axis  # one index array per axis: np.meshgrid takes at most 32 arrays
+        index = np.unravel_index(np.arange(p ** self.n), (p,) * self.n)
+        return np.stack([np.linspace(self.lo[k], self.hi[k], p)[i] for k, i in enumerate(index)], axis=1)
 
     def intersect(self, other: "Box | None") -> "Box | None":
         if other is None:

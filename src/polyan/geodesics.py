@@ -57,7 +57,7 @@ def _geodesic(metric: FinslerConfig, m, y) -> list:
     """The rates (v, a) at a state y = (x, v) in the forms m, with the acceleration
     a_i = v_i (s . v - (s_i - l_i) v_i), s = grad ln sigma (sigma = kappa^4 lam) and l = grad ln lam."""
     x, v = y[:4], y[4:]
-    _, _, dln_lam, dln_sigma = _log_gradients(metric.kappa, metric.lam, x, m)
+    _, _, dln_lam, dln_sigma = _log_gradients(metric, x, m)
     sv = _dot(dln_sigma, v)
     return v + [w * (sv - (s - l) * w) for w, s, l in zip(v, dln_sigma, dln_lam)]
 
@@ -226,7 +226,7 @@ def _extremal(metric: FinslerConfig, m, y) -> list:
     """The rates at a state y = (xi, p) in the traced form m; kappa's evaluation is outside
     the fallback's scope, so an exp overflow there raises."""
     xi, p = y[:4], y[4:]
-    kv, dkappa, lv, _ = _kappa_and_lam(metric.kappa, metric.lam, m, xi)
+    kv, dkappa, lv, _ = _kappa_and_lam(metric, m, xi)
     m.handle(ArithmeticError, _rates_on_numpy_floats, p, kv, dkappa, lv)
     return _rates(p, kv, dkappa, lv)
 

@@ -120,14 +120,6 @@ def _quartic(t):
     return v
 
 
-@functools.lru_cache(maxsize=16)
-def _filled(shape: tuple, value: float):
-    """A shared read-only array of one value; a numpy float for shape ()."""
-    out = np.full(shape, value)
-    out.flags.writeable = False
-    return out[()]
-
-
 def _on_arrays(value_and_grad: Callable, x):
     """value_and_grad of points (..., n) at a point of arrays x[i], the gradient's components first."""
     v, g = value_and_grad(np.moveaxis(x, 0, -1))
@@ -141,10 +133,11 @@ def _dot(a, b):
 
 
 # What a formula does on points of arrays, np.moveaxis(points, -1, 0), where a
-# gradient is a list or an array (n, ...) of components.
+# gradient is a list or an array (n, ...) of components; a constant is a read-only
+# broadcast view of one value, a numpy float at one point.
 _ARRAYS = SimpleNamespace(exp=_exp, quartic=_quartic, call=_on_arrays, apply=lambda f, t: f(t),
-                          full=lambda t, value: _filled(np.shape(t), value),
-                          zeros=lambda x: _filled(np.shape(x), 0.0))
+                          full=lambda t, value: np.broadcast_to(value, np.shape(t))[()],
+                          zeros=lambda x: np.broadcast_to(0.0, np.shape(x))[()])
 
 
 class _Var:
@@ -361,7 +354,7 @@ def finsler_length(dxi, xi, cfg: FinslerConfig) -> float:
         raise ConeError(f"displacement {dxi.tolist()} leaves the positive cone")
     kap = cfg.kappa(np.asarray(xi, dtype=float))
     if kap <= 0:
-        raise ContractError("kappa must be positive")
+        raise DomainError("kappa must be positive")
     return kap * float(np.prod(dxi)) ** 0.25
 
 
@@ -382,18 +375,19 @@ def indicatrix(p, xi, cfg: FinslerConfig) -> float:
     return float(np.prod(p)) - (kap / 4.0) ** 4
 
 
-def _kappa_and_lam(kappa: ScalarField, lam: ScalarField, m, x) -> tuple:
-    """kappa's value and gradient, then lam's, at a point x[i] in the forms m; a gauge
-    of this kappa takes kappa's value and gradient instead of evaluating kappa again."""
-    kv, dk = kappa.formula(m, x)
-    lv, dlam = lam.of_kappa(m, kv, dk) if lam.kappa is kappa else lam.formula(m, x)
+def _kappa_and_lam(metric: FinslerConfig, m, x) -> tuple:
+    """The metric's kappa value and gradient, then lam's, at a point x[i] in the forms m; a gauge
+    of the metric's kappa takes kappa's value and gradient instead of evaluating kappa again."""
+    lam = metric.lam
+    kv, dk = metric.kappa.formula(m, x)
+    lv, dlam = lam.of_kappa(m, kv, dk) if lam.kappa is metric.kappa else lam.formula(m, x)
     return kv, dk, lv, dlam
 
 
-def _log_gradients(kappa: ScalarField, lam: ScalarField, xi, m=_ARRAYS):
+def _log_gradients(metric: FinslerConfig, xi, m=_ARRAYS):
     """kappa, lam, grad ln lam and grad ln sigma (sigma = kappa^4 lam) at points (..., 4) in the forms m;
     in a _Trace the point's four components are traced values, and so are the results' entries."""
-    kv, dk, lv, dlam = _kappa_and_lam(kappa, lam, m, np.moveaxis(xi, -1, 0))
+    kv, dk, lv, dlam = _kappa_and_lam(metric, m, np.moveaxis(xi, -1, 0))
     _raise_if((kv <= 0) | (lv <= 0), DomainError, "kappa and the gauge must stay positive")
     dln_lam = [d / lv for d in dlam]
     dln_sigma = [4.0 * d / kv + e for d, e in zip(dk, dln_lam)]
@@ -418,7 +412,7 @@ def gamma_matrices(xi, cfg: FinslerConfig, orientation: str = "transposed") -> n
     """
     if orientation not in ORIENTATIONS:
         raise ContractError(f"orientation must be one of {ORIENTATIONS}")
-    _, _, dln_lam, dln_sigma = _log_gradients(cfg.kappa, cfg.lam, np.asarray(xi, dtype=float))
+    _, _, dln_lam, dln_sigma = _log_gradients(cfg, np.asarray(xi, dtype=float))
     return _connection(dln_lam, dln_sigma, orientation)
 
 
@@ -450,21 +444,18 @@ class H4FamilySpec:
 
     phi0 are the component amplitudes, mu the psi-components of the constant
     multiplier element, b the four single-variable profiles (nonvanishing on
-    the domain), lam the positive gauge field.  convention selects where the
-    profile enters the component formula, 'reciprocal' being the placement
-    that satisfies the defining system for generic profiles.  kappa is the
-    scale profile; left as None it becomes the separable profile built from
-    b and kappa0.
+    the domain), metric the quartic metric the family is built on: its scale
+    kappa (the separable kappa_from_b(b, kappa0) for the compatible family),
+    its positive gauge lam and their reference constants.  convention selects
+    where the profile enters the component formula, 'reciprocal' being the
+    placement that satisfies the defining system for generic profiles.
     """
 
     phi0: np.ndarray
     mu: np.ndarray
     b: tuple
-    lam: ScalarField
-    kappa0: float = 1.0
-    lambda0: float = 1.0
+    metric: FinslerConfig
     convention: str = "reciprocal"
-    kappa: ScalarField | None = None
 
     def __post_init__(self):
         phi0 = np.asarray(self.phi0, dtype=float)
@@ -478,10 +469,6 @@ class H4FamilySpec:
             raise ContractError("need exactly four profile functions")
         if self.convention not in CONVENTIONS:
             raise ContractError(f"convention must be one of {CONVENTIONS}")
-        if self.kappa0 <= 0 or self.lambda0 <= 0:
-            raise ContractError("reference constants must be positive")
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", kappa_from_b(self.b, self.kappa0))
 
 
 def _profile_factors(spec: H4FamilySpec, xi: np.ndarray):
@@ -495,15 +482,15 @@ def _profile_factors(spec: H4FamilySpec, xi: np.ndarray):
 
 
 def _phi(spec: H4FamilySpec, xi: np.ndarray, kv, lv, bvals: np.ndarray) -> np.ndarray:
-    return (spec.phi0 * _quartic(kv / spec.kappa0)[..., None] * (lv / spec.lambda0)[..., None]
+    return (spec.phi0 * _quartic(kv / spec.metric.kappa0)[..., None] * (lv / spec.metric.lambda0)[..., None]
             * bvals * np.exp(spec.mu * xi))
 
 
 def family_phi(spec: H4FamilySpec, xi) -> np.ndarray:
     """Components phi_i = phi0_i (kappa/kappa0)^4 (lam/lambda0) B_i exp(mu_i xi_i) at points (..., 4)."""
-    xi = np.asarray(xi, dtype=float)
-    kv = spec.kappa.func(xi)  # values alone: a gauge of kappa takes its value, with no gradient
-    lv = spec.lam.of_kappa(_ARRAYS, kv, ())[0] if spec.lam.kappa is spec.kappa else spec.lam.func(xi)
+    xi, kappa, lam = np.asarray(xi, dtype=float), spec.metric.kappa, spec.metric.lam
+    kv = kappa.func(xi)  # values alone: a gauge of kappa takes its value, with no gradient
+    lv = lam.of_kappa(_ARRAYS, kv, ())[0] if lam.kappa is kappa else lam.func(xi)
     return _phi(spec, xi, kv, lv, _profile_factors(spec, xi)[0])
 
 
@@ -511,7 +498,7 @@ def _family_terms(spec: H4FamilySpec, xi: np.ndarray, logs: tuple | None = None)
     """phi, its exact Jacobian and gamma = G . phi (G the transposed connection matrices)
     at points (..., 4), from the spec's _log_gradients (logs, if given); gamma is
     -phi_i d_k ln sigma off the diagonal and -phi_i d_i ln lam on it."""
-    kv, lv, dln_lam, dln_sigma = logs or _log_gradients(spec.kappa, spec.lam, xi)
+    kv, lv, dln_lam, dln_sigma = logs or _log_gradients(spec.metric, xi)
     bvals, dlog = _profile_factors(spec, xi)
     phi = _phi(spec, xi, kv, lv, bvals)
     jac = phi[..., :, None] * dln_sigma[..., None, :]
@@ -552,7 +539,7 @@ def family_residual(spec: H4FamilySpec, points) -> FamilyReport:
     selected.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    logs = _log_gradients(spec.kappa, spec.lam, points)
+    logs = _log_gradients(spec.metric, points)
     residuals = {}
     for conv in CONVENTIONS:
         placed = replace(spec, convention=conv)

@@ -72,6 +72,11 @@ CONFIGS = [
     # of the 71 PiB mesh, before any memory is touched
     ("cr-residual grid bound", "cr-residual",
      {"algebra": "h4-psi", "field": {"kind": "identity"}, "grid": {"points_per_axis": 10000}}, ()),
+    # more grid axes than np.meshgrid takes (32), up to the bound on an algebra document's n
+    ("cr-residual 33 axes", "cr-residual",
+     {"algebra": {"n": 33}, "field": {"kind": "identity"}, "grid": {"points_per_axis": 1}}, ()),
+    ("cr-residual 64 axes", "cr-residual",
+     {"algebra": {"n": 64}, "field": {"kind": "identity"}, "grid": {"points_per_axis": 1}}, ()),
     ("pair-ops h4-e", "pair-ops", {"algebra": "h4-e", "count": 2}, ()),
     ("pair-ops complex seed 3", "pair-ops", {"algebra": "complex", "count": 3}, ("--seed", "3")),
     ("line-integral straight", "line-integral",
@@ -137,6 +142,9 @@ CONFIGS = [
     ("extremal kappa underflow reciprocal", "extremal",
      {"kappa": {"kind": "gaussian", "c": -4000}, "lam": {"kind": "kappa-reciprocal"},
       "xi0": [0.5, 0.5, 0.5, 0.5], "p0": [1, 1, 1, 1], "steps": 3}, ()),
+    ("extremal kappa underflow reciprocal dxi0", "extremal",
+     {"kappa": {"kind": "gaussian", "c": -4000}, "lam": {"kind": "kappa-reciprocal"},
+      "xi0": [0.5, 0.5, 0.5, 0.5], "dxi0": [1, 1, 1, 1]}, ()),
     ("extremal profile zero at the start", "extremal",
      {"b": {"kind": "quadratic", "c": -4}, "kappa": {"kind": "from-b"}, "xi0": [0.5, 0.1, 0.1, 0.1],
       "dxi0": [1, 1, 1, 1]}, ()),

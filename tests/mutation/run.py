@@ -129,6 +129,14 @@ MUTANTS = (
            "        self.kappa = self.of_kappa = None\n",
            "        self.kappa = self.of_kappa = None\n        self._rows_checked = {id(func), id(value_and_grad)}\n",
            ("tests/test_h4.py",)),
+    Mutant("family-gauge-shortcut-dropped", "src/polyan/h4.py",
+           "if lam.kappa is metric.kappa else", "if False else", ("tests/test_family.py",)),
+    Mutant("finsler-length-contract-error", "src/polyan/h4.py",
+           'raise DomainError("kappa must be positive")', 'raise ContractError("kappa must be positive")',
+           ("tests/test_cli.py",)),
+    Mutant("grid-index-reversed", "src/polyan/fields.py",
+           "np.unravel_index(np.arange(p ** self.n), (p,) * self.n)",
+           'np.unravel_index(np.arange(p ** self.n), (p,) * self.n, order="F")', ("tests/test_fields.py",)),
 )
 
 

@@ -290,28 +290,30 @@ def test_criterion_7_h4_family():
     phi0 = [1.0, 0.5, 2.0, 1.0]
     mu = [0.3, -0.2, 0.1, 0.4]
 
+    ones = tuple(constant_b(1.0) for _ in range(4))
     trivial = H4FamilySpec(
         phi0=[1, 1, 1, 1], mu=[1, 0, 0, 0],
-        b=tuple(constant_b(1.0) for _ in range(4)), lam=constant_lambda(1.0),
+        b=ones, metric=FinslerConfig(kappa_from_b(ones, 1.0), constant_lambda(1.0)),
     )
     # the relations with the exact Jacobian, and that Jacobian against finite differences
     fd_error = np.abs(fd_jacobian(lambda x: family_phi(trivial, x), grid) - family_field(trivial).jac(grid))
     trivial_res = grid_max([*family_residual(trivial, grid).residuals.values(), grid_max(fd_error)])
 
     b = tuple(quadratic_b(0.25) for _ in range(4))
+    kappa = kappa_from_b(b, 1.0)
     reduced = H4FamilySpec(
         phi0=phi0, mu=mu, b=b,
-        lam=reciprocal_quartic_lambda(kappa_from_b(b, 1.0), 1.0, 1.0),
+        metric=FinslerConfig(kappa, reciprocal_quartic_lambda(kappa, 1.0, 1.0)),
     )
     gamma_needed = analytic_gamma_max(reduced, grid)
 
-    generic = H4FamilySpec(phi0=phi0, mu=mu, b=b, lam=constant_lambda(1.0))
+    generic = H4FamilySpec(phi0=phi0, mu=mu, b=b, metric=FinslerConfig(kappa_from_b(b, 1.0), constant_lambda(1.0)))
     generic_rep = family_residual(generic, grid)
 
     incompatible = H4FamilySpec(
         phi0=[1, 1, 1, 1], mu=[0, 0, 0, 0],
         b=tuple(constant_b(1.0) for _ in range(4)),
-        lam=constant_lambda(1.0), kappa=cross_term_kappa(1.0, 1.0, (0, 1)),
+        metric=FinslerConfig(cross_term_kappa(1.0, 1.0, (0, 1)), constant_lambda(1.0)),
     )
     incompatible_rep = family_residual(incompatible, grid)
 

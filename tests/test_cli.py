@@ -367,6 +367,8 @@ _UNDERFLOW_RUNS = [
     ("geodesic", {"connection": dict(_UNDERFLOW_METRIC, kind="finsler"),
                   "x0": [0.5] * 4, "v0": [1.0] * 4}),
     ("extremal", dict(_UNDERFLOW_METRIC, xi0=[0.5] * 4, p0=[1.0] * 4)),
+    # the start's momenta from dxi0 take the length element, whose kappa is 0.0 there
+    ("extremal", dict(_UNDERFLOW_METRIC, xi0=[0.5] * 4, dxi0=[1.0] * 4)),
 ]
 
 
@@ -724,6 +726,30 @@ def test_a_grid_too_large_to_hold_is_a_config_error(tmp_path, command):
                           text=True, env=env, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
     assert done.stderr == "config error: a grid of points_per_axis ** n = 100 ** 4 points is above 100000\n"
+
+
+def _unit_first_document(n: int) -> dict:
+    """An n-dimensional algebra with unit e1, in which any two other basis elements multiply to zero."""
+    entries = [{"k": 1, "i": 1, "j": 1, "value": 1}]
+    for j in range(2, n + 1):
+        entries += [{"k": j, "i": 1, "j": j, "value": 1}, {"k": j, "i": j, "j": 1, "value": 1}]
+    return {"n": n, "unit_index": 1, "entries": entries}
+
+
+@pytest.mark.parametrize("n", [33, 64])
+def test_grid_commands_take_algebra_documents_up_to_the_dimension_bound(tmp_path, n):
+    """A grid has one axis per dimension, up to the 64 of an algebra document (np.meshgrid
+    takes at most 32 arrays): the zero algebra fails its one point, and the identity is
+    analytic in an algebra with a unit."""
+    grid = {"points_per_axis": 1}
+    code, text = run_cli(tmp_path, "cr-residual", {"algebra": {"n": n}, "field": {"kind": "identity"}, "grid": grid})
+    assert code == EXIT_RUNTIME
+    [point] = json.loads(text)["results"]["points"]
+    assert point["point"] == [-0.5] * n and point["error"].startswith("SingularQError:")
+    config = {"algebra": _unit_first_document(n), "field": {"kind": "identity"}, "grid": grid}
+    code, text = run_cli(tmp_path, "cr-residual", config, name="unit.json")
+    assert code == EXIT_OK
+    assert json.loads(text)["results"]["points"] == [{"point": [-0.5] * n, "max_abs": 0}]
 
 
 def test_grid_bound_keeps_every_grid_up_to_its_limit():

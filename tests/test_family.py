@@ -40,20 +40,22 @@ MU = [0.3, -0.2, 0.1, 0.4]
 
 
 def trivial_spec(mu=(1.0, 0.0, 0.0, 0.0)):
+    b = tuple(constant_b(1.0) for _ in range(4))
     return H4FamilySpec(
         phi0=[1.0, 1.0, 1.0, 1.0],
         mu=list(mu),
-        b=tuple(constant_b(1.0) for _ in range(4)),
-        lam=constant_lambda(1.0),
+        b=b,
+        metric=FinslerConfig(kappa_from_b(b, 1.0), constant_lambda(1.0)),
     )
 
 
 def generic_spec(convention="reciprocal"):
+    b = tuple(quadratic_b(0.25) for _ in range(4))
     return H4FamilySpec(
         phi0=PHI0,
         mu=MU,
-        b=tuple(quadratic_b(0.25) for _ in range(4)),
-        lam=constant_lambda(1.0),
+        b=b,
+        metric=FinslerConfig(kappa_from_b(b, 1.0), constant_lambda(1.0)),
         convention=convention,
     )
 
@@ -62,7 +64,7 @@ def reduced_spec():
     b = tuple(quadratic_b(0.25) for _ in range(4))
     kappa = kappa_from_b(b, 1.0)
     return H4FamilySpec(
-        phi0=PHI0, mu=MU, b=b, lam=reciprocal_quartic_lambda(kappa, 1.0, 1.0)
+        phi0=PHI0, mu=MU, b=b, metric=FinslerConfig(kappa, reciprocal_quartic_lambda(kappa, 1.0, 1.0))
     )
 
 
@@ -130,11 +132,12 @@ def test_family_field_fd_jacobian_agrees():
 
 
 def test_gaussian_profiles_select_reciprocal():
+    b = tuple(gaussian_b(1.0) for _ in range(4))
     spec = H4FamilySpec(
         phi0=PHI0,
         mu=MU,
-        b=tuple(gaussian_b(1.0) for _ in range(4)),
-        lam=constant_lambda(1.0),
+        b=b,
+        metric=FinslerConfig(kappa_from_b(b, 1.0), constant_lambda(1.0)),
     )
     report = family_residual(spec, GRID)
     assert report.selected == "reciprocal"
@@ -176,14 +179,13 @@ def test_cross_term_kappa_fails_both_conventions():
         phi0=[1.0, 1.0, 1.0, 1.0],
         mu=[0.0, 0.0, 0.0, 0.0],
         b=tuple(constant_b(1.0) for _ in range(4)),
-        lam=constant_lambda(1.0),
-        kappa=cross_term_kappa(1.0, 1.0, (0, 1)),
+        metric=FinslerConfig(cross_term_kappa(1.0, 1.0, (0, 1)), constant_lambda(1.0)),
     )
     report = family_residual(spec, GRID)
     assert report.residuals["as-printed"] > 1e-3
     assert report.residuals["reciprocal"] > 1e-3
     worst_compat = max(
-        np.max(np.abs(compatibility_residual(spec.kappa, xi))) for xi in GRID[::9]
+        np.max(np.abs(compatibility_residual(spec.metric.kappa, xi))) for xi in GRID[::9]
     )
     assert worst_compat > 0.5
 
@@ -191,7 +193,7 @@ def test_cross_term_kappa_fails_both_conventions():
 def test_separable_kappa_passes_compatibility():
     spec = generic_spec()
     worst = max(
-        np.max(np.abs(compatibility_residual(spec.kappa, xi))) for xi in GRID[::9]
+        np.max(np.abs(compatibility_residual(spec.metric.kappa, xi))) for xi in GRID[::9]
     )
     assert worst < 1e-6
 
@@ -203,25 +205,27 @@ def test_separable_kappa_passes_compatibility():
 def test_spec_validation():
     from polyan import ContractError
 
+    metric = FinslerConfig(kappa_from_b(tuple(constant_b() for _ in range(4)), 1.0), constant_lambda(1.0))
     with pytest.raises(ContractError):
         H4FamilySpec(phi0=[1, 1, 1], mu=MU, b=tuple(constant_b() for _ in range(4)),
-                     lam=constant_lambda(1.0))
+                     metric=metric)
     with pytest.raises(ContractError):
         H4FamilySpec(phi0=PHI0, mu=MU, b=tuple(constant_b() for _ in range(3)),
-                     lam=constant_lambda(1.0))
+                     metric=metric)
     with pytest.raises(ContractError):
         H4FamilySpec(phi0=PHI0, mu=MU, b=tuple(constant_b() for _ in range(4)),
-                     lam=constant_lambda(1.0), convention="upside-down")
+                     metric=metric, convention="upside-down")
 
 
 def test_vanishing_profile_rejected_at_evaluation():
     # a zero of a profile is a property of the point, not of the spec
     from polyan import DomainError
 
+    b = tuple(quadratic_b(-1.0) for _ in range(4))  # zero at |t| = 1
     spec = H4FamilySpec(
         phi0=PHI0, mu=MU,
-        b=tuple(quadratic_b(-1.0) for _ in range(4)),  # zero at |t| = 1
-        lam=constant_lambda(1.0),
+        b=b,
+        metric=FinslerConfig(kappa_from_b(b, 1.0), constant_lambda(1.0)),
     )
     with pytest.raises(DomainError):
         family_phi(spec, np.array([1.0, 0.0, 0.0, 0.0]))
@@ -235,7 +239,8 @@ def test_vanishing_profile_rejected_at_evaluation():
 
 def reference_jacobian(spec, xi):
     phi = family_phi(spec, xi)
-    common = 4.0 * spec.kappa.gradient(xi) / spec.kappa(xi) + spec.lam.gradient(xi) / spec.lam(xi)
+    common = (4.0 * spec.metric.kappa.gradient(xi) / spec.metric.kappa(xi)
+              + spec.metric.lam.gradient(xi) / spec.metric.lam(xi))
     sign = -1.0 if spec.convention == "reciprocal" else 1.0
     dlog = np.array([sign * b.d(t) / b(t) for b, t in zip(spec.b, xi)])
     out = phi[:, None] * common[None, :]
@@ -244,8 +249,7 @@ def reference_jacobian(spec, xi):
 
 
 def reference_gamma(spec, xi):
-    metric = FinslerConfig(kappa=spec.kappa, lam=spec.lam, kappa0=spec.kappa0, lambda0=spec.lambda0)
-    return np.einsum("ikj,j->ik", gamma_matrices(xi, metric, "transposed"), family_phi(spec, xi))
+    return np.einsum("ikj,j->ik", gamma_matrices(xi, spec.metric, "transposed"), family_phi(spec, xi))
 
 
 def reference_residuals(spec, points):
@@ -269,8 +273,8 @@ def reference_specs():
         lams = {"constant": constant_lambda(2.0),
                 "kappa-reciprocal": reciprocal_quartic_lambda(kappa, 1.5, 2.0)}
         for lname, lam in lams.items():
-            yield pytest.param(H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=lam, kappa0=1.5,
-                                            lambda0=2.0, kappa=kappa), id=f"{kname}-{lname}")
+            yield pytest.param(H4FamilySpec(phi0=PHI0, mu=MU, b=b, metric=FinslerConfig(kappa, lam, 1.5, 2.0)),
+                               id=f"{kname}-{lname}")
 
 
 @pytest.mark.parametrize("spec", list(reference_specs()))
@@ -305,9 +309,9 @@ def test_family_residual_evaluates_the_metric_once_per_point(monkeypatch):
     # takes its value from them
     b = tuple(quadratic_b(0.25) for _ in range(4))
     kappa = kappa_from_b(b, 1.0)
-    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=reciprocal_quartic_lambda(kappa, 1.0, 1.0), kappa=kappa)
+    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, metric=FinslerConfig(kappa, reciprocal_quartic_lambda(kappa, 1.0, 1.0)))
     counts = {}
-    for name, field in (("kappa", spec.kappa), ("lam", spec.lam)):
+    for name, field in (("kappa", spec.metric.kappa), ("lam", spec.metric.lam)):
         for attr in ("func", "value_and_grad", "formula"):
             def counted(*args, inner=getattr(field, attr), key=f"{name}.{attr}"):
                 counts[key] = counts.get(key, 0) + 1
@@ -333,7 +337,8 @@ def test_family_phi_evaluates_a_gradientless_kappa_once(gauge):
 
     kappa = ScalarField(kappa_func)
     lam = constant_lambda(1.5) if gauge == "constant" else reciprocal_quartic_lambda(kappa, 1.0, 1.0)
-    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=tuple(quadratic_b(0.25) for _ in range(4)), lam=lam, kappa=kappa)
+    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=tuple(quadratic_b(0.25) for _ in range(4)),
+                        metric=FinslerConfig(kappa, lam))
     phi = family_phi(spec, GRID)
     assert shapes == [(81, 4), (4,), (4,)]  # then rows 0 and 1 alone: the one-time row check
     assert np.array_equal(phi, _family_terms(spec, GRID)[0])
@@ -348,9 +353,34 @@ def test_family_phi_of_builtin_kinds_is_the_phi_of_the_family_terms(kind, gauge)
     kappa = {"constant": constant_kappa(1.3), "gaussian": gaussian_kappa(1.1, 0.9),
              "cross-term": cross_term_kappa(1.1, 0.7, (1, 3)), "from-b": kappa_from_b(b, 1.1)}[kind]
     lam = constant_lambda(2.5) if gauge == "constant" else reciprocal_quartic_lambda(kappa, 1.1, 2.0)
-    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=lam, kappa0=1.1, lambda0=2.0, kappa=kappa)
+    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, metric=FinslerConfig(kappa, lam, 1.1, 2.0))
     for points in (GRID, GRID[5]):
         assert np.array_equal(family_phi(spec, points), _family_terms(spec, points)[0])
+
+
+def one_kappa_specs():
+    b = (quadratic_b(0.3), gaussian_b(0.6), quadratic_b(-0.2), gaussian_b(-0.4))
+    for kind in ("constant", "gaussian", "cross-term", "from-b"):
+        for gauge in ("constant", "kappa-reciprocal"):
+            kappa = {"constant": constant_kappa(1.3), "gaussian": gaussian_kappa(1.1, 0.9),
+                     "cross-term": cross_term_kappa(1.1, 0.7, (1, 3)), "from-b": kappa_from_b(b, 1.1)}[kind]
+            lam = constant_lambda(2.5) if gauge == "constant" else reciprocal_quartic_lambda(kappa, 1.1, 2.0)
+            yield pytest.param(H4FamilySpec(phi0=PHI0, mu=MU, b=b, metric=FinslerConfig(kappa, lam, 1.1, 2.0)),
+                               id=f"{kind}-{gauge}")
+    yield pytest.param(reduced_spec(), id="reduced")
+
+
+@pytest.mark.parametrize("spec", list(one_kappa_specs()))
+def test_family_grid_checks_evaluate_the_metric_kappa_once(spec, monkeypatch):
+    """The spec's metric holds the one kappa: each grid check calls its formula once on the whole
+    grid, and a gauge of it takes kappa's value and gradient instead of evaluating kappa again."""
+    calls = []
+    monkeypatch.setattr(spec.metric.kappa, "formula",
+                        lambda m, x, inner=spec.metric.kappa.formula: calls.append(x) or inner(m, x))
+    for check in (_family_terms, family_residual, analytic_gamma_max):
+        calls.clear()
+        check(spec, GRID)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +418,9 @@ def family_specs(draw):
     lam = draw(st.sampled_from([constant_lambda(lambda0 * 1.5),
                                 reciprocal_quartic_lambda(kappa, kappa0, lambda0)]))
     vec = st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4)
-    spec = H4FamilySpec(phi0=np.array(draw(vec)) + 1.0, mu=draw(vec), b=b, lam=lam, kappa0=kappa0,
-                        lambda0=lambda0, convention=draw(st.sampled_from(CONVENTIONS)), kappa=kappa)
+    spec = H4FamilySpec(phi0=np.array(draw(vec)) + 1.0, mu=draw(vec), b=b,
+                        metric=FinslerConfig(kappa, lam, kappa0, lambda0),
+                        convention=draw(st.sampled_from(CONVENTIONS)))
     points = np.array(draw(st.lists(st.lists(st.floats(-0.6, 0.6), min_size=4, max_size=4),
                                     min_size=1, max_size=6)))
     mixed = np.zeros((4, 4))  # the exact mixed second derivatives of 4 ln kappa
@@ -413,12 +444,12 @@ def test_family_residual_array_path_matches_per_point_loop(case):
 @given(case=family_specs())
 def test_compatibility_and_gamma_max_array_paths_match_per_point_loops(case):
     spec, points, mixed = case
-    batched = compatibility_residual(spec.kappa, points)
+    batched = compatibility_residual(spec.metric.kappa, points)
     assert batched.shape == points.shape + (4,)
     assert np.array_equal(batched, np.swapaxes(batched, -1, -2))
     assert np.max(np.abs(batched - mixed)) <= 1e-10
     for xi, got in zip(points, batched):
-        assert np.array_equal(got, compatibility_residual(spec.kappa, xi))
+        assert np.array_equal(got, compatibility_residual(spec.metric.kappa, xi))
     assert_within_ulps(analytic_gamma_max(spec, points), per_point_gamma_max(spec, points), 4)
 
 
@@ -446,7 +477,7 @@ def test_grid_checks_make_a_fixed_number_of_array_calls():
     b = tuple(quadratic_b(0.25) for _ in range(4))
     inner = kappa_from_b(b, 1.0)
     kappa = ScalarField(counted("func", inner.func), counted("value_and_grad", inner.value_and_grad))
-    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, lam=reciprocal_quartic_lambda(kappa, 1.0, 1.0), kappa=kappa)
+    spec = H4FamilySpec(phi0=PHI0, mu=MU, b=b, metric=FinslerConfig(kappa, reciprocal_quartic_lambda(kappa, 1.0, 1.0)))
     kappa.value_and_grad(GRID[:2])  # the one-time row check, two one-point calls, before the counts
     seen = []
     for points in (GRID[:3], GRID):
@@ -455,6 +486,6 @@ def test_grid_checks_make_a_fixed_number_of_array_calls():
         analytic_gamma_max(spec, points)
         seen.append(dict(counts))
         counts.update(func=0, value_and_grad=0)
-        compatibility_residual(spec.kappa, points)
+        compatibility_residual(spec.metric.kappa, points)
         assert counts == {"func": 0, "value_and_grad": 1}
     assert seen[0] == seen[1]

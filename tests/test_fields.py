@@ -72,11 +72,12 @@ GRID = Box([-0.5] * 4, [0.5] * 4).grid(3)
 
 
 def family_test_field():
+    b = tuple(quadratic_b(0.25) for _ in range(4))
     spec = H4FamilySpec(
         phi0=[1.0, 0.5, 2.0, 1.0],
         mu=[0.3, -0.2, 0.1, 0.4],
-        b=tuple(quadratic_b(0.25) for _ in range(4)),
-        lam=constant_lambda(1.0),
+        b=b,
+        metric=FinslerConfig(kappa_from_b(b, 1.0), constant_lambda(1.0)),
     )
     return family_field(spec)
 
@@ -129,6 +130,18 @@ def test_box_forgives_rounding_but_not_a_point_outside(face, outward):
     x[2] = face + outward * 1e-6
     with pytest.raises(DomainError):
         field(x)
+
+
+def test_box_grid_is_the_meshgrid_grid(rng):
+    """Box.grid is bitwise the ij-indexed meshgrid of the axes' linspaces, fastest index last."""
+    for n in range(1, 7):
+        for p in (1, 2, 3, 5, 9):
+            if p ** n > 100_000:
+                continue
+            lo = rng.uniform(-2.0, 0.0, n)
+            box = Box(lo, lo + rng.uniform(0.0, 3.0, n))
+            mesh = np.meshgrid(*(np.linspace(box.lo[k], box.hi[k], p) for k in range(n)), indexing="ij")
+            assert np.array_equal(box.grid(p), np.stack([m.reshape(-1) for m in mesh], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +234,12 @@ def test_unit_and_invariant_forms_agree(h4_e, pair_factory, rng):
 def test_forms_agree_on_family_pair_in_e_coordinates():
     from polyan.h4 import family_pair
 
+    b = tuple(quadratic_b(0.25) for _ in range(4))
     spec = H4FamilySpec(
         phi0=[1.0, 0.5, 2.0, 1.0],
         mu=[0.3, -0.2, 0.1, 0.4],
-        b=tuple(quadratic_b(0.25) for _ in range(4)),
-        lam=constant_lambda(1.0),
+        b=b,
+        metric=FinslerConfig(kappa_from_b(b, 1.0), constant_lambda(1.0)),
     )
     pair_e = pair_change_basis(family_pair(spec), h4_basis_change().inverse())
     cfg = DiffConfig()
@@ -630,8 +644,8 @@ def _family_calls(rng, reciprocal):
     b = tuple(quadratic_b(c) for c in rng.uniform(-0.5, 0.5, 4))
     kappa = kappa_from_b(b, 1.2)
     lam = reciprocal_quartic_lambda(kappa, 1.2, 2.0) if reciprocal else constant_lambda(2.0)
-    spec = H4FamilySpec(phi0=rng.uniform(0.5, 2.0, 4), mu=rng.uniform(-0.5, 0.5, 4), b=b, lam=lam,
-                        kappa0=1.2, lambda0=2.0)
+    spec = H4FamilySpec(phi0=rng.uniform(0.5, 2.0, 4), mu=rng.uniform(-0.5, 0.5, 4), b=b,
+                        metric=FinslerConfig(kappa, lam, 1.2, 2.0))
     return _pair_calls(family_pair(spec))
 
 
@@ -723,8 +737,9 @@ def _report_cases(h4_psi, rng):
     from polyan.h4 import family_pair
 
     dual = builtin_algebra("dual")
-    vanishing = H4FamilySpec(phi0=[1.0] * 4, mu=[0.0] * 4, b=tuple(quadratic_b(-4.0) for _ in range(4)),
-                             lam=constant_lambda(1.0))
+    b = tuple(quadratic_b(-4.0) for _ in range(4))
+    vanishing = H4FamilySpec(phi0=[1.0] * 4, mu=[0.0] * 4, b=b,
+                             metric=FinslerConfig(kappa_from_b(b, 1.0), constant_lambda(1.0)))
     boxed = VectorField(4, componentwise_exp_field(4).func, domain=Box([-0.2] * 4, [1.0] * 4))
     return {
         "clean": (_random_pair(builtin_algebra("h4-e"), rng), GRID),

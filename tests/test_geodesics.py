@@ -542,7 +542,7 @@ def test_closed_form_acceleration_matches_contraction(kappa_kind, lambda_kind, o
     conn = finsler_connection(metric, orientation)
     eps = float(np.finfo(float).eps)
     for x, v in _random_states(rng, 20):
-        _, _, dln_lam, dln_sigma = _log_gradients(metric.kappa, metric.lam, x)
+        _, _, dln_lam, dln_sigma = _log_gradients(metric, x)
         bound = 8.0 * eps * (np.max(np.abs(dln_sigma)) + np.max(np.abs(dln_lam))) * np.max(np.abs(v)) ** 2
         assert np.max(np.abs(conn.rates([*x, *v])[4:] - geodesic_rhs(conn, x, v))) <= bound
 

@@ -204,18 +204,20 @@ def test_connection_residual_links_pair_to_shared_coefficients():
         constant_lambda,
         family_pair,
         gamma_matrices,
+        kappa_from_b,
         quadratic_b,
     )
     from polyan import builtin_algebra
 
+    b = tuple(quadratic_b(0.25) for _ in range(4))
     spec = H4FamilySpec(
         phi0=[1.0, 0.5, 2.0, 1.0],
         mu=[0.3, -0.2, 0.1, 0.4],
-        b=tuple(quadratic_b(0.25) for _ in range(4)),
-        lam=constant_lambda(1.0),
+        b=b,
+        metric=FinslerConfig(kappa_from_b(b, 1.0), constant_lambda(1.0)),
     )
     pair = family_pair(spec)
-    metric = FinslerConfig(kappa=spec.kappa, lam=spec.lam, kappa0=spec.kappa0, lambda0=spec.lambda0)
+    metric = spec.metric
     matched = ConnectionField(4, lambda x: gamma_matrices(x, metric, "transposed"))
     mismatched = ConnectionField(4, lambda x: gamma_matrices(x, metric, "as-printed"))
     xi = np.array([0.2, -0.3, 0.1, 0.4])
