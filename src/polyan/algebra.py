@@ -497,17 +497,21 @@ def h4_basis_change() -> BasisChange:
 # JSON loading
 # ---------------------------------------------------------------------------
 
-def _number(value, what: str, integral: bool = False, shape: tuple = ()):
-    """A finite JSON number, not a bool, and a whole one when integral (as an int);
-    for a shape, nested lists of them of exactly that shape (None: any length), as
-    a float or int array.  Anything else raises ContractError."""
+def _number(value, what: str, integral: bool = False, shape: tuple = (), within: tuple = (-math.inf, math.inf)):
+    """A finite JSON number in the closed range within, not a bool, and a whole one
+    that int64 holds when integral (as an int); for a shape, nested lists of them of
+    exactly that shape (None: any length), as a float or int array.  Anything else
+    raises ContractError."""
     kind = "integer" if integral else "number"
     if not shape:
         if type(value) in (int, float) and abs(value) <= sys.float_info.max and not (integral and value % 1):
-            return int(value) if integral else float(value)
+            lo, hi = (max(within[0], -2 ** 63), min(within[1], 2 ** 63 - 1)) if integral else within
+            if lo <= value <= hi:
+                return int(value) if integral else float(value)
+            raise ContractError(f"{what} must be in {lo}..{hi}, got {value!r}")
         raise ContractError(f"{what} must be a finite {kind}, got {value!r}")
     if isinstance(value, list) and shape[0] in (None, len(value)):
-        return np.array([_number(v, f"{what}[{k}]", integral, shape[1:]) for k, v in enumerate(value)],
+        return np.array([_number(v, f"{what}[{k}]", integral, shape[1:], within) for k, v in enumerate(value)],
                         dtype=int if integral else float)
     raise ContractError(f"{what} must be a list of shape {shape} of finite {kind}s, got {value!r}")
 
@@ -521,23 +525,16 @@ def algebra_from_dict(doc: dict) -> StructureConstants:
     """
     if not isinstance(doc, dict):
         raise ContractError(f"an algebra document is an object, got {doc!r}")
-    n = _number(doc.get("n"), "algebra document's n", integral=True)
-    if not 1 <= n <= _MAX_DIMENSION:
-        raise ContractError(f"dimension must be in 1..{_MAX_DIMENSION}, got {n}")
+    n = _number(doc.get("n"), "algebra document's n", integral=True, within=(1, _MAX_DIMENSION))
     p = np.zeros((n, n, n), dtype=float)
     for entry in doc.get("entries", []):
         if not (isinstance(entry, dict) and {"k", "i", "j", "value"} <= entry.keys()):
             raise ContractError(f"malformed entry {entry!r}")
-        k, i, j = (_number(entry[key], f"entry {key}", integral=True) for key in "kij")
-        if not (1 <= k <= n and 1 <= i <= n and 1 <= j <= n):
-            raise ContractError(f"entry index out of range in {entry!r}")
+        k, i, j = (_number(entry[key], f"entry {key}", integral=True, within=(1, n)) for key in "kij")
         p[k - 1, i - 1, j - 1] = _number(entry["value"], "entry value")
     unit_index = None
     if "unit_index" in doc:
-        unit_index = _number(doc["unit_index"], "unit_index", integral=True)
-        if not 1 <= unit_index <= n:
-            raise ContractError(f"unit_index {unit_index} out of range")
-        unit_index -= 1
+        unit_index = _number(doc["unit_index"], "unit_index", integral=True, within=(1, n)) - 1
     return StructureConstants(p, unit_index=unit_index, basis_tag=doc.get("name", "custom"))
 
 

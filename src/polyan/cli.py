@@ -140,10 +140,8 @@ def _make_field(spec: dict, n: int) -> fl.VectorField:
     elif kind == "componentwise-exp":
         field = fl.componentwise_exp_field(n, _number(spec.get("scale", 1.0), "scale"))
     elif kind == "monomial":
-        component = _number(_require(spec, "component", "monomial field"), "component", True) - 1
+        component = _number(_require(spec, "component", "monomial field"), "component", True, within=(1, n)) - 1
         exponents = _number(_require(spec, "exponents", "monomial field"), "exponents", True, (n,))
-        if not 0 <= component < n:
-            raise ConfigError("monomial component out of range")
         field = fl.monomial_field(n, component, exponents)
     elif kind == "h4-family":
         if n != 4:
@@ -175,13 +173,13 @@ def _make_pair(cfg: dict, S: alg.StructureConstants) -> fl.GAPair:
 
 
 _MAX_GRID_POINTS = 100_000  # of points_per_axis ** n: cr-residual peaks at about 1 KB a point, 112 MB at 17^4 on H4
+_MAX_STEPS_TIMES_N = 400_000  # of steps * n and segments * n: at most 167 MB (a geodesic's JSON report at n = 1)
+_MAX_COUNT = 1000  # pair-ops samples: 0.7 s on h4-e
 
 
 def _make_grid(spec: dict, n: int) -> np.ndarray:
     box = _make_box(spec, n, 0.5)
-    points = _number(spec.get("points_per_axis", 3), "points_per_axis", True)
-    if points < 1:
-        raise ConfigError("points_per_axis must be positive")
+    points = _number(spec.get("points_per_axis", 3), "points_per_axis", True, within=(1, _MAX_GRID_POINTS))
     if points ** n > _MAX_GRID_POINTS:
         raise ConfigError(f"a grid of points_per_axis ** n = {points} ** {n} points is above {_MAX_GRID_POINTS}")
     return box.grid(points)
@@ -271,10 +269,7 @@ def _make_family_spec(cfg: dict) -> h4.H4FamilySpec:
 def _make_connection(spec: dict) -> geo.ConnectionField:
     kind = _require(spec, "kind", "connection spec")
     if kind == "zero":
-        n = _number(spec.get("n", 4), "n", True)
-        if n < 1:
-            raise ConfigError("a zero connection's n must be positive")
-        return geo.zero_connection(n)
+        return geo.zero_connection(_number(spec.get("n", 4), "n", True, within=(1, alg._MAX_DIMENSION)))
     if kind == "structure-scaled":
         S = _make_algebra(_require(spec, "algebra", "connection spec"))
         return geo.connection_from_structure(S, _number(spec.get("scale", 1.0), "scale"))
@@ -326,9 +321,7 @@ def _cmd_cr_residual(cfg: dict, tol: float, rng) -> _Compute:
 
 def _cmd_pair_ops(cfg: dict, tol: float, rng) -> _Compute:
     S = _make_algebra(_require(cfg, "algebra"))
-    count = _number(cfg.get("count", 10), "count", True)
-    if count < 1:
-        raise ConfigError("count must be positive")
+    count = _number(cfg.get("count", 10), "count", True, within=(1, _MAX_COUNT))
     points = _make_grid(cfg.get("grid", {}), S.n)
     diff = fl.DiffConfig()
 
@@ -377,7 +370,8 @@ def _cmd_line_integral(cfg: dict, tol: float, rng) -> _Compute:
     field = _make_field(_require(cfg, "field"), S.n)
     path = _make_path(_require(cfg, "path"), S.n)
     path_b = _make_path(cfg["path_b"], S.n) if "path_b" in cfg else None
-    diff = fl.DiffConfig(quadrature_segments=_number(cfg.get("segments", 512), "segments", True))
+    segments = _number(cfg.get("segments", 512), "segments", True, within=(1, _MAX_STEPS_TIMES_N // S.n))
+    diff = fl.DiffConfig(quadrature_segments=segments)
     expect = cfg.get("expect", "equal")
     if expect not in ("equal", "different"):
         raise ConfigError(f"unknown expectation {expect!r}")
@@ -404,8 +398,8 @@ def _cmd_line_integral(cfg: dict, tol: float, rng) -> _Compute:
 def _cmd_geodesic(cfg: dict, tol: float, rng) -> _Compute:
     gamma = _make_connection(_require(cfg, "connection"))
     s0 = geo.GeodesicState(*(_number(_require(cfg, key), key, shape=(gamma.n,)) for key in ("x0", "v0")))
-    icfg = geo.IntegratorConfig(steps=_number(cfg.get("steps", 1000), "steps", True),
-                                t_end=_number(cfg.get("t_end", 1.0), "t_end"))
+    steps = _number(cfg.get("steps", 1000), "steps", True, within=(1, _MAX_STEPS_TIMES_N // gamma.n))
+    icfg = geo.IntegratorConfig(steps=steps, t_end=_number(cfg.get("t_end", 1.0), "t_end"))
 
     def compute():
         traj = geo.integrate_geodesic(gamma, s0, icfg)
@@ -423,7 +417,7 @@ def _cmd_extremal(cfg: dict, tol: float, rng) -> _Compute:
     metric = _make_metric(cfg)
     xi0 = _number(_require(cfg, "xi0"), "xi0", shape=(4,))
     icfg = geo.IntegratorConfig(
-        steps=_number(cfg.get("steps", 1000), "steps", True),
+        steps=_number(cfg.get("steps", 1000), "steps", True, within=(1, _MAX_STEPS_TIMES_N // 4)),
         t_end=_number(cfg.get("t_end", 1.0), "t_end"),
         drift_tol=tol,
     )
@@ -501,11 +495,9 @@ def run(command: str, config: dict, output: str | None = None, fmt: str | None =
         raise ConfigError(f"unknown command {command!r}")
     handler, default_tol, writes_trajectory = _HANDLERS[command]
     try:
-        tol = default_tol if tol is None else _number(tol, "tol")
+        tol = default_tol if tol is None else _number(tol, "tol", within=(0, math.inf))
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
-    if tol < 0:
-        raise ConfigError(f"tol must not be negative, got {tol!r}")
     if fmt is None:
         fmt = "csv" if writes_trajectory else "json"
     if fmt not in ("json", "csv"):

@@ -161,6 +161,14 @@ CONFIGS = [
      {"kappa": {"kind": "gaussian", "c": -4000}, "lam": {"kind": "kappa-reciprocal"},
       "grid": {"min": [0.5] * 4, "max": [0.5] * 4, "points_per_axis": 1}}, ()),
     ("malformed count", "pair-ops", {"algebra": "complex", "count": 0.5}, ()),
+    # out of range: more segments than any array holds, and whole numbers that int64 does not hold
+    ("segments out of range", "line-integral",
+     {"algebra": "complex", "field": {"kind": "identity"}, "segments": 1e300,
+      "path": {"kind": "straight", "from": [0, 0], "to": [1, 1]}}, ()),
+    ("monomial exponent beyond int64", "cr-residual",
+     {"algebra": "complex", "field": {"kind": "monomial", "component": 1, "exponents": [1e300, 1]}}, ()),
+    ("cross-term axes beyond int64", "extremal", dict(CROSS, kappa={"kind": "cross-term", "axes": [1e300, 2]},
+                                                      xi0=XI0, dxi0=DXI0), ()),
 ]
 
 

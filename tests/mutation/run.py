@@ -65,7 +65,7 @@ MUTANTS = (
     Mutant("chain-step-column-0", "src/polyan/fields.py",
            "x[..., u:u + 1], cfg)[..., 0]", "x[..., 0:1], cfg)[..., 0]", ("tests/test_fields.py",)),
     Mutant("tol-without-number", "src/polyan/cli.py",
-           'tol = default_tol if tol is None else _number(tol, "tol")',
+           'tol = default_tol if tol is None else _number(tol, "tol", within=(0, math.inf))',
            "tol = default_tol if tol is None else float(tol)", ("tests/test_cli.py",)),
     Mutant("number-accepts-bools", "src/polyan/algebra.py",
            "if type(value) in (int, float) and", "if isinstance(value, (int, float)) and",
@@ -95,7 +95,8 @@ MUTANTS = (
     Mutant("field-rows-unchecked", "src/polyan/fields.py",
            "if many and id(func) not in", "if False and id(func) not in", ("tests/test_fields.py",)),
     Mutant("algebra-dimension-unbounded", "src/polyan/algebra.py",
-           "if not 1 <= n <= _MAX_DIMENSION:", "if not 1 <= n:", ("tests/test_algebra.py",)),
+           "integral=True, within=(1, _MAX_DIMENSION))", "integral=True, within=(1, math.inf))",
+           ("tests/test_algebra.py",)),
     Mutant("gamma-rows-unchecked", "src/polyan/fields.py",
            '        return _stack_call(self, "gamma field",',
            '        vars(self).setdefault("_rows_checked", {id(self.func)})\n'
@@ -137,6 +138,15 @@ MUTANTS = (
     Mutant("grid-index-reversed", "src/polyan/fields.py",
            "np.unravel_index(np.arange(p ** self.n), (p,) * self.n)",
            'np.unravel_index(np.arange(p ** self.n), (p,) * self.n, order="F")', ("tests/test_fields.py",)),
+    Mutant("range-check-dropped", "src/polyan/algebra.py",
+           "if lo <= value <= hi:", "if True:", ("tests/test_algebra.py", "tests/test_cli.py")),
+    Mutant("range-lower-bound-open", "src/polyan/algebra.py",
+           "if lo <= value <= hi:", "if lo < value <= hi:", ("tests/test_algebra.py", "tests/test_cli.py")),
+    Mutant("segments-unbounded", "src/polyan/cli.py",
+           '"segments", True, within=(1, _MAX_STEPS_TIMES_N // S.n))', '"segments", True)', ("tests/test_cli.py",)),
+    Mutant("whole-numbers-beyond-int64", "src/polyan/algebra.py",
+           "lo, hi = (max(within[0], -2 ** 63), min(within[1], 2 ** 63 - 1)) if integral else within",
+           "lo, hi = within", ("tests/test_algebra.py", "tests/test_cli.py")),
 )
 
 

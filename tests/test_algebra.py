@@ -23,7 +23,7 @@ from polyan import (
     transform_constants,
     verify_structure,
 )
-from polyan.algebra import algebra_from_dict, exp_series_coeffs, load_algebra
+from polyan.algebra import _number, algebra_from_dict, exp_series_coeffs, load_algebra
 
 coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
@@ -338,3 +338,17 @@ def test_load_algebra_from_file(tmp_path):
 def test_malformed_documents_rejected(doc):
     with pytest.raises(ContractError):
         algebra_from_dict(doc)
+
+
+def test_number_ranges_are_closed_and_whole_numbers_fit_int64():
+    assert _number(1, "a", True, within=(1, 3)) == 1 and _number(3.0, "a", True, within=(1, 3)) == 3
+    assert _number(-0.0, "tol", within=(0, np.inf)) == 0
+    assert _number([-2 ** 63, 2 ** 63 - 1], "m", True, (2,)).tolist() == [-2 ** 63, 2 ** 63 - 1]
+    assert _number(1e300, "x") == 1e300  # a number that need not be whole has no int64 bound
+    for value, what, kw in ((0, "a", {"within": (1, 3)}), (3.5, "x", {"within": (1, 3)}),
+                            (-5e-324, "tol", {"within": (0, np.inf)})):
+        with pytest.raises(ContractError, match=rf"^{what} must be in .*, got {value!r}$"):
+            _number(value, what, **kw)
+    for value in (2 ** 63, -2 ** 63 - 1, 1e300, [1, 2 ** 63]):
+        with pytest.raises(ContractError, match=r"must be in -9223372036854775808..9223372036854775807, got"):
+            _number(value, "m", True, (2,) if isinstance(value, list) else ())

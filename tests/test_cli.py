@@ -498,10 +498,10 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-5e-324"])
 def test_tolerance_must_be_a_finite_nonnegative_number(tmp_path, capsys, tol):
     """--tol is read as every config number is: NaN would fail every check and inf pass it."""
-    code, text = run_cli(tmp_path, "algebra-check", {"algebra": "complex"}, extra=("--tol", tol))
+    code, text = run_cli(tmp_path, "algebra-check", {"algebra": "complex"}, extra=(f"--tol={tol}",))
     assert (code, text) == (EXIT_CONFIG, "")
     assert capsys.readouterr().err.startswith("config error: tol must")
     with pytest.raises(cli.ConfigError, match="tol must"):
@@ -685,6 +685,41 @@ MALFORMED = [
                        "path": {"kind": "straight", "from": [0, 0], "to": [1, 2]}}),
     # an algebra document's n is bounded before its (n, n, n) constants are allocated
     ("algebra-check", {"algebra": {"n": 1000000}}),
+    # every config number is read with its range: the value just outside each end
+    ("cr-residual", dict(_CR, field={"kind": "monomial", "component": 0, "exponents": [1, 0, 0, 0]})),
+    ("cr-residual", dict(_CR, field={"kind": "monomial", "component": 5, "exponents": [1, 0, 0, 0]})),
+    ("cr-residual", dict(_CR, grid={"points_per_axis": 0})),
+    ("cr-residual", dict(_CR, grid={"points_per_axis": 100001})),
+    ("pair-ops", {"algebra": "h4-e", "count": 0}),
+    ("pair-ops", {"algebra": "h4-e", "count": 1001}),
+    ("geodesic", dict(_ZERO, connection={"kind": "zero", "n": 65}, x0=[0] * 65, v0=[1] * 65)),
+    ("algebra-check", {"algebra": dict(_DOC, n=0, unit_index=0, entries=[])}),
+    ("algebra-check", {"algebra": dict(_DOC, n=65, unit_index=1, entries=[])}),
+    ("algebra-check", {"algebra": dict(_DOC, entries=[{"k": 0, "i": 1, "j": 1, "value": 1}])}),
+    ("algebra-check", {"algebra": dict(_DOC, entries=[{"k": 1, "i": 1, "j": 3, "value": 1}])}),
+    ("algebra-check", {"algebra": dict(_DOC, unit_index=0)}),
+    ("algebra-check", {"algebra": dict(_DOC, unit_index=3)}),
+    ("extremal", dict(_EXTREMAL, steps=0)),
+    # work is bounded too: steps and segments times the dimension, and count
+    ("extremal", dict(_EXTREMAL, steps=100001)),
+    ("geodesic", dict(_ZERO, steps=100001)),
+    ("geodesic", dict(_PLANE, steps=200001)),
+    ("line-integral", {"algebra": "h4-psi", "field": {"kind": "identity"}, "path": _STRAIGHT,
+                       "segments": 100001}),
+    ("line-integral", {"algebra": "complex", "field": {"kind": "identity"},
+                       "path": {"kind": "straight", "from": [0, 0], "to": [1, 1]}, "segments": 1e300}),
+    ("line-integral", {"algebra": "complex", "field": {"kind": "identity"},
+                       "path": {"kind": "straight", "from": [0, 0], "to": [1, 1]}, "segments": 1e9}),
+    ("extremal", dict(_EXTREMAL, steps=1e300)),
+    ("geodesic", dict(_ZERO, steps=1e300)),
+    ("pair-ops", {"algebra": "h4-e", "count": 1e300}),
+    ("geodesic", dict(_ZERO, connection={"kind": "zero", "n": 3000}, x0=[0] * 3000, v0=[1] * 3000)),
+    # a whole number is one that int64 holds
+    ("cr-residual", {"algebra": "complex", "field": {"kind": "monomial", "component": 1, "exponents": [1e300, 1]}}),
+    ("extremal", dict(_EXTREMAL, kappa={"kind": "cross-term", "axes": [1e300, 2]})),
+    ("cr-residual", dict(_CR, field={"kind": "componentwise-power", "power": 1e300})),
+    ("cr-residual", dict(_CR, field={"kind": "componentwise-power", "power": 2 ** 63})),
+    ("cr-residual", dict(_CR, field={"kind": "componentwise-power", "power": -2 ** 63 - 1})),
 ]
 
 
@@ -785,6 +820,32 @@ def test_integral_float_counts_and_negative_t_end_are_accepted(tmp_path):
     code, text = run_cli(tmp_path, "cr-residual", dict(_CR, field={"kind": "componentwise-power", "power": 2.0},
                                                        grid={"points_per_axis": 2.0}))
     assert code == EXIT_OK and len(json.loads(text)["results"]["points"]) == 16
+
+
+# the dual numbers with unit e2: every algebra axiom holds exactly
+_UNIT_E2 = {"n": 2, "unit_index": 2, "entries": [{"k": 1, "i": 2, "j": 1, "value": 1},
+                                                 {"k": 1, "i": 1, "j": 2, "value": 1},
+                                                 {"k": 2, "i": 2, "j": 2, "value": 1}]}
+
+
+@pytest.mark.parametrize("command, config, extra", [
+    ("pair-ops", {"algebra": "complex", "count": 1, "grid": {"points_per_axis": 1}}, ()),
+    ("geodesic", dict(_ZERO, connection={"kind": "zero", "n": 1}, x0=[0], v0=[1], steps=1), ()),
+    ("geodesic", dict(_ZERO, connection={"kind": "zero", "n": 64}, x0=[0] * 64, v0=[1] * 64, steps=1), ()),
+    ("extremal", dict(_EXTREMAL, steps=1, t_end=1e-3), ()),
+    ("line-integral", {"algebra": "complex", "field": {"kind": "identity"}, "segments": 1,
+                       "path": {"kind": "straight", "from": [0, 0], "to": [1, 1]}}, ()),
+    ("cr-residual", dict(_CR, field={"kind": "monomial", "component": 1, "exponents": [1, 0, 0, 0]}), ()),
+    ("cr-residual", dict(_CR, field={"kind": "monomial", "component": 4, "exponents": [0, 0, 0, 1]}), ()),
+    ("algebra-check", {"algebra": _UNIT_E2}, ("--tol", "0")),
+    ("algebra-check", {"algebra": {"n": 1, "unit_index": 1, "entries": [{"k": 1, "i": 1, "j": 1, "value": 1}]}}, ()),
+])
+def test_config_numbers_are_accepted_at_both_ends_of_their_ranges(tmp_path, command, config, extra):
+    """Each range is closed: these runs read count, steps, segments, points_per_axis, a zero connection's
+    n, a monomial's component, an algebra document's n, entry indices, unit_index and --tol at an end of
+    its range, each with little work to do, and each passes."""
+    code, text = run_cli(tmp_path, command, config, extra=extra)
+    assert code == EXIT_OK and text
 
 
 # Config fuzz: one leaf or sub-object of a small well-formed config per
