@@ -218,8 +218,10 @@ def _make_kappa(spec: dict, kappa0: float, b_funcs=None) -> h4.ScalarField:
     if kind == "gaussian":
         return h4.gaussian_kappa(kappa0, _number(spec.get("c", 1.0), "c"))
     if kind == "cross-term":
-        axes = _number(spec.get("axes", [1, 2]), "cross-term axes", True, (2,)) - 1
-        return h4.cross_term_kappa(kappa0, _number(spec.get("c", 1.0), "c"), axes)
+        a, b = _number(spec.get("axes", [1, 2]), "cross-term axes", True, (2,), within=(1, 4))
+        if a == b:
+            raise ConfigError(f"cross-term axes must be two different axes, got {a}, {b}")
+        return h4.cross_term_kappa(kappa0, _number(spec.get("c", 1.0), "c"), (a - 1, b - 1))
     if kind == "from-b":
         if b_funcs is None:
             raise ConfigError("kappa kind 'from-b' needs profile functions")
@@ -375,7 +377,7 @@ def _cmd_line_integral(cfg: dict, tol: float, rng) -> _Compute:
     expect = cfg.get("expect", "equal")
     if expect not in ("equal", "different"):
         raise ConfigError(f"unknown expectation {expect!r}")
-    min_gap = _number(cfg.get("min_difference", 1e-3), "min_difference")
+    min_gap = _number(cfg.get("min_difference", 1e-3), "min_difference", within=(0, math.inf))
 
     def compute():
         values = [fl.line_integral(field, p, S, diff).coords for p in (path, path_b) if p is not None]

@@ -125,33 +125,27 @@ def fd_jacobian(func, x: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarr
     return np.ascontiguousarray(d.transpose(*range(x.ndim - 1), *range(x.ndim, d.ndim), x.ndim - 1))
 
 
-def _stack_call(owner, what: str, func, x: np.ndarray, lead: tuple, *values: tuple, alone=None):
+def _stack_call(owner, what: str, func, x: np.ndarray, lead: tuple, value: tuple, alone=None):
     """func(x), a callable of owner, at a stack lead of points (..., n) or of path parameters (...), as a
-    float array lead + value, or a tuple of them for a func of several values.  On two or more points it
-    gives one row per point, bitwise the point's value alone: numpy's errors, another shape and, on func's
-    first such call, rows 0 and 1 unequal to func of each alone (or to alone) raise ContractError naming the
-    np.vectorize lift; polyan's errors pass."""
-    many, one = len(lead) > 0 and math.prod(lead) > 1, len(values) == 1
+    float array lead + value.  On two or more points it gives one row per point, bitwise the point's value
+    alone: numpy's errors, another shape and, on func's first such call, rows 0 and 1 unequal to func of
+    each alone (or to alone) raise ContractError naming the np.vectorize lift; polyan's errors pass."""
+    many = len(lead) > 0 and math.prod(lead) > 1
     try:
-        out = np.asarray(func(x), dtype=float) if one else tuple(np.asarray(o, dtype=float) for o in func(x))
-        shape, expected = (out.shape, lead + values[0]) if one else (tuple(o.shape for o in out),
-                                                                   tuple(lead + v for v in values))
-        if shape != expected:  # on a stack, a ValueError to be named with the lift below
-            raise (ValueError if many else ContractError)(f"{what} returned shape {shape}, expected {expected}")
+        out = np.asarray(func(x), dtype=float)
+        if out.shape != lead + value:  # on a stack, a ValueError to be named with the lift below
+            raise (ValueError if many else ContractError)(f"{what} returned shape {out.shape}, expected {lead + value}")
         if many and id(func) not in getattr(owner, "_rows_checked", ()):
             rows = x.reshape((-1,) + x.shape[len(lead):])
             alone = [func(rows[r, ...]) for r in (0, 1)] if alone is None else alone
-            outs, alone = ((out,), [(a,) for a in alone]) if one else (out, alone)
-            if not all(np.array_equal(o.reshape((-1,) + v)[r], a[k], equal_nan=True)
-                       for k, (o, v) in enumerate(zip(outs, values)) for r, a in enumerate(alone)):
+            if not all(np.array_equal(out.reshape((-1,) + value)[r], a, equal_nan=True) for r, a in enumerate(alone)):
                 raise ValueError("rows 0 and 1 alone give other values than in the stack")
             vars(owner).setdefault("_rows_checked", set()).add(id(func))
         return out
     except (ValueError, TypeError, IndexError) as exc:
         if isinstance(exc, PolyanError) or not many:
             raise
-        outputs = ",".join(f'({",".join("n" * len(v))})' for v in values)
-        signature = f'({"n" * (x.ndim > len(lead))})->{outputs}'
+        signature = f'({"n" * (x.ndim > len(lead))})->({",".join("n" * len(value))})'
         raise ContractError(f"a {what} gives one row per point, but on {x.shape}: {str(exc).strip()}; lift a one-point "
                             f'{what} with np.vectorize({"G" if what == "connection" else "f"}, signature="{signature}")'
                             ) from exc

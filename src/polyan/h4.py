@@ -29,7 +29,6 @@ from .fields import (
     GammaField,
     VectorField,
     _cr_from,
-    _stack_call,
     fd_jacobian,
     grid_max,
 )
@@ -39,45 +38,30 @@ ORIENTATIONS = ("as-printed", "transposed")
 
 
 class ScalarField:
-    """Positive scalar profile of points, with analytic or FD gradient.
+    """Positive scalar profile, written once as formula(m, x): the value and the gradient's components at
+    a point x[i] in the forms m of arrays (_ARRAYS, x = np.moveaxis(points, -1, 0)) or of a trace (_Trace).
+    value_and_grad maps points (..., n) to the values (...) and gradients (..., n), func to the values;
+    other shapes raise ContractError, and one point gives numpy floats.  A gauge of a field kappa keeps
+    it, and of_kappa(m, kappa's value and gradient) gives it."""
 
-    func maps points (..., n) to values (...); value_and_grad, if given, maps them
-    to the values and the gradients (..., n) from one evaluation, else the gradient
-    is a central finite difference of func.  Both keep the stack contract of fields
-    (one row per point, bitwise a one-point call).  On one point the field gives a numpy float.
-    formula(m, x) is the value and the gradient's components at a point x[i] in the forms
-    m of arrays (_ARRAYS) or of a trace (_Trace), through m.call for callables; a gauge
-    of a field kappa keeps it, and of_kappa(m, kappa's value and gradient) gives it.
-    """
-
-    def __init__(self, func: Callable, value_and_grad: Callable | None = None):
-        self.func = lambda x: _stack_call(self, "scalar field", func, x, x.shape[:-1], ())
-        if value_and_grad is None:
-            self.value_and_grad = lambda x: (self.func(x), fd_jacobian(self.func, x))
-        else:
-            self.value_and_grad = lambda x: _stack_call(self, "value_and_grad", value_and_grad, x, x.shape[:-1], (),
-                                                        x.shape[-1:])
-        self.formula = lambda m, x: m.call(self.value_and_grad, x)
-        self.kappa = self.of_kappa = None
-
-    @classmethod
-    def of(cls, formula: Callable) -> ScalarField:
-        """A built-in kind from its one formula; func and value_and_grad are its array form."""
+    def __init__(self, formula: Callable):
         def value_and_grad(x):
             v, g = formula(_ARRAYS, np.moveaxis(x, -1, 0))
-            return v, np.moveaxis(g, 0, -1) if isinstance(g, np.ndarray) else np.stack(g, axis=-1)
+            g = np.moveaxis(np.asarray(g), 0, -1)
+            if (np.shape(v), g.shape) != (x.shape[:-1], x.shape):
+                raise ContractError(f"a scalar field's formula gave a value of shape {np.shape(v)} and a gradient "
+                                    f"of shape {g.shape} on points of shape {x.shape}")
+            return v, g
 
-        # an array formula gives one row per point by construction, so the kind skips the stack contract
-        field = cls(None)
-        field.func = lambda x: formula(_ARRAYS, np.moveaxis(x, -1, 0))[0]
-        field.value_and_grad, field.formula = value_and_grad, formula
-        return field
+        self.func = lambda x: value_and_grad(x)[0]
+        self.value_and_grad, self.formula = value_and_grad, formula
+        self.kappa = self.of_kappa = None
 
     def __call__(self, x):
         return self.func(np.asarray(x, dtype=float))[()]
 
     def value_and_gradient(self, x) -> tuple:
-        """The value and the gradient at x; an analytic gradient reuses the value."""
+        """The value and the gradient at x, from one evaluation of the formula."""
         v, g = self.value_and_grad(np.asarray(x, dtype=float))
         return v[()], g
 
@@ -120,22 +104,15 @@ def _quartic(t):
     return v
 
 
-def _on_arrays(value_and_grad: Callable, x):
-    """value_and_grad of points (..., n) at a point of arrays x[i], the gradient's components first."""
-    v, g = value_and_grad(np.moveaxis(x, 0, -1))
-    return v, np.moveaxis(g, -1, 0)
-
-
 def _dot(a, b):
     """The dot product of two points' four components, arrays or floats, as one
     left-to-right sum of products; BLAS may fuse them, differently on each CPU."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
-# What a formula does on points of arrays, np.moveaxis(points, -1, 0), where a
-# gradient is a list or an array (n, ...) of components; a constant is a read-only
-# broadcast view of one value, a numpy float at one point.
-_ARRAYS = SimpleNamespace(exp=_exp, quartic=_quartic, call=_on_arrays, apply=lambda f, t: f(t),
+# What a formula does on points of arrays, np.moveaxis(points, -1, 0), where a gradient is a list or
+# an array (n, ...) of components; a constant is a read-only broadcast view, a numpy float at one point.
+_ARRAYS = SimpleNamespace(exp=_exp, quartic=_quartic, apply=lambda f, t: f(t),
                           full=lambda t, value: np.broadcast_to(value, np.shape(t))[()],
                           zeros=lambda x: np.broadcast_to(0.0, np.shape(x))[()])
 
@@ -200,11 +177,6 @@ class _Trace:
     def quartic(self, t) -> _Var:
         return self.apply(float, self.apply(_quartic, t, name="_quartic"), name="float")
 
-    def call(self, value_and_grad: Callable, x) -> tuple:
-        """value_and_grad of points through an adapter of floats: np.array in, .tolist() out."""
-        out = self.apply(lambda x: [r.tolist() for r in value_and_grad(np.array(x))], x)
-        return self.emit(f"{out.text}[0]"), [self.emit(f"{out.text}[1][{k}]") for k in range(len(x))]
-
     def full(self, t, value) -> _Var:
         return _Var(self, self.literal(value))
 
@@ -258,7 +230,7 @@ def _positive_constant(value: float, what: str) -> ScalarField:
     v = float(value)
     if v <= 0:
         raise ContractError(f"{what} must be positive")
-    return ScalarField.of(lambda m, x: (m.full(x[0], v), m.zeros(x)))
+    return ScalarField(lambda m, x: (m.full(x[0], v), m.zeros(x)))
 
 
 def constant_kappa(value: float = 1.0) -> ScalarField:
@@ -275,7 +247,7 @@ def gaussian_kappa(kappa0: float = 1.0, c: float = 1.0) -> ScalarField:
         v = k0 * m.exp(quarter_c * _dot(x, x))
         return v, [v * half_c * t for t in x]
 
-    return ScalarField.of(formula)
+    return ScalarField(formula)
 
 
 def kappa_from_b(b_funcs, kappa0: float = 1.0) -> ScalarField:
@@ -293,7 +265,7 @@ def kappa_from_b(b_funcs, kappa0: float = 1.0) -> ScalarField:
         val = k0 * m.exp((logs[0] + logs[1] + logs[2] + logs[3]) / 4.0)
         return val, [val * (m.apply(b.d, t) / w) / 4.0 for b, t, w in zip(bs, x, v)]
 
-    return ScalarField.of(formula)
+    return ScalarField(formula)
 
 
 def cross_term_kappa(kappa0: float = 1.0, c: float = 1.0, axes=(0, 1)) -> ScalarField:
@@ -311,7 +283,7 @@ def cross_term_kappa(kappa0: float = 1.0, c: float = 1.0, axes=(0, 1)) -> Scalar
         g[a], g[b] = v * c * x[b] / 4.0, v * c * x[a] / 4.0
         return v, g
 
-    return ScalarField.of(formula)
+    return ScalarField(formula)
 
 
 def constant_lambda(value: float = 1.0) -> ScalarField:
@@ -327,7 +299,7 @@ def reciprocal_quartic_lambda(kappa: ScalarField, kappa0: float, lambda0: float)
         lv = l0 * m.quartic(k0 / kv)
         return lv, [-4.0 * lv * d / kv for d in dk]
 
-    field = ScalarField.of(lambda m, x: of_kappa(m, *kappa.formula(m, x)))
+    field = ScalarField(lambda m, x: of_kappa(m, *kappa.formula(m, x)))
     field.kappa, field.of_kappa = kappa, of_kappa
     return field
 

@@ -1,13 +1,13 @@
 """Mutation runner: each mutant in MUTANTS is a one-place edit of the library that a test
 should notice.  Every mutant is applied to its own temporary copy of the repository, and
-only the test files it names run there; the mutant is killed when they fail.
+only the test files or test ids it names run there; the mutant is killed when they fail.
 
 Run from anywhere, with the test dependencies installed:
 
     python tests/mutation/run.py            # every mutant
     python tests/mutation/run.py cone-open  # the mutants named
 
-It first runs the named test files on an unmutated copy, which must pass.  It prints one
+It first runs the named tests on an unmutated copy, which must pass.  It prints one
 line per mutant and then "killed k of n", which it also appends to $GITHUB_STEP_SUMMARY
 when that is set.  Exit code 0 when every mutant is killed, 1 when some survive, and 2
 when the unmutated copy fails or a mutant's old text is not found exactly once.
@@ -36,7 +36,7 @@ class Mutant(NamedTuple):
     file: str  # relative to the repository root
     old: str  # must occur exactly once in the file
     new: str
-    tests: tuple  # test files to run, relative to the repository root
+    tests: tuple  # test files or test ids to run, relative to the repository root
 
 
 MUTANTS = (
@@ -126,10 +126,12 @@ MUTANTS = (
            "return y[Gamma.n:] + geodesic_rhs(", "return y[:Gamma.n] + geodesic_rhs(", ("tests/test_geodesics.py",)),
     Mutant("grid-unbounded", "src/polyan/cli.py",
            "if points ** n > _MAX_GRID_POINTS:", "if False:", ("tests/test_cli.py",)),
-    Mutant("scalar-rows-unchecked", "src/polyan/h4.py",
-           "        self.kappa = self.of_kappa = None\n",
-           "        self.kappa = self.of_kappa = None\n        self._rows_checked = {id(func), id(value_and_grad)}\n",
-           ("tests/test_h4.py",)),
+    Mutant("formula-shape-unchecked", "src/polyan/h4.py",
+           "if (np.shape(v), g.shape) != (x.shape[:-1], x.shape):", "if False:",
+           ("tests/test_h4.py::test_a_formula_of_the_wrong_shape_raises_contract_error",)),
+    Mutant("formula-gradient-unmoved", "src/polyan/h4.py",
+           "g = np.moveaxis(np.asarray(g), 0, -1)", "g = np.asarray(g)",
+           ("tests/test_h4.py::test_a_gradient_array_has_its_direction_last",)),
     Mutant("family-gauge-shortcut-dropped", "src/polyan/h4.py",
            "if lam.kappa is metric.kappa else", "if False else", ("tests/test_family.py",)),
     Mutant("finsler-length-contract-error", "src/polyan/h4.py",
@@ -147,6 +149,11 @@ MUTANTS = (
     Mutant("whole-numbers-beyond-int64", "src/polyan/algebra.py",
            "lo, hi = (max(within[0], -2 ** 63), min(within[1], 2 ** 63 - 1)) if integral else within",
            "lo, hi = within", ("tests/test_algebra.py", "tests/test_cli.py")),
+    Mutant("cross-term-equal-axes-unchecked", "src/polyan/cli.py", "if a == b:", "if False:",
+           ("tests/test_cli.py::test_cross_term_axes_errors_quote_the_config_numbers",)),
+    Mutant("min-difference-unbounded", "src/polyan/cli.py",
+           '"min_difference", within=(0, math.inf))', '"min_difference")',
+           ("tests/test_cli.py::test_a_negative_min_difference_is_a_config_error",)),
 )
 
 
@@ -158,7 +165,7 @@ def _copy(dest: Path) -> None:
 
 
 def _in_copy(tests, mutant: Mutant | None = None) -> subprocess.CompletedProcess:
-    """pytest on the test files in a fresh copy of the repository, with the mutant applied if given."""
+    """pytest on the tests in a fresh copy of the repository, with the mutant applied if given."""
     with tempfile.TemporaryDirectory(prefix="polyan-mutant-") as tmp:
         copy = Path(tmp)
         _copy(copy)

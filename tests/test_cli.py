@@ -731,6 +731,30 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, command, confi
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axes, message", [
+    ([5, 6], "cross-term axes[0] must be in 1..4, got 5"),
+    ([0, 1], "cross-term axes[0] must be in 1..4, got 0"),
+    ([2, 2], "cross-term axes must be two different axes, got 2, 2"),
+], ids=["above-4", "below-1", "equal"])
+def test_cross_term_axes_errors_quote_the_config_numbers(tmp_path, capsys, axes, message):
+    """The config numbers its axes from 1, and its errors quote them as it wrote them."""
+    code, text = run_cli(tmp_path, "family-verify", dict(_FAMILY, kappa={"kind": "cross-term", "axes": axes}))
+    assert (code, text) == (EXIT_CONFIG, "")
+    assert message in capsys.readouterr().err
+
+
+def test_a_negative_min_difference_is_a_config_error(tmp_path, capsys):
+    """"expect": "different" passes when the two integrals differ by more than min_difference, so a
+    negative one would pass two equal paths: it exits 2, and 0 is the smallest it takes."""
+    config = {"algebra": "h4-psi", "field": {"kind": "identity"}, "path": _STRAIGHT, "path_b": _STRAIGHT,
+              "expect": "different", "min_difference": -1}
+    code, text = run_cli(tmp_path, "line-integral", config)
+    assert (code, text) == (EXIT_CONFIG, "")
+    assert "min_difference must be in 0..inf, got -1" in capsys.readouterr().err
+    code, text = run_cli(tmp_path, "line-integral", dict(config, min_difference=0))
+    assert code == EXIT_TOL and json.loads(text)["results"]["difference"] == 0
+
+
 def test_algebra_file_must_be_a_string(tmp_path):
     """{"file": 0} would open file descriptor 0 and read the algebra from stdin."""
     cfg_path = tmp_path / "cfg.json"
@@ -839,11 +863,15 @@ _UNIT_E2 = {"n": 2, "unit_index": 2, "entries": [{"k": 1, "i": 2, "j": 1, "value
     ("cr-residual", dict(_CR, field={"kind": "monomial", "component": 4, "exponents": [0, 0, 0, 1]}), ()),
     ("algebra-check", {"algebra": _UNIT_E2}, ("--tol", "0")),
     ("algebra-check", {"algebra": {"n": 1, "unit_index": 1, "entries": [{"k": 1, "i": 1, "j": 1, "value": 1}]}}, ()),
+    ("extremal", dict(_EXTREMAL, kappa={"kind": "cross-term", "axes": [4, 1]}, steps=1, t_end=1e-3), ()),
+    ("line-integral", {"algebra": "complex", "field": {"kind": "identity"}, "segments": 1, "expect": "different",
+                       "min_difference": 0, "path": {"kind": "straight", "from": [0, 0], "to": [1, 1]},
+                       "path_b": {"kind": "straight", "from": [0, 0], "to": [1, 2]}}, ()),
 ])
 def test_config_numbers_are_accepted_at_both_ends_of_their_ranges(tmp_path, command, config, extra):
     """Each range is closed: these runs read count, steps, segments, points_per_axis, a zero connection's
-    n, a monomial's component, an algebra document's n, entry indices, unit_index and --tol at an end of
-    its range, each with little work to do, and each passes."""
+    n, a monomial's component, an algebra document's n, entry indices, unit_index, --tol, cross-term axes
+    and min_difference at an end of its range, each with little work to do, and each passes."""
     code, text = run_cli(tmp_path, command, config, extra=extra)
     assert code == EXIT_OK and text
 

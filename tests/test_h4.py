@@ -13,6 +13,7 @@ from polyan.algebra import H4_E_TO_PSI_MATRIX, builtin_algebra, h4_basis_change
 from polyan.h4 import (
     FinslerConfig,
     ScalarField,
+    _dot,
     compatibility_residual,
     constant_b,
     constant_kappa,
@@ -174,47 +175,43 @@ def test_kappa_from_b_gradient_is_analytic():
     assert np.max(np.abs(kappa.gradient(XI) - num)) < 1e-8
 
 
-def test_fd_gradient_matches_per_coordinate_loop():
-    # the central-2 loop ScalarField.gradient used to carry, kept as reference
-    kappa = gaussian_kappa(1.0, 0.7)
-    bare = ScalarField(kappa.func)
-    eps = float(np.finfo(float).eps)
-    for x in (XI, np.array([1.5, -2.0, 0.3, 40.0])):
-        h = eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(x))
-        h = (x + h) - x
-        expected = np.zeros_like(x)
-        for k in range(4):
-            e = np.zeros_like(x)
-            e[k] = h[k]
-            expected[k] = (kappa.func(x + e) - kappa.func(x - e)) / (2 * h[k])
-        assert np.array_equal(bare.gradient(x), expected)
+def sine_formula(m, x):
+    """kappa = exp(sin(x1 x2) / 4) written as a formula, as the built-in kinds are: the mixed
+    derivative of 4 log kappa is cos s - s sin s (s = x1 x2)."""
+    s = x[0] * x[1]
+    v = m.exp(np.sin(s) / 4.0)
+    d = v * np.cos(s) / 4.0
+    return v, [d * x[1], d * x[0], m.full(x[2], 0.0), m.full(x[3], 0.0)]
 
 
-def _one_point_kappa(x):
-    """A kappa's value and gradient written for one point: on a stack, x[0] is the first row."""
-    return 1 + 0.1 * x[0] ** 2, np.array([0.2 * x[0], 0 * x[1], 0 * x[2], 0 * x[3]])
+STACK = np.stack([XI, -XI, 2 * XI])
 
 
-def test_one_point_scalar_field_fails_on_a_stack():
-    """On four points the one-point kappa gives arrays of the right shapes but wrong rows; the
-    one-time row check raises ContractError naming the lift, and the lift gives each point's row."""
-    stack = np.random.default_rng(2).uniform(-0.5, 0.5, (4, 4))
-    kappa = ScalarField(lambda x: _one_point_kappa(x)[0], _one_point_kappa)
-    metric = FinslerConfig(kappa=kappa, lam=constant_lambda(2.0))
-    one_point = [gamma_matrices(x, metric) for x in stack]
-    lift = 'lift a one-point {} with np.vectorize(f, signature="(n)->{}")'
-    with pytest.raises(ContractError, match=re.escape(lift.format("value_and_grad", "(),(n)"))):
-        gamma_matrices(stack, metric)
-    with pytest.raises(ContractError, match=re.escape(lift.format("scalar field", "()"))):
-        kappa.func(stack)
-    lifted = ScalarField(np.vectorize(lambda x: _one_point_kappa(x)[0], signature="(n)->()"),
-                         np.vectorize(_one_point_kappa, signature="(n)->(),(n)"))
-    rows = gamma_matrices(stack, FinslerConfig(kappa=lifted, lam=constant_lambda(2.0)))
-    assert all(np.array_equal(row, g) for row, g in zip(rows, one_point))
-    with pytest.raises(ContractError, match=re.escape("scalar field returned shape (2,), expected ()")):
-        ScalarField(lambda x: np.ones(2))(XI)
-    with pytest.raises(ContractError, match=re.escape("returned shape ((), (3,)), expected ((), (4,))")):
-        ScalarField(np.sum, lambda x: (np.sum(x), x[:3])).gradient(XI)
+@pytest.mark.parametrize("formula, points, message", [
+    (lambda m, x: (np.ones(2), [x[0]] * 4), XI, "a value of shape (2,) and a gradient of shape (4,) on points"),
+    (lambda m, x: (x[0], [x[0]] * 3), XI, "a value of shape () and a gradient of shape (3,) on points"),
+    (lambda m, x: (x[:2], np.asarray(x)), STACK, "a value of shape (2, 3) and a gradient of shape (3, 4)"),
+    (lambda m, x: (x[0], np.asarray(x)[:2]), STACK, "a value of shape (3,) and a gradient of shape (3, 2)"),
+], ids=["value-on-a-point", "gradient-on-a-point", "value-on-a-stack", "gradient-on-a-stack"])
+def test_a_formula_of_the_wrong_shape_raises_contract_error(formula, points, message):
+    """A formula's value has the points' leading shape and its gradient n components, else
+    value_and_grad and func raise ContractError."""
+    field = ScalarField(formula)
+    for call in (field.value_and_grad, field.func):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            call(points)
+
+
+@pytest.mark.parametrize("gradient", [lambda x: np.asarray(x) / 2.0, lambda x: [t / 2.0 for t in x]],
+                         ids=["array", "list"])
+def test_a_gradient_array_has_its_direction_last(gradient):
+    """A formula gives its gradient as one array (n, ...) or a list of n components; on four points
+    of four coordinates, where the shape alone cannot tell, each row is still the point's gradient."""
+    field = ScalarField(lambda m, x: (1.0 + _dot(x, x) / 4.0, gradient(x)))
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 4))
+    values, grads = field.value_and_grad(points)
+    assert np.array_equal(grads, points / 2.0)
+    assert np.array_equal(values, [field(x) for x in points])
 
 
 def test_value_and_gradient_agrees_with_separate_calls(rng):
@@ -222,7 +219,7 @@ def test_value_and_gradient_agrees_with_separate_calls(rng):
     gauge = reciprocal_quartic_lambda(kappa, 1.1, 2.0)
     fields = [constant_kappa(1.3), kappa, cross_term_kappa(1.1, 0.7, (1, 3)),
               kappa_from_b((quadratic_b(0.3), gaussian_b(0.6), quadratic_b(-0.2), gaussian_b(-0.4)), 1.1),
-              constant_lambda(2.0), gauge, ScalarField(kappa.func)]
+              constant_lambda(2.0), gauge, ScalarField(sine_formula)]
     for x in rng.uniform(-0.6, 0.6, (5, 4)):
         for field in fields:
             value, grad = field.value_and_gradient(x)
@@ -239,8 +236,6 @@ def test_compatibility_residual_zero_for_separable():
     assert np.max(np.abs(compatibility_residual(gaussian_kappa(1.0), XI))) < 1e-11
     sep = kappa_from_b(tuple(quadratic_b(0.3) for _ in range(4)), 1.0)
     assert np.max(np.abs(compatibility_residual(sep, XI))) < 1e-11
-    # without an analytic gradient, the check differentiates an FD gradient
-    assert np.max(np.abs(compatibility_residual(ScalarField(sep.func), XI))) < 1e-6
 
 
 def test_compatibility_residual_detects_cross_term():
@@ -255,16 +250,9 @@ def test_compatibility_step_resolves_a_curved_mixed_derivative():
     """kappa = exp(sin(x1 x2) / 4) has the mixed derivative cos s - s sin s (s = x1 x2) of
     4 log kappa; the check's base step eps^(1/4) gets within 1e-8 of it on [-1, 1]^4, where
     a step of 1e-3 errs by about 2e-7."""
-    def value_and_grad(x):
-        s = x[..., 0] * x[..., 1]
-        kv = np.exp(np.sin(s) / 4.0)
-        g = np.zeros(x.shape)
-        g[..., 0], g[..., 1] = kv * np.cos(s) * x[..., 1] / 4.0, kv * np.cos(s) * x[..., 0] / 4.0
-        return kv, g
-
     xi = np.random.default_rng(5).uniform(-1.0, 1.0, (50, 4))
     s = xi[:, 0] * xi[:, 1]
-    r = compatibility_residual(ScalarField(lambda x: value_and_grad(x)[0], value_and_grad), xi)
+    r = compatibility_residual(ScalarField(sine_formula), xi)
     assert np.max(np.abs(r[:, 0, 1] - (np.cos(s) - s * np.sin(s)))) <= 1e-8
 
 
@@ -314,7 +302,7 @@ def _kinds():
             "cross-term kappa": cross_term_kappa(1.1, 0.7, (1, 3)), "from-b kappa": from_b,
             "constant gauge": constant_lambda(2.0),
             "kappa-reciprocal gauge": reciprocal_quartic_lambda(from_b, 1.1, 2.0),
-            "FD gradient": ScalarField(gauss.func)}
+            "sine formula": ScalarField(sine_formula)}
 
 
 @pytest.mark.parametrize("name", sorted(_kinds()))
