@@ -200,7 +200,7 @@ def _make_path(spec: dict, n: int) -> fl.Path:
     raise ConfigError(f"unknown path kind {kind!r}")
 
 
-def _make_b(spec: dict) -> h4.ScalarFunc1D:
+def _make_b(spec: dict) -> Callable:
     kind = _require(spec, "kind", "profile spec")
     if kind == "constant":
         return h4.constant_b(_number(spec.get("c", 1.0), "c"))
@@ -498,6 +498,7 @@ def run(command: str, config: dict, output: str | None = None, fmt: str | None =
     handler, default_tol, writes_trajectory = _HANDLERS[command]
     try:
         tol = default_tol if tol is None else _number(tol, "tol", within=(0, math.inf))
+        seed = _number(seed, "seed", True, within=(0, math.inf))
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
     if fmt is None:
@@ -578,7 +579,7 @@ def main(argv=None) -> int:
             raise ConfigError("config root must be an object")
         return run(args.command, config, output=args.output, fmt=args.fmt,
                    tol=args.tol, seed=args.seed)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 

@@ -60,24 +60,8 @@ class ScalarField:
     def __call__(self, x):
         return self.func(np.asarray(x, dtype=float))[()]
 
-    def value_and_gradient(self, x) -> tuple:
-        """The value and the gradient at x, from one evaluation of the formula."""
-        v, g = self.value_and_grad(np.asarray(x, dtype=float))
-        return v[()], g
-
     def gradient(self, x) -> np.ndarray:
-        return self.value_and_gradient(x)[1]
-
-
-@dataclass(frozen=True)
-class ScalarFunc1D:
-    """Scalar function of one real argument with its derivative d, elementwise on arrays."""
-
-    func: Callable
-    d: Callable
-
-    def __call__(self, t):
-        return self.func(t)
+        return self.value_and_grad(np.asarray(x, dtype=float))[1]
 
 
 def _raise_if(bad, error: type, message: str) -> None:
@@ -112,7 +96,7 @@ def _dot(a, b):
 
 # What a formula does on points of arrays, np.moveaxis(points, -1, 0), where a gradient is a list or
 # an array (n, ...) of components; a constant is a read-only broadcast view, a numpy float at one point.
-_ARRAYS = SimpleNamespace(exp=_exp, quartic=_quartic, apply=lambda f, t: f(t),
+_ARRAYS = SimpleNamespace(exp=_exp, quartic=_quartic,
                           full=lambda t, value: np.broadcast_to(value, np.shape(t))[()],
                           zeros=lambda x: np.broadcast_to(0.0, np.shape(x))[()])
 
@@ -211,19 +195,25 @@ def _compiled(form: Callable, cfg, y: int) -> Callable:
     return m.names["rhs"]
 
 
-def constant_b(c: float = 1.0) -> ScalarFunc1D:
+# A single-variable profile b is a formula b(m, t): the value and the derivative at t in the forms m.
+def constant_b(c: float = 1.0) -> Callable:
     c = float(c)
-    return ScalarFunc1D(lambda t: np.full(np.shape(t), c), lambda t: np.zeros(np.shape(t)))
+    return lambda m, t: (m.full(t, c), m.full(t, 0.0))
 
 
-def quadratic_b(c: float) -> ScalarFunc1D:
+def quadratic_b(c: float) -> Callable:
     c = float(c)
-    return ScalarFunc1D(lambda t: 1.0 + c * t * t, lambda t: 2.0 * c * t)
+    return lambda m, t: (1.0 + c * t * t, 2.0 * c * t)
 
 
-def gaussian_b(c: float = 1.0) -> ScalarFunc1D:
+def gaussian_b(c: float = 1.0) -> Callable:
     c = float(c)
-    return ScalarFunc1D(lambda t: _exp(c * t * t), lambda t: 2.0 * c * t * _exp(c * t * t))
+
+    def formula(m, t):
+        e = m.exp(c * t * t)
+        return e, 2.0 * c * t * e
+
+    return formula
 
 
 def _positive_constant(value: float, what: str) -> ScalarField:
@@ -251,19 +241,19 @@ def gaussian_kappa(kappa0: float = 1.0, c: float = 1.0) -> ScalarField:
 
 
 def kappa_from_b(b_funcs, kappa0: float = 1.0) -> ScalarField:
-    """Separable profile kappa0 * prod |b_i(x_i)|^(1/4)."""
+    """Separable profile kappa0 * prod |b_i(x_i)|^(1/4), from the formulas b_i(m, t)."""
     bs = tuple(b_funcs)
     if len(bs) != 4:
         raise ContractError("need exactly four component functions")
     k0 = float(kappa0)
 
     def formula(m, x):
-        v = [m.apply(b, t) for b, t in zip(bs, x)]
+        v, d = zip(*(b(m, t) for b, t in zip(bs, x)))
         _raise_if((v[0] == 0.0) | (v[1] == 0.0) | (v[2] == 0.0) | (v[3] == 0.0), DomainError,
                   "component function vanishes on the evaluation point")
         logs = [np.log(abs(w)) for w in v]
         val = k0 * m.exp((logs[0] + logs[1] + logs[2] + logs[3]) / 4.0)
-        return val, [val * (m.apply(b.d, t) / w) / 4.0 for b, t, w in zip(bs, x, v)]
+        return val, [val * (e / w) / 4.0 for e, w in zip(d, v)]
 
     return ScalarField(formula)
 
@@ -415,12 +405,12 @@ class H4FamilySpec:
     """Parameters of the closed-form family of generalized-analytic functions.
 
     phi0 are the component amplitudes, mu the psi-components of the constant
-    multiplier element, b the four single-variable profiles (nonvanishing on
-    the domain), metric the quartic metric the family is built on: its scale
-    kappa (the separable kappa_from_b(b, kappa0) for the compatible family),
-    its positive gauge lam and their reference constants.  convention selects
-    where the profile enters the component formula, 'reciprocal' being the
-    placement that satisfies the defining system for generic profiles.
+    multiplier element, b the four single-variable profile formulas b(m, t)
+    (nonvanishing on the domain), metric the quartic metric the family is built
+    on: its scale kappa (the separable kappa_from_b(b, kappa0) for the compatible
+    family), its positive gauge lam and their reference constants.  convention
+    selects where the profile enters the component formula, 'reciprocal' being
+    the placement that satisfies the defining system for generic profiles.
     """
 
     phi0: np.ndarray
@@ -444,10 +434,9 @@ class H4FamilySpec:
 
 
 def _profile_factors(spec: H4FamilySpec, xi: np.ndarray):
-    """Values and log-derivatives of the placed profiles B_i(xi_i) at points (..., 4)."""
-    bv = np.stack([b(xi[..., i]) for i, b in enumerate(spec.b)], axis=-1)
+    """Values and log-derivatives of the placed profiles B_i(xi_i) at points (..., 4), one formula call per axis."""
+    bv, bd = (np.stack(s, axis=-1) for s in zip(*(b(_ARRAYS, xi[..., i]) for i, b in enumerate(spec.b))))
     _raise_if(bv == 0.0, DomainError, "profile function vanishes on the evaluation point")
-    bd = np.stack([b.d(xi[..., i]) for i, b in enumerate(spec.b)], axis=-1)
     if spec.convention == "reciprocal":
         return 1.0 / bv, -bd / bv
     return bv, bd / bv

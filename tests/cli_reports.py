@@ -79,6 +79,7 @@ CONFIGS = [
      {"algebra": {"n": 64}, "field": {"kind": "identity"}, "grid": {"points_per_axis": 1}}, ()),
     ("pair-ops h4-e", "pair-ops", {"algebra": "h4-e", "count": 2}, ()),
     ("pair-ops complex seed 3", "pair-ops", {"algebra": "complex", "count": 3}, ("--seed", "3")),
+    ("pair-ops negative seed", "pair-ops", {"algebra": "complex", "count": 3}, ("--seed", "-1")),
     ("line-integral straight", "line-integral",
      {"algebra": "complex", "field": {"kind": "componentwise-power", "power": 2},
       "path": {"kind": "straight", "from": [0, 0], "to": [1, 0.5]}}, ()),

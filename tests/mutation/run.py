@@ -154,6 +154,21 @@ MUTANTS = (
     Mutant("min-difference-unbounded", "src/polyan/cli.py",
            '"min_difference", within=(0, math.inf))', '"min_difference")',
            ("tests/test_cli.py::test_a_negative_min_difference_is_a_config_error",)),
+    Mutant("gaussian-b-derivative-unscaled", "src/polyan/h4.py",
+           "return e, 2.0 * c * t * e", "return e, c * t * e",
+           ("tests/test_h4.py::test_profile_functions_are_elementwise",)),
+    Mutant("profile-factors-swapped", "src/polyan/h4.py",
+           "bv, bd = (np.stack(s, axis=-1) for s", "bd, bv = (np.stack(s, axis=-1) for s",
+           ("tests/test_family.py::test_family_field_fd_jacobian_agrees",)),
+    Mutant("from-b-gradient-inverted", "src/polyan/h4.py",
+           "for e, w in zip(d, v)]", "for e, w in zip(v, d)]",
+           ("tests/test_h4.py::test_kappa_from_b_gradient_is_analytic",)),
+    Mutant("seed-unread", "src/polyan/cli.py",
+           '        seed = _number(seed, "seed", True, within=(0, math.inf))\n', "",
+           ("tests/test_cli.py::test_seed_must_be_a_whole_number_in_int64_from_zero",)),
+    Mutant("non-utf8-config-uncaught", "src/polyan/cli.py",
+           "json.JSONDecodeError, UnicodeDecodeError)", "json.JSONDecodeError)",
+           ("tests/test_cli.py::test_a_config_that_is_not_utf8_is_config_error",)),
 )
 
 

@@ -508,10 +508,27 @@ def test_tolerance_must_be_a_finite_nonnegative_number(tmp_path, capsys, tol):
         cli.run("algebra-check", {"algebra": "complex"}, tol=float(tol))
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 63)])
+def test_seed_must_be_a_whole_number_in_int64_from_zero(tmp_path, capsys, seed):
+    """numpy's default_rng takes no negative seed: -1 raised its ValueError out of main."""
+    code, text = run_cli(tmp_path, "pair-ops", {"algebra": "complex", "count": 2}, extra=(f"--seed={seed}",))
+    assert (code, text) == (EXIT_CONFIG, "")
+    assert capsys.readouterr().err.startswith("config error: seed must be in 0..9223372036854775807")
+    assert run_cli(tmp_path, "pair-ops", {"algebra": "complex", "count": 2}, extra=(f"--seed={2 ** 63 - 1}",))[0] == EXIT_OK
+
+
 def test_malformed_json_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["algebra-check", "--config", str(bad)]) == EXIT_CONFIG
+
+
+def test_a_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # the byte 0xff inside a string: json.load raises UnicodeDecodeError, not JSONDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"algebra": "h4-\xff"}')
+    assert main(["algebra-check", "--config", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_unknown_algebra_is_config_error(tmp_path, capsys):

@@ -15,6 +15,7 @@ from polyan.h4 import (
     FinslerConfig,
     H4FamilySpec,
     ScalarField,
+    _ARRAYS,
     _family_terms,
     analytic_gamma_max,
     compatibility_residual,
@@ -242,7 +243,7 @@ def reference_jacobian(spec, xi):
     common = (4.0 * spec.metric.kappa.gradient(xi) / spec.metric.kappa(xi)
               + spec.metric.lam.gradient(xi) / spec.metric.lam(xi))
     sign = -1.0 if spec.convention == "reciprocal" else 1.0
-    dlog = np.array([sign * b.d(t) / b(t) for b, t in zip(spec.b, xi)])
+    dlog = np.array([sign * d / w for w, d in (b(_ARRAYS, t) for b, t in zip(spec.b, xi))])
     out = phi[:, None] * common[None, :]
     out[np.arange(4), np.arange(4)] += phi * (dlog + spec.mu)
     return out

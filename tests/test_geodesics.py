@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from polyan.geodesics import (
 from polyan.h4 import (
     FinslerConfig,
     ScalarField,
-    ScalarFunc1D,
     _compiled,
     _log_gradients,
     constant_b,
@@ -598,12 +598,12 @@ def numpy_trajectory(metric, form, xi0, w0, cfg):
     with s . v the left-to-right sum of products."""
     def extremal(y):
         xi, p = y[:4], y[4:]
-        kv, dk = metric.kappa.value_and_gradient(xi)
+        kv, dk = metric.kappa(xi), metric.kappa.gradient(xi)
         return np.concatenate([np.prod(p) / p * metric.lam(xi), (kv / 4.0) ** 4 * (4.0 * dk / kv) * metric.lam(xi)])
 
     def geodesic(y):
         x, v = y[:4], y[4:]
-        (kv, dk), (lv, dl) = metric.kappa.value_and_gradient(x), metric.lam.value_and_gradient(x)
+        kv, dk, lv, dl = metric.kappa(x), metric.kappa.gradient(x), metric.lam(x), metric.lam.gradient(x)
         if kv <= 0 or lv <= 0:
             raise DomainError("kappa and the gauge must stay positive")
         dln_lam = dl / lv
@@ -701,9 +701,25 @@ def test_a_formula_of_your_own_compiles_like_the_builtin_kinds(lambda_kind, form
 
 
 @pytest.mark.parametrize("form", ["extremal", "geodesic"])
+@pytest.mark.parametrize("b_kind", sorted(_B_KINDS))
+def test_a_from_b_listing_calls_no_profile(b_kind, form):
+    # each built-in b is a formula, so its arithmetic is inline in the RK4 stage: the listing
+    # calls only ufuncs, float, _quartic, the fallback and errors, and returns Python floats
+    kappa = kappa_from_b([_B_KINDS[b_kind](c) for c in (0.3, -0.2, 0.5, 0.1)], 1.1)
+    for lam in (constant_lambda(3.0), reciprocal_quartic_lambda(kappa, 1.1, 2.0)):
+        rhs = compiled_rhs(FinslerConfig(kappa=kappa, lam=lam, kappa0=1.1, lambda0=2.0), form)
+        called = set(re.findall(r"(\w+)\(", rhs.__doc__)) - {"rhs"}
+        assert called <= {"abs", "exp", "log", "float", "_quartic", "_rates_on_numpy_floats", "DomainError",
+                          "OverflowError"}
+        assert all(type(r) is float for r in rhs(XI0.tolist() + DXI0.tolist()))
+
+
+@pytest.mark.parametrize("form", ["extremal", "geodesic"])
 def test_profile_vanishing_mid_run_is_the_numpy_domain_error(form):
     # b_1 drops to 0 once xi_1 passes 0.052: both paths stop at the same stage
-    step = ScalarFunc1D(lambda t: np.where(t < 0.052, 1.0, 0.0), lambda t: np.zeros(np.shape(t)))
+    def step(m, t):
+        return (t < 0.052) * 1.0, m.full(t, 0.0)
+
     kappa = kappa_from_b([step, constant_b(1.0), constant_b(1.0), constant_b(1.0)], 1.0)
     metric = FinslerConfig(kappa=kappa, lam=constant_lambda(1.0))
     w0 = momenta(DXI0, XI0, metric) if form == "extremal" else DXI0

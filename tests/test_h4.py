@@ -13,6 +13,7 @@ from polyan.algebra import H4_E_TO_PSI_MATRIX, builtin_algebra, h4_basis_change
 from polyan.h4 import (
     FinslerConfig,
     ScalarField,
+    _ARRAYS,
     _dot,
     compatibility_residual,
     constant_b,
@@ -222,7 +223,7 @@ def test_value_and_gradient_agrees_with_separate_calls(rng):
               constant_lambda(2.0), gauge, ScalarField(sine_formula)]
     for x in rng.uniform(-0.6, 0.6, (5, 4)):
         for field in fields:
-            value, grad = field.value_and_gradient(x)
+            value, grad = field.value_and_grad(x)
             assert value == field(x) and np.array_equal(grad, field.gradient(x))
         # the reciprocal gauge's gradient as written with separate kappa calls
         kv = kappa(x)
@@ -318,11 +319,14 @@ def test_kind_on_points_equals_stacked_point_calls(name, rng):
     assert all(type(field(x)) is np.float64 for x in flat[:3])
 
 
-@pytest.mark.parametrize("b", [constant_b(1.4), quadratic_b(-0.3), gaussian_b(0.6)])
+@pytest.mark.parametrize("b", [constant_b(1.4), quadratic_b(-0.3), gaussian_b(0.6)], ids=("b0", "b1", "b2"))
 def test_profile_functions_are_elementwise(b, rng):
-    t = rng.uniform(-0.8, 0.8, (4, 6))
-    assert np.array_equal(b(t), [[b(s) for s in row] for row in t])
-    assert np.array_equal(b.d(t), [[b.d(s) for s in row] for row in t])
+    # one value per point, and a derivative that a central difference of the value agrees with
+    t, h = rng.uniform(-0.8, 0.8, (4, 6)), 1e-6
+    values, derivatives = b(_ARRAYS, t)
+    assert np.array_equal(values, [[b(_ARRAYS, s)[0] for s in row] for row in t])
+    assert np.array_equal(derivatives, [[b(_ARRAYS, s)[1] for s in row] for row in t])
+    assert np.max(np.abs(derivatives - (b(_ARRAYS, t + h)[0] - b(_ARRAYS, t - h)[0]) / (2.0 * h))) < 1e-8
 
 
 # the gaussian, cross-term and from-b kappa as written with math.exp and
@@ -346,9 +350,12 @@ def _math_from_b(bs, k0):
     def value(x):
         acc = 0.0
         for i, b in enumerate(bs):
-            acc += math.log(abs(float(b(x[i]))))
+            acc += math.log(abs(float(b(_ARRAYS, x[i])[0])))
         return k0 * math.exp(acc / 4.0)
-    return value, lambda x, v: v * np.array([float(b.d(x[i]) / b(x[i])) for i, b in enumerate(bs)]) / 4.0
+
+    def gradient(x, v):
+        return v * np.array([float(d / w) for w, d in (b(_ARRAYS, x[i]) for i, b in enumerate(bs))]) / 4.0
+    return value, gradient
 
 
 def test_numpy_kinds_agree_with_math_references(rng):
