@@ -577,7 +577,7 @@ def pair_change_basis(pair: GAPair, B) -> GAPair:
 class ConnectionField:
     """Position-dependent coefficients: points (..., n) -> (..., n, n, n) arrays G[..., i, k, j], one row per point.
 
-    rates, if given, maps a state y = (x, v), a list of 2n floats, to the list (v, a), a_i = -G[i, k, j] v_k v_j.
+    rates, if given, maps a state y = (x, v), a list of 2n floats, to the 2n floats (v, a), a_i = -G[i, k, j] v_k v_j.
     """
 
     def __init__(self, n: int, func: Callable, rates: Callable | None = None):

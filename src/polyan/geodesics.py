@@ -115,31 +115,38 @@ def geodesic_rhs(Gamma: ConnectionField, x: np.ndarray, v: np.ndarray) -> np.nda
     return -np.einsum("...ikj,...k,...j->...i", Gamma(x), v, v)
 
 
-def _rk4(rhs, y0: np.ndarray, cfg: IntegratorConfig, what: str, clock: str, cone=None):
-    """Fixed-step RK4 of y' = rhs(y) from time 0: sample times and states,
-    one row per step plus the start.
+@functools.lru_cache(maxsize=32)
+def _rk4_loop(size: int, cone: tuple):
+    """RK4's loop over a state of size floats, generated as straight-line code with the state in locals y0, y1, ...
+    and each slot's updates written out, so it rounds as numpy's elementwise operations would.  Each new state goes
+    to extend; it returns the step of the first non-finite state or one with a slot in cone not positive."""
+    ys, ks = [f"y{i}" for i in range(size)], [[f"k{s}_{i}" for i in range(size)] for s in range(5)]
+    body = [f"{', '.join(ks[1])} = rhs([{', '.join(ys)}])",
+            *(f"{', '.join(ks[s])} = rhs([{', '.join(f'{y} + {step} * {k}' for y, k in zip(ys, ks[s - 1]))}])"
+              for s, step in ((2, "half"), (3, "half"), (4, "h"))),
+            *(f"{y} = {y} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i, y in enumerate(ys)),
+            f"extend(({', '.join(ys)}))",
+            f"if not ({' and '.join(f'isfinite({y})' for y in ys)}){''.join(f' or y{i} <= 0' for i in cone)}:",
+            "    return m + 1"]
+    source = (f"def loop(rhs, y, steps, h, half, sixth, extend):\n    {', '.join(ys)} = y\n    for m in range(steps):\n"
+              + "".join(f"        {s}\n" for s in body))
+    exec(source, names := {"isfinite": math.isfinite})
+    names["loop"].__doc__ = source
+    return names["loop"]
 
-    The state is a list of floats, as rhs's value is, so every slot takes numpy's
-    elementwise operations in their order.  Aborts when a state becomes
-    non-finite, or when the components selected by cone leave the positive cone.
-    """
-    h = cfg.t_end / cfg.steps
-    half, sixth = 0.5 * h, h / 6.0
-    y = y0.tolist()
+
+def _rk4(rhs, y0: np.ndarray, cfg: IntegratorConfig, what: str, clock: str, cone=None):
+    """Fixed-step RK4 of y' = rhs(y), a list of floats to exactly as many rates, from time 0: sample times and
+    states, one row per step plus the start.  Aborts at a state that is non-finite or not positive in cone."""
+    h, y = cfg.t_end / cfg.steps, y0.tolist()
     samples = array("d", y)
-    for m in range(cfg.steps):
-        k1 = rhs(y)
-        k2 = rhs([a + half * k for a, k in zip(y, k1)])
-        k3 = rhs([a + half * k for a, k in zip(y, k2)])
-        k4 = rhs([a + h * k for a, k in zip(y, k3)])
-        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, y)):
-            raise IntegrationError(
-                f"{what} state became non-finite at step {m + 1} ({clock}={(m + 1) * h:g})"
-            )
-        if cone is not None and min(y[cone]) <= 0:
-            raise ConeError(f"momenta left the positive cone at step {m + 1} ({clock}={(m + 1) * h:g})")
-        samples.extend(y)
+    loop = _rk4_loop(len(y), tuple(range(len(y))[cone]) if cone else ())
+    step = loop(rhs, y, cfg.steps, h, 0.5 * h, h / 6.0, samples.extend)
+    if step:
+        at = f"at step {step} ({clock}={step * h:g})"
+        if all(map(math.isfinite, samples[-len(y):])):
+            raise ConeError(f"momenta left the positive cone {at}")
+        raise IntegrationError(f"{what} state became non-finite {at}")
     return h * np.arange(cfg.steps + 1), np.frombuffer(samples).reshape(cfg.steps + 1, -1)
 
 

@@ -115,6 +115,8 @@ class _Var:
         return self.trace.apply(abs, self, name="abs")
 
     def __array_ufunc__(self, ufunc, method, *args):
+        if ufunc in _UFUNC_OPS and len(args) == 2:  # a numpy scalar's operator: the same IEEE operation
+            return self.trace.emit(f" {_UFUNC_OPS[ufunc]} ".join(map(self.trace.literal, args)))
         return self.trace.apply(ufunc, *args, name=ufunc.__name__)
 
 
@@ -122,6 +124,8 @@ _OPS = "add + sub - mul * truediv / pow ** or | lt < le <= eq == ne != gt > ge >
 for _op, _sign in zip(_OPS[::2], _OPS[1::2]):
     setattr(_Var, f"__{_op}__", lambda a, b, s=_sign: a.trace.emit(f"{a.text} {s} {a.trace.literal(b)}"))
     setattr(_Var, f"__r{_op}__", lambda a, b, s=_sign: a.trace.emit(f"{a.trace.literal(b)} {s} {a.text}"))
+_UFUNC_OPS = {np.add: "+", np.subtract: "-", np.multiply: "*", np.true_divide: "/", np.less: "<",
+              np.less_equal: "<=", np.equal: "==", np.not_equal: "!=", np.greater: ">", np.greater_equal: ">="}
 
 
 class _Trace:
@@ -135,6 +139,7 @@ class _Trace:
     def literal(self, a) -> str:
         if isinstance(a, (list, np.ndarray)):
             return f"[{', '.join(map(self.literal, a))}]"
+        a = float(a) if isinstance(a, np.floating) else a
         if type(a) in (int, float):
             return f"({a!r})" if math.copysign(1.0, a) < 0 else repr(a)
         return a.text if isinstance(a, _Var) else self.bind(a)

@@ -119,6 +119,23 @@ CONFIGS = [
     ("geodesic finsler from-b crossing zero", "geodesic",
      {"connection": {"kind": "finsler", "kappa": {"kind": "from-b"}, "b": {"kind": "quadratic", "c": -4}},
       "x0": [0.4, 0.1, 0.1, 0.1], "v0": [1, 0.2, 0.2, 0.2], "steps": 100}, ()),
+    # the generated RK4 loop's edge cases: the smallest and the largest state, an odd n
+    ("geodesic zero n=1", "geodesic", {"connection": {"kind": "zero", "n": 1}, "x0": [0.5], "v0": [-2], "steps": 10},
+     ()),
+    ("geodesic zero n=1 json", "geodesic",
+     {"connection": {"kind": "zero", "n": 1}, "x0": [0.5], "v0": [-2], "steps": 10}, ("--format", "json")),
+    ("geodesic zero n=64", "geodesic",
+     {"connection": {"kind": "zero", "n": 64}, "x0": [k / 64 for k in range(64)], "v0": [1 - k / 32 for k in range(64)],
+      "steps": 20}, ()),
+    ("geodesic structure-scaled c3", "geodesic",
+     {"connection": {"kind": "structure-scaled", "algebra": "c3", "scale": 0.4},
+      "x0": [0.1, -0.2, 0.3], "v0": [0.5, 1.0, 0.8], "steps": 100}, ()),
+    ("geodesic finsler kappa underflow constant", "geodesic",
+     {"connection": {"kind": "finsler", "kappa": {"kind": "gaussian", "c": -40.0},
+                     "lam": {"kind": "constant", "value": 640.0}},
+      "x0": [5, 5, 5, 5], "v0": [1, 1, 1, 1], "steps": 3}, ()),
+    ("extremal one step", "extremal", dict(GAUSSIAN, xi0=XI0, dxi0=DXI0, steps=1, t_end=0.01), ()),
+    ("extremal from-b json", "extremal", dict(FROM_B, xi0=XI0, dxi0=DXI0, steps=100), ("--format", "json")),
     ("extremal gaussian csv", "extremal", dict(GAUSSIAN, xi0=XI0, dxi0=DXI0, steps=1000), ()),
     ("extremal cross-term reciprocal json", "extremal", dict(CROSS, xi0=XI0, dxi0=DXI0, steps=300),
      ("--format", "json")),

@@ -50,7 +50,26 @@ MUTANTS = (
     Mutant("central-4-base-step-1e-2", "src/polyan/fields.py",
            "base = _EPS ** 0.2", "base = 1e-2", ("tests/test_fields.py",)),
     Mutant("cone-open", "src/polyan/geodesics.py",
-           "min(y[cone]) <= 0", "min(y[cone]) < 0", ("tests/test_geodesics.py",)),
+           "f' or y{i} <= 0' for i in cone", "f' or y{i} < 0' for i in cone",
+           ("tests/test_geodesics.py::test_a_momentum_driven_to_exactly_zero_leaves_the_cone",)),
+    Mutant("rk4-stage-2-full-step", "src/polyan/geodesics.py",
+           '(2, "half")', '(2, "h")',
+           ("tests/test_geodesics.py::test_the_largest_generated_loop_steps_the_reference_bitwise",)),
+    Mutant("rk4-finiteness-skips-last-slot", "src/polyan/geodesics.py",
+           "f'isfinite({y})' for y in ys)", "f'isfinite({y})' for y in ys[:-1])",
+           ("tests/test_geodesics.py::test_an_abort_in_the_last_slot_at_step_1_is_the_reference_error",)),
+    Mutant("rk4-abort-step-m", "src/polyan/geodesics.py",
+           '"    return m + 1"', '"    return m"',
+           ("tests/test_geodesics.py::test_an_abort_in_the_last_slot_at_step_1_is_the_reference_error",)),
+    Mutant("rk4-abort-error-from-start-state", "src/polyan/geodesics.py",
+           "map(math.isfinite, samples[-len(y):])", "map(math.isfinite, samples[:len(y)])",
+           ("tests/test_geodesics.py::test_an_abort_in_the_last_slot_at_step_1_is_the_reference_error",)),
+    Mutant("numpy-scalar-bound-by-name", "src/polyan/h4.py",
+           "        a = float(a) if isinstance(a, np.floating) else a\n", "",
+           ("tests/test_geodesics.py::test_a_numpy_scalar_constant_compiles_as_its_float_literal",)),
+    Mutant("numpy-scalar-operator-as-ufunc-call", "src/polyan/h4.py",
+           "if ufunc in _UFUNC_OPS and len(args) == 2:", "if False:",
+           ("tests/test_geodesics.py::test_a_numpy_scalar_constant_compiles_as_its_float_literal",)),
     Mutant("newton-tolerance-1e-7", "src/polyan/fields.py",
            "<= 1e-13 * max(1.0,", "<= 1e-7 * max(1.0,", ("tests/test_transforms.py",)),
     Mutant("central-4-denominator", "src/polyan/fields.py",

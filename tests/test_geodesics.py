@@ -868,6 +868,62 @@ def test_every_connection_steps_its_reference_rates_bitwise(kind, metric, orient
         assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
 
 
+def _rates_connection(n, rates):
+    return ConnectionField(n, lambda x: np.zeros(x.shape[:-1] + (n, n, n)), rates)
+
+
+def test_the_largest_generated_loop_steps_the_reference_bitwise():
+    # n = 64, the largest algebra document: 128 locals per state, rates a_i = -0.1 v_i v_i
+    n, rng = 64, np.random.default_rng(64)
+    conn = _rates_connection(n, lambda y: y[n:] + [-0.1 * (w * w) for w in y[n:]])
+    x0, v0, cfg = rng.uniform(-0.5, 0.5, n), rng.uniform(-1.0, 1.0, n), IntegratorConfig(steps=30, t_end=1.0)
+    traj = integrate_geodesic(conn, GeodesicState(x0, v0), cfg)
+    expected = reference_rk4(lambda y: np.concatenate([y[n:], -0.1 * (y[n:] * y[n:])]), np.concatenate([x0, v0]),
+                             cfg, "geodesic", "sigma")
+    assert np.array_equal(np.hstack([traj.x, traj.v]), expected)
+
+
+def test_an_abort_in_the_last_slot_at_step_1_is_the_reference_error():
+    # only the last slot overflows, in the combination's 2.0 * k2: the finiteness test
+    # covers every slot, and the step it reports is the first
+    conn = _rates_connection(2, lambda y: [0.0, 0.0, 0.0, 1e308])
+    y0, cfg = np.array([0.1, 0.2, 0.3, 0.4]), IntegratorConfig(steps=5, t_end=5.0)
+
+    def run():
+        traj = integrate_geodesic(conn, GeodesicState(y0[:2], y0[2:]), cfg)
+        return np.hstack([traj.x, traj.v])
+
+    expected = outcome(reference_rk4, lambda y: np.array(conn.rates(y.tolist())), y0, cfg, "geodesic", "sigma")
+    assert expected == (IntegrationError, "geodesic state became non-finite at step 1 (sigma=1)")
+    assert outcome(run) == expected
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["2n+1", "2n-1"])
+def test_rates_of_the_wrong_length_raise(extra):
+    # rates must return exactly 2n values: one more or one fewer is an error, not a truncated state
+    conn = _rates_connection(2, lambda y: (y[2:] + [0.0, 0.0, 0.0])[:4 + extra])
+    with pytest.raises(ValueError, match="values to unpack"):
+        integrate_geodesic(conn, GeodesicState([0.1, 0.2], [0.3, 0.4]), IntegratorConfig(steps=3))
+
+
+def test_a_numpy_scalar_constant_compiles_as_its_float_literal():
+    # a profile whose constant is np.float64 gives the float constant's listing, no
+    # numpy ufunc call, and the same trajectory bit for bit
+    def metric(c):
+        b = lambda m, t: (1.0 + c * t * t, 2.0 * c * t)  # noqa: E731
+        return FinslerConfig(kappa=kappa_from_b([b, gaussian_b(0.6), constant_b(1.5), b], 1.1),
+                             lam=constant_lambda(3.0), kappa0=1.1)
+
+    plain, numpy_scalar = metric(0.3), metric(np.float64(0.3))
+    for form in ("extremal", "geodesic"):
+        listing = compiled_rhs(numpy_scalar, form).__doc__
+        assert listing == compiled_rhs(plain, form).__doc__ and "multiply(" not in listing
+        w0 = momenta(DXI0, XI0, plain) if form == "extremal" else 0.1 * DXI0
+        cfg = IntegratorConfig(steps=50)
+        assert np.array_equal(float_trajectory(numpy_scalar, form, XI0, w0, cfg),
+                              float_trajectory(plain, form, XI0, w0, cfg))
+
+
 @pytest.mark.parametrize("point_only", [lambda g: (lambda x: g), lambda g: (lambda x: g * np.sin(x[0]))],
                          ids=["constant", "first-coordinate"])
 def test_point_only_connections_fail_on_a_stack(point_only, h4_e):

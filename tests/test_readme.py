@@ -11,8 +11,8 @@ BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"
 
 
 def test_the_readme_has_its_python_examples():
-    # the library tour, the compiled listing and a profile written as a formula
-    assert len(BLOCKS) == 3
+    # the library tour, the compiled listing, the generated RK4 loop and a profile written as a formula
+    assert len(BLOCKS) == 4
     assert any("ScalarField(" in block for block in BLOCKS)
 
 
