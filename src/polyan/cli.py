@@ -57,44 +57,49 @@ class RuntimeFailure(Exception):
 # deterministic JSON writer (stable key order, fixed float format)
 # ---------------------------------------------------------------------------
 
+def _join(items, indent: int, brackets: str = "[]") -> str:
+    """The items, texts none of them empty, one to a line at indent + 1, inside the brackets at indent."""
+    pad = "  " * (indent + 1)
+    body = f",\n{pad}".join(items)
+    return f"{brackets[0]}\n{pad}{body}\n{'  ' * indent}{brackets[1]}" if body else brackets
+
+
 def _float_template(shape: tuple, indent: int) -> str:
     """The JSON text of a float array of this shape, with %.17g for each entry."""
-    pad = "  " * (indent + 1)
-    items = [_float_template(shape[1:], indent + 1)] * shape[0] if len(shape) > 1 else ["%.17g"] * shape[0]
-    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{'  ' * indent}]"
+    return _join([_float_template(shape[1:], indent + 1) if len(shape) > 1 else "%.17g"] * shape[0], indent)
+
+
+def _records(points: np.ndarray, max_abs: np.ndarray, errors: dict, indent: int) -> str:
+    """The JSON text of a grid report's records at indent, {"point": [...], "max_abs": x} for each row of points
+    (m, n) and max_abs (m,) or {"point": [...], "error": message} for a row in errors, by one % over the rows
+    that are all finite; the rest are _json's text, with a non-finite coordinate as null."""
+    record = _join([f'"point": {_float_template(points.shape[1:], indent + 2)}', '"max_abs": %.17g'], indent + 1, "{}")
+    rows = [record] * points.shape[0]
+    spliced = sorted(errors.keys() | set(np.flatnonzero(~np.isfinite(points).all(1)).tolist()))
+    for i in spliced:
+        entry = {"point": points[i], **({"error": errors[i]} if i in errors else {"max_abs": max_abs[i]})}
+        rows[i] = _json(entry, indent + 1).replace("%", "%%")
+    return _join(rows, indent) % tuple(np.delete(np.column_stack([points, max_abs]), spliced, 0).ravel().tolist())
 
 
 def _json(obj, indent: int = 0) -> str:
-    """JSON text of obj, numpy arrays and scalars, tuples and non-string keys
-    as the Python values they convert to; a list of floats in one join, and a
-    finite float array with one % on its template."""
+    """JSON text of obj, numpy arrays and scalars, tuples and non-string keys as the Python values they
+    convert to; a finite float array with one % on its template, and a callable as its text at indent."""
+    if callable(obj):
+        return obj(indent)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, np.ndarray):
         if obj.ndim and obj.size and obj.dtype.kind == "f" and np.isfinite(obj).all():
             return _float_template(obj.shape, indent) % tuple(obj.ravel().tolist())
         obj = obj.tolist()
-    if isinstance(obj, (float, np.floating)):
-        obj = float(obj)
+    if isinstance(obj, float):
         return format(obj, ".17g") if math.isfinite(obj) else "null"
-    if isinstance(obj, (dict, list, tuple)):
-        is_dict = isinstance(obj, dict)
-        opening, closing = "{}" if is_dict else "[]"
-        if not obj:
-            return opening + closing
-        pad = "  " * (indent + 1)
-        if is_dict:
-            items = (f"{json.dumps(str(k))}: {_json(v, indent + 1)}" for k, v in obj.items())
-        elif all(type(v) is float for v in obj):
-            items = (format(v, ".17g") if math.isfinite(v) else "null" for v in obj)
-        else:
-            items = (_json(v, indent + 1) for v in obj)
-        return f"{opening}\n{pad}" + f",\n{pad}".join(items) + f"\n{'  ' * indent}{closing}"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, str):
+    if isinstance(obj, dict):
+        return _join((f"{json.dumps(str(k))}: {_json(v, indent + 1)}" for k, v in obj.items()), indent, "{}")
+    if isinstance(obj, (list, tuple)):
+        return _join((_json(v, indent + 1) for v in obj), indent)
+    if obj is None or isinstance(obj, (bool, int, str)):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -172,7 +177,7 @@ def _make_pair(cfg: dict, S: alg.StructureConstants) -> fl.GAPair:
     raise ConfigError(f"unknown gamma kind {kind!r}")
 
 
-_MAX_GRID_POINTS = 100_000  # of points_per_axis ** n: cr-residual peaks at about 1 KB a point, 112 MB at 17^4 on H4
+_MAX_GRID_POINTS = 100_000  # of points_per_axis ** n: cr-residual peaks at 87 MB at 17^4 on H4, 0.7 KB a point
 _MAX_STEPS_TIMES_N = 400_000  # of steps * n and segments * n: at most 167 MB (a geodesic's JSON report at n = 1)
 _MAX_COUNT = 1000  # pair-ops samples: 0.7 s on h4-e
 
@@ -314,6 +319,8 @@ def _cmd_cr_residual(cfg: dict, tol: float, rng) -> _Compute:
 
     def compute():
         results = fl.residual_grid_report(pair, points, diff)
+        rows = results["points"], results.pop("max_abs"), results.pop("errors")
+        results["points"] = lambda indent: _records(*rows, indent)
         payload = {"results": results, "max_residual": results["grid_max"]}
         if results["failed_points"]:
             raise RuntimeFailure(payload)

@@ -291,38 +291,29 @@ def grid_max(values) -> float:
 def residual_grid_report(pair: GAPair, points: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> dict:
     """Max-abs Cauchy-Riemann residual per point, plus grid max and mean.
 
-    A point where the residual cannot be evaluated (outside the domain, no
-    usable derivative form, a zero divisor) or is not finite gets an
-    "error" entry instead of "max_abs" and counts in "failed_points"; the
-    grid max and mean summarize the remaining points.  All points are
-    evaluated in one call, or one at a time if some point cannot be.
+    Returns the points (m, n), "max_abs" (m,) and "errors", the message of each failed row by its index.
+    A point where the residual cannot be evaluated (outside the domain, no usable derivative form, a zero
+    divisor) or is not finite fails: its max_abs is NaN and it counts in "failed_points"; the grid max and
+    mean (a left-to-right sum) summarize the remaining points.  All points are evaluated in one call, or
+    one at a time if some point cannot be.
     """
     points = np.asarray(points, dtype=float)
     try:
-        batched = np.max(np.abs(cr_residual(pair, points, cfg)), axis=(-2, -1)).tolist()
+        max_abs, errors = np.max(np.abs(cr_residual(pair, points, cfg)), axis=(-2, -1)), {}
     except (DomainError, SingularQError, ZeroDivisorError):
-        batched = None
-    entries = []
-    values = []
-    for i, x in enumerate(points):
-        entry = {"point": x.tolist()}
-        try:
-            r = batched[i] if batched is not None else float(np.max(np.abs(cr_residual(pair, x, cfg))))
-        except (DomainError, SingularQError, ZeroDivisorError) as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-        else:
-            if np.isfinite(r):
-                entry["max_abs"] = r
-                values.append(r)
-            else:
-                entry["error"] = f"non-finite residual {r}"
-        entries.append(entry)
-    return {
-        "points": entries,
-        "grid_max": grid_max(values),
-        "grid_mean": (sum(values) / len(values)) if values else 0.0,
-        "failed_points": len(entries) - len(values),
-    }
+        max_abs, errors = np.full(points.shape[0], np.nan), {}
+        for i, x in enumerate(points):
+            try:
+                max_abs[i] = np.max(np.abs(cr_residual(pair, x, cfg)))
+            except (DomainError, SingularQError, ZeroDivisorError) as exc:
+                errors[i] = f"{type(exc).__name__}: {exc}"
+    failed = ~np.isfinite(max_abs)
+    errors = {i: errors.get(i, f"non-finite residual {max_abs[i]}") for i in np.flatnonzero(failed).tolist()}
+    max_abs[failed] = np.nan
+    values = max_abs[~failed]
+    return {"points": points, "max_abs": max_abs, "errors": errors, "grid_max": grid_max(values),
+            "grid_mean": float(np.add.accumulate(values)[-1] / values.size) if values.size else 0.0,
+            "failed_points": len(errors)}
 
 
 def gamma_from_prescribed(

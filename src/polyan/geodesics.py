@@ -43,7 +43,8 @@ __all__ = [
 
 
 def zero_connection(n: int) -> ConnectionField:
-    return ConnectionField(n, lambda x: np.zeros(x.shape[:-1] + (n, n, n)))
+    """G = 0; its rates are (v, -0.0), as geodesic_rhs gives them at any finite v."""
+    return ConnectionField(n, lambda x: np.zeros(x.shape[:-1] + (n, n, n)), lambda y: y[n:] + [-0.0] * n)
 
 
 def connection_from_structure(S, scale: float = 1.0) -> ConnectionField:

@@ -77,6 +77,17 @@ CONFIGS = [
      {"algebra": {"n": 33}, "field": {"kind": "identity"}, "grid": {"points_per_axis": 1}}, ()),
     ("cr-residual 64 axes", "cr-residual",
      {"algebra": {"n": 64}, "field": {"kind": "identity"}, "grid": {"points_per_axis": 1}}, ()),
+    # the record writer's edge cases: % in every error row, one column, one record
+    ("cr-residual percent name singular q", "cr-residual",
+     {"algebra": {"n": 2, "name": "50%s %d"}, "field": {"kind": "identity"}}, ()),
+    ("cr-residual n=1 document", "cr-residual",
+     {"algebra": {"n": 1, "unit_index": 1, "entries": [{"k": 1, "i": 1, "j": 1, "value": 1}]},
+      "field": {"kind": "componentwise-power", "power": 3}}, ()),
+    ("cr-residual one point", "cr-residual",
+     {"algebra": "complex", "field": {"kind": "identity"}, "grid": {"points_per_axis": 1}}, ()),
+    ("cr-residual overflowing grid", "cr-residual",
+     {"algebra": "complex", "field": {"kind": "identity"},
+      "grid": {"points_per_axis": 3, "min": [-1e308, -1e308], "max": [1e308, 1e308]}}, ()),
     ("pair-ops h4-e", "pair-ops", {"algebra": "h4-e", "count": 2}, ()),
     ("pair-ops complex seed 3", "pair-ops", {"algebra": "complex", "count": 3}, ("--seed", "3")),
     ("pair-ops negative seed", "pair-ops", {"algebra": "complex", "count": 3}, ("--seed", "-1")),

@@ -139,6 +139,21 @@ MUTANTS = (
     Mutant("json-non-finite-as-number", "src/polyan/cli.py",
            'return format(obj, ".17g") if math.isfinite(obj) else "null"', 'return format(obj, ".17g")',
            ("tests/test_cli.py",)),
+    Mutant("zero-rates-positive-zero", "src/polyan/geodesics.py", "[-0.0] * n)", "[0.0] * n)",
+           ("tests/test_geodesics.py::test_zero_connection_rates_are_the_contraction_bitwise",)),
+    Mutant("records-percent-unescaped", "src/polyan/cli.py", '.replace("%", "%%")', "",
+           ("tests/test_cli.py::test_an_algebra_name_with_percent_signs_reaches_every_error_row_verbatim",
+            "tests/test_cli.py::test_grid_records_are_the_json_of_their_dicts")),
+    Mutant("records-error-rows-as-ok", "src/polyan/cli.py",
+           "sorted(errors.keys() | set(np.flatnonzero", "sorted(set(np.flatnonzero",
+           ("tests/test_cli.py::test_grid_records_are_the_json_of_their_dicts",)),
+    Mutant("records-non-finite-points-in-template", "src/polyan/cli.py",
+           "errors.keys() | set(np.flatnonzero(~np.isfinite(points).all(1)).tolist())", "errors.keys()",
+           ("tests/test_cli.py::test_a_grid_point_that_overflows_is_null_in_a_passing_record",
+            "tests/test_cli.py::test_grid_records_are_the_json_of_their_dicts")),
+    Mutant("grid-mean-pairwise", "src/polyan/fields.py",
+           "float(np.add.accumulate(values)[-1] / values.size)", "float(np.mean(values))",
+           ("tests/test_fields.py::test_grid_mean_is_the_left_to_right_sum",)),
     Mutant("structure-rates-sign-dropped", "src/polyan/geodesics.py",
            '(-np.einsum("ikj,k,j->i", g,', '(np.einsum("ikj,k,j->i", g,', ("tests/test_geodesics.py",)),
     Mutant("fallback-position-rates-are-x", "src/polyan/geodesics.py",

@@ -147,6 +147,58 @@ def test_cr_residual_nonfinite_points_fail_loudly(tmp_path):
     assert sum("error" in e for e in report["results"]["points"]) == 65
 
 
+def test_an_algebra_name_with_percent_signs_reaches_every_error_row_verbatim(tmp_path):
+    """The record writer formats its rows with %, so an error message is escaped before it is spliced in."""
+    config = {"algebra": {"n": 2, "name": "50%s %d"}, "field": {"kind": "identity"}}
+    code, text = run_cli(tmp_path, "cr-residual", config)
+    assert code == EXIT_RUNTIME
+    results = json.loads(text)["results"]
+    assert results["failed_points"] == len(results["points"]) == 9
+    assert all(e["error"] == "SingularQError: q-tensor of algebra '50%s %d' is singular; residual needs a unit "
+               "element" and set(e) == {"point", "error"} for e in results["points"])
+
+
+def test_a_grid_point_that_overflows_is_null_in_a_passing_record(tmp_path):
+    """A box of +-1e308 has a width that overflows, so its grid has NaN and inf coordinates; an identity field
+    still passes there, and the record writes those coordinates as null, not as bare nan or inf."""
+    box = {"points_per_axis": 3, "min": [-1e308, -1e308], "max": [1e308, 1e308]}
+    config = {"algebra": "complex", "field": {"kind": "identity"}, "grid": box}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, text = run_cli(tmp_path, "cr-residual", config)
+        grid = cli._make_grid(box, 2)
+    assert code == EXIT_OK and not np.isfinite(grid).all()
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    results = json.loads(text, parse_constant=reject)["results"]
+    expected = [[v if math.isfinite(v) else None for v in x] for x in grid.tolist()]
+    assert results["points"] == [{"point": x, "max_abs": 0} for x in expected] and results["failed_points"] == 0
+
+
+@st.composite
+def grid_records(draw):
+    """points (m, n), NaN and inf among them, max_abs (m,) and error messages, some with % and JSON escapes,
+    at any rows."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(1, 6))
+    points = np.array(draw(st.lists(st.floats(), min_size=m * n, max_size=m * n))).reshape(m, n)
+    failed = draw(st.sets(st.integers(0, m - 1), max_size=m)) if m else set()
+    messages = st.text(alphabet='%sd .\\"\né', max_size=12).map(lambda t: t + "%")
+    errors = {i: draw(messages) for i in sorted(failed)}
+    max_abs = np.array([math.nan if i in errors else draw(st.floats(allow_nan=False, allow_infinity=False))
+                        for i in range(m)])
+    return points, max_abs, errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=grid_records(), indent=st.integers(0, 4))
+def test_grid_records_are_the_json_of_their_dicts(records, indent):
+    points, max_abs, errors = records
+    entries = [{"point": x.tolist(), **({"error": errors[i]} if i in errors else {"max_abs": float(max_abs[i])})}
+               for i, x in enumerate(points)]
+    assert cli._records(points, max_abs, errors, indent) == cli._json(entries, indent)
+
+
 def test_nonfinite_max_residual_is_runtime_error(tmp_path, monkeypatch):
     def nan_check(cfg, tol, rng):
         return lambda: ({"results": {"value": float("inf")}, "max_residual": float("nan")}, True)

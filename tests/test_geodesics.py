@@ -77,6 +77,21 @@ def test_zero_connection_rhs_vanishes():
     assert np.array_equal(geodesic_rhs(zero_connection(4), np.zeros(4), v), np.zeros(4))
 
 
+@pytest.mark.parametrize("n", (1, 4, 64))
+def test_zero_connection_rates_are_the_contraction_bitwise(n):
+    """The zero connection's own rates are (v, -0.0): -einsum of zeros, whatever the signs of v's zeros."""
+    conn, rng = zero_connection(n), np.random.default_rng(n)
+    for v in (np.zeros(n), -np.zeros(n), rng.choice([0.0, -0.0, 1.5, -2.5], n), rng.normal(size=n)):
+        x = rng.normal(size=n)
+        expected = np.concatenate([v, geodesic_rhs(conn, x, v)])
+        assert np.signbit(expected[n:]).all()
+        assert np.array_equal(np.array(conn.rates(x.tolist() + v.tolist())).view(np.int64), expected.view(np.int64))
+    s0, cfg = GeodesicState(rng.normal(size=n), rng.normal(size=n)), IntegratorConfig(steps=20)
+    own, contracted = (integrate_geodesic(c, s0, cfg) for c in (conn, ConnectionField(n, conn.func)))
+    for key in ("x", "v"):
+        assert np.array_equal(getattr(own, key).view(np.int64), getattr(contracted, key).view(np.int64))
+
+
 def test_gaussian_connection_rhs_oracle():
     # frozen by expanding the connection at xi = (0, 1, 0, 0): the only
     # contributing slot is the mixed first-second one with value 2
