@@ -69,17 +69,24 @@ def _float_template(shape: tuple, indent: int) -> str:
     return _join([_float_template(shape[1:], indent + 1) if len(shape) > 1 else "%.17g"] * shape[0], indent)
 
 
+_RECORD_BLOCK = 4096  # grid records formatted per %
+
+
 def _records(points: np.ndarray, max_abs: np.ndarray, errors: dict, indent: int) -> str:
     """The JSON text of a grid report's records at indent, {"point": [...], "max_abs": x} for each row of points
-    (m, n) and max_abs (m,) or {"point": [...], "error": message} for a row in errors, by one % over the rows
-    that are all finite; the rest are _json's text, with a non-finite coordinate as null."""
+    (m, n) and max_abs (m,) or {"point": [...], "error": message} for a row in errors, by one % per block of
+    rows over those that are all finite; the rest are _json's text, with a non-finite coordinate as null."""
     record = _join([f'"point": {_float_template(points.shape[1:], indent + 2)}', '"max_abs": %.17g'], indent + 1, "{}")
-    rows = [record] * points.shape[0]
-    spliced = sorted(errors.keys() | set(np.flatnonzero(~np.isfinite(points).all(1)).tolist()))
-    for i in spliced:
-        entry = {"point": points[i], **({"error": errors[i]} if i in errors else {"max_abs": max_abs[i]})}
-        rows[i] = _json(entry, indent + 1).replace("%", "%%")
-    return _join(rows, indent) % tuple(np.delete(np.column_stack([points, max_abs]), spliced, 0).ravel().tolist())
+    spliced = errors.keys() | set(np.flatnonzero(~np.isfinite(points).all(1)).tolist())
+    texts = {i: _json({"point": points[i], **({"error": errors[i]} if i in errors else {"max_abs": max_abs[i]})},
+                      indent + 1).replace("%", "%%") for i in spliced}
+    values, ok = np.column_stack([points, max_abs]), ~np.isin(np.arange(len(points)), list(spliced))
+
+    def block(start):  # a block of rows formatted by one %, so that its floats alone are alive at once
+        rows = range(start, min(start + _RECORD_BLOCK, len(points)))
+        return f",\n{'  ' * (indent + 1)}".join(texts.get(i, record) for i in rows) % tuple(
+            values[rows.start:rows.stop][ok[rows.start:rows.stop]].ravel().tolist())
+    return _join((block(start) for start in range(0, len(points), _RECORD_BLOCK)), indent)
 
 
 def _json(obj, indent: int = 0) -> str:

@@ -85,7 +85,10 @@ class Box:
         return bool(np.all(x >= self.lo - 1e-9) and np.all(x <= self.hi + 1e-9))
 
     def grid(self, points_per_axis: int) -> np.ndarray:
-        """All grid points as an (m, n) array, fastest index last."""
+        """All grid points as an (m, n) array, fastest index last; ContractError where hi - lo overflows."""
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.hi - self.lo).all():
+                raise ContractError("box width hi - lo overflows")
         p = points_per_axis  # one index array per axis: np.meshgrid takes at most 32 arrays
         index = np.unravel_index(np.arange(p ** self.n), (p,) * self.n)
         return np.stack([np.linspace(self.lo[k], self.hi[k], p)[i] for k, i in enumerate(index)], axis=1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from array import array
 from dataclasses import dataclass
 
@@ -116,22 +117,30 @@ def geodesic_rhs(Gamma: ConnectionField, x: np.ndarray, v: np.ndarray) -> np.nda
     return -np.einsum("...ikj,...k,...j->...i", Gamma(x), v, v)
 
 
+_NAMES = re.compile(r"\b([yt])(\d+)\b")  # a listing's state and temporaries
+
+
 @functools.lru_cache(maxsize=32)
-def _rk4_loop(size: int, cone: tuple):
+def _rk4_loop(compiled, size: int, cone: tuple):
     """RK4's loop over a state of size floats, generated as straight-line code with the state in locals y0, y1, ...
-    and each slot's updates written out, so it rounds as numpy's elementwise operations would.  Each new state goes
-    to extend; it returns the step of the first non-finite state or one with a slot in cone not positive."""
-    ys, ks = [f"y{i}" for i in range(size)], [[f"k{s}_{i}" for i in range(size)] for s in range(5)]
-    body = [f"{', '.join(ks[1])} = rhs([{', '.join(ys)}])",
-            *(f"{', '.join(ks[s])} = rhs([{', '.join(f'{y} + {step} * {k}' for y, k in zip(ys, ks[s - 1]))}])"
-              for s, step in ((2, "half"), (3, "half"), (4, "h"))),
-            *(f"{y} = {y} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i, y in enumerate(ys)),
-            f"extend(({', '.join(ys)}))",
-            f"if not ({' and '.join(f'isfinite({y})' for y in ys)}){''.join(f' or y{i} <= 0' for i in cone)}:",
-            "    return m + 1"]
+    and each slot's updates written out, so it rounds as numpy's elementwise operations would.  Stage s > 1 first
+    sets its input u{s}_0 = y0 + half * k{s-1}_0, ...; then each stage is the listing of the compiled rates (see
+    h4._compiled), its temporaries renamed t{s}_..., whose return sets k{s}_0, ...  Rates without a listing
+    (compiled None) are called: k{s}_0, ... = rhs([...]).  Each new state goes to extend; it returns the step of
+    the first non-finite state or one with a slot in cone not positive."""
+    ys, body = [f"y{i}" for i in range(size)], []
+    listing = compiled.listing if compiled else [f"return rhs([{', '.join(ys)}])"]
+    for s, step in ((1, ""), (2, "half"), (3, "half"), (4, "h")):
+        body += [f"u{s}_{i} = y{i} + {step} * k{s - 1}_{i}" for i in range(size) if step]
+        prefix, ks = {"y": f"u{s}_" if step else "y", "t": f"t{s}_"}, ", ".join(f"k{s}_{i}" for i in range(size))
+        body += [_NAMES.sub(lambda g: prefix[g[1]] + g[2], line).replace("return ", f"{ks} = ") for line in listing]
+    body += [*(f"{y} = {y} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i, y in enumerate(ys)),
+             f"extend(({', '.join(ys)}))",
+             f"if not ({' and '.join(f'isfinite({y})' for y in ys)}){''.join(f' or y{i} <= 0' for i in cone)}:",
+             "    return m + 1"]
     source = (f"def loop(rhs, y, steps, h, half, sixth, extend):\n    {', '.join(ys)} = y\n    for m in range(steps):\n"
               + "".join(f"        {s}\n" for s in body))
-    exec(source, names := {"isfinite": math.isfinite})
+    exec(source, names := {**(compiled.__globals__ if compiled else {}), "isfinite": math.isfinite})
     names["loop"].__doc__ = source
     return names["loop"]
 
@@ -141,7 +150,7 @@ def _rk4(rhs, y0: np.ndarray, cfg: IntegratorConfig, what: str, clock: str, cone
     states, one row per step plus the start.  Aborts at a state that is non-finite or not positive in cone."""
     h, y = cfg.t_end / cfg.steps, y0.tolist()
     samples = array("d", y)
-    loop = _rk4_loop(len(y), tuple(range(len(y))[cone]) if cone else ())
+    loop = _rk4_loop(rhs if hasattr(rhs, "listing") else None, len(y), tuple(range(len(y))[cone]) if cone else ())
     step = loop(rhs, y, cfg.steps, h, 0.5 * h, h / 6.0, samples.extend)
     if step:
         at = f"at step {step} ({clock}={step * h:g})"

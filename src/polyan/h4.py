@@ -12,8 +12,12 @@ function.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import math
+import operator
+import re
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable
@@ -66,9 +70,11 @@ class ScalarField:
 
 def _raise_if(bad, error: type, message: str) -> None:
     """Raise error(message) if bad holds anywhere (a bool or numpy bool skips .any());
-    a traced bad emits that test into its listing."""
+    a traced bad emits that test into its listing, unless it is the literal False."""
     if isinstance(bad, _Var):
-        bad.trace.lines.append(f"if {bad.text}: raise {bad.trace.bind(error, error.__name__)}({message!r})")
+        if bad.value is not False:
+            bad.trace.lines.append((None, f"if {bad.text}: raise {bad.trace.bind(error, error.__name__)}({message!r})",
+                                    False, False))
     elif bad.any() if isinstance(bad, np.ndarray) else bad:
         raise error(message)
 
@@ -102,30 +108,35 @@ _ARRAYS = SimpleNamespace(exp=_exp, quartic=_quartic,
 
 
 class _Var:
-    """A float of a traced formula, shown by its name or literal in the listing; each
-    operation on it appends one assignment to the listing, in the order Python runs it."""
+    """A float of a traced formula, shown by its name or literal in the listing; each operation on
+    it appends one assignment to the listing, in the order Python runs it.  kind is the value's
+    type where it is known (float, bool or int), and value a literal's value."""
 
-    def __init__(self, trace: _Trace, text: str):
-        self.trace, self.text = trace, text
+    def __init__(self, trace: _Trace, text: str, kind: type | None = None, value=None):
+        self.trace, self.text, self.kind, self.value = trace, text, kind, value
 
     def __bool__(self):
         raise TypeError("a traced value has no truth value; test it with _raise_if")
 
     def __abs__(self):
-        return self.trace.apply(abs, self, name="abs")
+        return self.trace.apply(abs, self, name="abs") if self.value is None else self.trace.var(abs(self.value))
 
     def __array_ufunc__(self, ufunc, method, *args):
         if ufunc in _UFUNC_OPS and len(args) == 2:  # a numpy scalar's operator: the same IEEE operation
-            return self.trace.emit(f" {_UFUNC_OPS[ufunc]} ".join(map(self.trace.literal, args)))
+            return self.trace.op(args[0], _UFUNC_OPS[ufunc], args[1])
         return self.trace.apply(ufunc, *args, name=ufunc.__name__)
 
 
-_OPS = "add + sub - mul * truediv / pow ** or | lt < le <= eq == ne != gt > ge >=".split()
+_OPS, _FOLD = "add + sub - mul * truediv / pow ** or | lt < le <= eq == ne != gt > ge >=".split(), {}
 for _op, _sign in zip(_OPS[::2], _OPS[1::2]):
-    setattr(_Var, f"__{_op}__", lambda a, b, s=_sign: a.trace.emit(f"{a.text} {s} {a.trace.literal(b)}"))
-    setattr(_Var, f"__r{_op}__", lambda a, b, s=_sign: a.trace.emit(f"{a.trace.literal(b)} {s} {a.text}"))
+    setattr(_Var, f"__{_op}__", lambda a, b, s=_sign: a.trace.op(a, s, b))
+    setattr(_Var, f"__r{_op}__", lambda a, b, s=_sign: a.trace.op(b, s, a))
+    _FOLD[_sign] = getattr(operator, f"__{_op}__")
 _UFUNC_OPS = {np.add: "+", np.subtract: "-", np.multiply: "*", np.true_divide: "/", np.less: "<",
               np.less_equal: "<=", np.equal: "==", np.not_equal: "!=", np.greater: ">", np.greater_equal: ">="}
+# x s literal is x, exactly in IEEE, for a float x (a bool for |); x + 0.0 is not, since -0.0 + 0.0 is 0.0
+_IDENTITY = {"*": "1.0", "/": "1.0", "-": "0.0", "|": "False"}
+_TEMP = re.compile(r"\bt\d+\b")
 
 
 class _Trace:
@@ -134,27 +145,53 @@ class _Trace:
     are bound by name and called opaquely."""
 
     def __init__(self):
-        self.lines, self.names, self.handler = [], {"inf": math.inf, "nan": math.nan}, []
+        self.lines, self.names, self.shared, self.handler = [], {"inf": math.inf, "nan": math.nan}, {}, []
+
+    def var(self, a) -> _Var:
+        """a as a _Var: itself if traced, a literal if a number (a numpy float as its float), else bound by name."""
+        if isinstance(a, _Var):
+            return a
+        a = float(a) if isinstance(a, np.floating) else a
+        if type(a) in (bool, int, float):
+            return _Var(self, f"({a!r})" if math.copysign(1.0, a) < 0 else repr(a), type(a), a)
+        return _Var(self, self.bind(a))
 
     def literal(self, a) -> str:
-        if isinstance(a, (list, np.ndarray)):
-            return f"[{', '.join(map(self.literal, a))}]"
-        a = float(a) if isinstance(a, np.floating) else a
-        if type(a) in (int, float):
-            return f"({a!r})" if math.copysign(1.0, a) < 0 else repr(a)
-        return a.text if isinstance(a, _Var) else self.bind(a)
+        return f"[{', '.join(map(self.literal, a))}]" if isinstance(a, (list, np.ndarray)) else self.var(a).text
 
     def bind(self, obj, name: str | None = None) -> str:
         name = name or f"f{len(self.names)}"
         self.names[name] = obj
         return name
 
-    def emit(self, expr: str) -> _Var:
-        self.lines.append(f"t{len(self.lines)} = {expr}")
-        return _Var(self, f"t{len(self.lines) - 1}")
+    def emit(self, text: str, kind: type | None = None, op: bool = False, safe: bool = False) -> _Var:
+        """The _Var of a line t = text, or of an earlier line of the same text, whose value it is: a line's
+        operation is deterministic.  op marks an operator expression, safe one that cannot raise."""
+        if text not in self.shared:
+            self.lines.append((f"t{len(self.lines)}", text, op, safe))
+            self.shared[text] = _Var(self, self.lines[-1][0], kind)
+        return self.shared[text]
+
+    def op(self, a, s: str, b) -> _Var:
+        """a s b: a literal where both are literals and Python's operation on them does not raise, the other
+        operand where one is an identity (x * 1.0, 1.0 * x, x - 0.0, x / 1.0, b | False, False | b), else a line."""
+        a, b = self.var(a), self.var(b)
+        if a.value is not None and b.value is not None:
+            with contextlib.suppress(ArithmeticError):
+                if type(r := _FOLD[s](a.value, b.value)) in (bool, int, float):
+                    return self.var(r)
+        same = bool if s == "|" else float
+        if _IDENTITY.get(s) == b.text and a.kind is same:
+            return a
+        if _IDENTITY.get(s) == a.text and b.kind is same and s in "*|":
+            return b
+        known = None not in (a.kind, b.kind)
+        kind = (bool if s[0] in "<=>!" or s == "|" and a.kind is b.kind is bool
+                else float if known and s in "+-*/" and float in (a.kind, b.kind) else None)
+        return self.emit(f"{a.text} {s} {b.text}", kind, True, known and (s not in ("/", "**", "|") or kind is bool))
 
     def apply(self, f: Callable, *args, name: str | None = None) -> _Var:
-        return self.emit(f"{self.bind(f, name)}({', '.join(map(self.literal, args))})")
+        return self.emit(f"{self.bind(f, name)}({', '.join(map(self.literal, args))})", float if f is float else None)
 
     def exp(self, t) -> _Var:
         """np.exp as a float, raising OverflowError where it overflows; math.exp differs
@@ -167,36 +204,51 @@ class _Trace:
         return self.apply(float, self.apply(_quartic, t, name="_quartic"), name="float")
 
     def full(self, t, value) -> _Var:
-        return _Var(self, self.literal(value))
+        return self.var(value)
 
     def zeros(self, x) -> list:
-        return [self.full(x, 0.0)] * len(x)
+        return [self.var(0.0)] * len(x)
 
     def handle(self, error: type, fallback: Callable, *args) -> None:
         """The lines from here on run in a try block, whose handler of error returns fallback(*args)."""
-        self.handler = [len(self.lines), f"except {self.bind(error, error.__name__)}:",
+        self.lines.append((None, "try:", False, False))
+        self.handler = [f"except {self.bind(error, error.__name__)}:",
                         f"    return {self.bind(fallback, fallback.__name__)}({self.literal(list(args))[1:-1]})"]
 
     def body(self, out) -> list:
-        """The lines and a return of out, from the handler's line on in its try block."""
-        lines = self.lines + [f"return {self.literal(out)}"]
-        if not self.handler:
-            return lines
-        start, *handler = self.handler
-        return lines[:start] + ["try:"] + [f"    {s}" for s in lines[start:]] + handler
+        """The lines, those after a try: in its block, a return of out and the handler.  A temporary that is not
+        used and whose operation cannot raise is deleted; one used once is written into its use where its line
+        comes right before those already written there, so that the operations keep their order."""
+        lines = [*self.lines, (None, f"return {self.literal(out)}", False, False)]
+        uses = collections.Counter(_TEMP.findall(" ".join([s for _, s, _, _ in lines] + self.handler)))
+        kept, done = [], []
+        for target, text, op, safe in reversed(lines):
+            if safe and not uses[target]:
+                uses.subtract(_TEMP.findall(text))
+            else:
+                kept.append((target, text, op))
+        for target, text, op in reversed(kept):
+            for name in reversed(_TEMP.findall(text)):
+                if uses[name] == 1 and done and done[-1][0] == name:
+                    _, sub, sub_op = done.pop()
+                    text = re.sub(rf"\b{name}\b", lambda _: f"({sub})" if op and sub_op else sub, text)
+            done.append((target, text, op))
+        start = next((i for i, line in enumerate(done) if line[1] == "try:"), len(done))
+        return [f"{'    ' * (i > start)}{f'{t} = ' * bool(t)}{s}" for i, (t, s, _) in enumerate(done)] + self.handler
 
 
 @functools.lru_cache(maxsize=32)
 def _compiled(form: Callable, cfg, y: int) -> Callable:
     """form(cfg, m, state) traced once in the form m = _Trace() and compiled into one function
     of a state of y floats: straight-line code that runs form's float operations in the order
-    form runs them, so it rounds and raises as form does.  Its __doc__ is its source."""
+    form runs them, so it rounds and raises as form does.  Its __doc__ is its source, and its
+    listing the lines after the state's unpacking."""
     m = _Trace()
-    state = [_Var(m, f"y{i}") for i in range(y)]
-    body = [f"{m.literal(state)[1:-1]} = y"] + m.body(form(cfg, m, state))
-    source = "def rhs(y):\n" + "".join(f"    {s}\n" for s in body)
+    state = [_Var(m, f"y{i}", float) for i in range(y)]
+    listing = m.body(form(cfg, m, state))
+    source = f"def rhs(y):\n    {m.literal(state)[1:-1]} = y\n" + "".join(f"    {s}\n" for s in listing)
     exec(source, m.names)
-    m.names["rhs"].__doc__ = source
+    m.names["rhs"].__doc__, m.names["rhs"].listing = source, listing
     return m.names["rhs"]
 
 

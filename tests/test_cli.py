@@ -158,22 +158,14 @@ def test_an_algebra_name_with_percent_signs_reaches_every_error_row_verbatim(tmp
                "element" and set(e) == {"point", "error"} for e in results["points"])
 
 
-def test_a_grid_point_that_overflows_is_null_in_a_passing_record(tmp_path):
-    """A box of +-1e308 has a width that overflows, so its grid has NaN and inf coordinates; an identity field
-    still passes there, and the record writes those coordinates as null, not as bare nan or inf."""
+def test_a_box_whose_width_overflows_is_a_config_error(tmp_path, capsys):
+    """A box of +-1e308 has a width that overflows, which would put NaN and inf coordinates in its grid: the
+    grid is refused, so no residual is computed at such a point and none can pass there."""
     box = {"points_per_axis": 3, "min": [-1e308, -1e308], "max": [1e308, 1e308]}
     config = {"algebra": "complex", "field": {"kind": "identity"}, "grid": box}
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, text = run_cli(tmp_path, "cr-residual", config)
-        grid = cli._make_grid(box, 2)
-    assert code == EXIT_OK and not np.isfinite(grid).all()
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    results = json.loads(text, parse_constant=reject)["results"]
-    expected = [[v if math.isfinite(v) else None for v in x] for x in grid.tolist()]
-    assert results["points"] == [{"point": x, "max_abs": 0} for x in expected] and results["failed_points"] == 0
+    code, text = run_cli(tmp_path, "cr-residual", config)
+    assert (code, text) == (EXIT_CONFIG, "")
+    assert capsys.readouterr().err == "config error: ContractError: box width hi - lo overflows\n"
 
 
 @st.composite
