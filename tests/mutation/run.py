@@ -59,11 +59,17 @@ MUTANTS = (
            '(3, "half")', '(3, "h")',
            ("tests/test_geodesics.py::test_the_largest_generated_loop_steps_the_reference_bitwise",)),
     Mutant("listing-drops-plus-zero", "src/polyan/h4.py",
-           '"-": "0.0", "|": "False"}', '"-": "0.0", "+": "0.0", "|": "False"}',
+           '"-": ("0.0", float), "|"', '"-": ("0.0", float), "+": ("0.0", float), "|"',
            ("tests/test_geodesics.py::test_the_listing_rules_keep_each_outcome",)),
-    Mutant("listing-deletes-dead-division", "src/polyan/h4.py",
-           's not in ("/", "**", "|")', 's not in ("**", "|")',
-           ("tests/test_geodesics.py::test_the_listing_rules_keep_each_outcome",)),
+    Mutant("listing-identity-ignores-kind", "src/polyan/h4.py",
+           "if (b.text, a.kind) == _IDENTITY.get(s):", 'if b.text == _IDENTITY.get(s, ("",))[0]:',
+           ("tests/test_geodesics.py::test_a_random_program_compiles_to_its_float_outcome",)),
+    Mutant("neg-as-zero-minus", "src/polyan/h4.py", 'emit(f"-{self.text}", None, True)',
+           'emit(f"0.0 - {self.text}", None, True)',
+           ("tests/test_geodesics.py::test_unary_minus_and_plus_trace_to_the_array_result",)),
+    Mutant("pos-of-a-bool-is-the-bool", "src/polyan/h4.py", "        if self.kind is float:\n            return self\n",
+           "        if self.kind in (float, bool):\n            return self\n",
+           ("tests/test_geodesics.py::test_unary_plus_of_a_comparison_is_an_int_line",)),
     Mutant("listing-fusion-swaps-operands", "src/polyan/h4.py",
            "for name in reversed(_TEMP.findall(text)):", "for name in _TEMP.findall(text):",
            ("tests/test_geodesics.py::test_the_listing_rules_keep_each_outcome",)),
@@ -119,7 +125,7 @@ MUTANTS = (
            "return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]",
            "return (a[0] * b[0] + a[1] * b[1]) + (a[2] * b[2] + a[3] * b[3])", ("tests/test_geodesics.py",)),
     Mutant("compiled-fallback-covers-kappa", "src/polyan/h4.py",
-           'self.lines.append((None, "try:", False, False))', 'self.lines.insert(0, (None, "try:", False, False))',
+           'self.lines.append((None, "try:", False))', 'self.lines.insert(0, (None, "try:", False))',
            ("tests/test_geodesics.py",)),
     Mutant("compiled-constants-15g", "src/polyan/h4.py",
            'f"({a!r})" if math.copysign(1.0, a) < 0 else repr(a), type(a), a)',

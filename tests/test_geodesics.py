@@ -3,11 +3,12 @@
 import csv
 import io
 import math
+import operator
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from polyan import ConeError, ContractError, DomainError, IntegrationError, builtin_algebra, builtin_names
@@ -43,6 +44,7 @@ from polyan.h4 import (
     ScalarField,
     _compiled,
     _log_gradients,
+    _raise_if,
     constant_b,
     constant_kappa,
     constant_lambda,
@@ -748,6 +750,60 @@ def test_cone_exit_mid_run_is_the_numpy_cone_error():
     assert_same_outcome(metric, "extremal", xi0, p0, cfg)
 
 
+def _step_b(edge):
+    """A profile that is 1 below edge and vanishes from edge on."""
+    return lambda m, t: ((t < edge) * 1.0, m.full(t, 0.0))
+
+
+@st.composite
+def aborting_runs(draw, abort):
+    """A metric, a form, a start in the positive orthant and steps, drawn to abort one way: a kappa that falls off
+    (c < 0) drives the extremal's momenta out of the cone (a large kappa0 and a constant lambda0 of 16 to 64 make
+    it fast; under the reciprocal gauge kappa underflows first), one that grows (c > 0) overflows its exp, a from-b
+    profile vanishes a little past the start, or a constant kappa's straight line reaches inf within a t_end of 1e308
+    (the extremal's, with a long first displacement).  Every kappa kind that can abort so is drawn, under both
+    gauges and in both forms where it can."""
+    falls = abort == "cone"
+    kappa0, c = draw(st.floats(1.5 if falls else 0.5, 2.0)), draw(st.floats(0.5, 4.0)) * (-1.0 if falls else 1.0)
+    lambda0, xi0 = draw(st.floats(16.0 if falls else 0.5, 64.0)), np.abs(draw(vectors)) + (0.3 if falls else 0.05)
+    kinds = {"vanish": ["from-b"], "inf": ["constant"]}.get(abort, ["gaussian", "cross-term", "from-b"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "constant":
+        kappa = constant_kappa(draw(st.floats(0.25, 4.0)))
+    elif kind == "gaussian":
+        kappa = gaussian_kappa(kappa0, c)
+    elif kind == "cross-term":
+        kappa = cross_term_kappa(kappa0, c, draw(st.sampled_from([(0, 1), (1, 3), (3, 2)])))
+    elif abort == "vanish":
+        others = [_B_KINDS[draw(st.sampled_from(sorted(_B_KINDS)))](0.1) for _ in range(3)]
+        kappa = kappa_from_b([_step_b(xi0[0] + draw(st.floats(0.01, 0.5))), *others], kappa0)
+    else:
+        kappa = kappa_from_b([gaussian_b(c / 4.0)] * 4, kappa0)
+    if falls or draw(st.booleans()):
+        lam = constant_lambda(lambda0)
+    else:
+        lam = reciprocal_quartic_lambda(kappa, kappa0, lambda0)
+    metric = FinslerConfig(kappa=kappa, lam=lam, kappa0=kappa0, lambda0=lambda0)
+    form, w0 = "extremal" if falls else draw(st.sampled_from(["extremal", "geodesic"])), draw(vectors) + 1.0
+    w0 = momenta(w0 * [1e6 if kind == "constant" else 1.0, 1, 1, 1], xi0, metric) if form == "extremal" else 8.0 * w0
+    steps = draw(st.integers(1, 4))
+    t_end = 1e308 if abort == "inf" else steps * draw(st.sampled_from([5.0] if falls else [5.0, 20.0]))
+    return metric, form, xi0, w0, IntegratorConfig(steps, t_end)
+
+
+@pytest.mark.parametrize("abort", ["cone", "overflow", "vanish", "inf"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_an_aborting_start_is_the_reference_error(abort, data):
+    # the error's type and message, with its step, are the reference's; the errors that occur
+    # show with pytest --hypothesis-show-statistics
+    run = data.draw(aborting_runs(abort))
+    expected = outcome(numpy_trajectory, *run)
+    assume(isinstance(expected, tuple))
+    event(f"{run[1]}: {expected[0].__name__} {expected[1].split(' at step')[0]}")
+    assert outcome(float_trajectory, *run) == expected
+
+
 # ---------------------------------------------------------------------------
 # misc structure
 # ---------------------------------------------------------------------------
@@ -999,3 +1055,160 @@ def test_the_listing_rules_keep_each_outcome(state):
 
     got, expected = run(lambda: rhs(state)), run(lambda: _rules(None, _FLOATS, state))
     assert str(got) == str(expected)
+
+
+def _negated_kappa(m, x):
+    """kappa = exp(-(x1^2 + x2 x3) / 4), written with unary minus and plus."""
+    v = m.exp(-(x[0] * x[0] + x[1] * x[2]) / 4.0)
+    return +v, [-(x[0] * v) / 2.0, -(x[2] * v) / 4.0, -x[1] * v / 4.0, -m.full(x[3], 0.0)]
+
+
+def _value_and_gradient(formula, m, x):
+    v, g = formula(m, x)
+    return [v, *g]
+
+
+@pytest.mark.parametrize("point", [[0.0, 0.3, -0.2, 0.1], [-0.0, -0.0, 0.0, 0.5], [1.5, 0.0, -0.0, -0.0]], ids=str)
+def test_unary_minus_and_plus_trace_to_the_array_result(point):
+    # -t gives -0.0 at t = 0.0, where 0.0 - t gives 0.0; -literal folds, and +t of a float is t
+    rhs = _compiled(_value_and_gradient, _negated_kappa, y=4)
+    assert "(-0.0)]" in rhs.__doc__ and "+" not in rhs.__doc__.replace(" + ", "")
+    v, g = ScalarField(_negated_kappa).value_and_grad(np.array(point))
+    assert np.array(rhs(point)).tobytes() == np.concatenate([[v], g]).tobytes()
+
+
+@pytest.mark.parametrize("form", ["extremal", "geodesic"])
+@pytest.mark.parametrize("lambda_kind", sorted(LAMBDAS))
+def test_a_formula_with_unary_minus_steps_the_reference(lambda_kind, form):
+    kappa = ScalarField(_negated_kappa)
+    metric = FinslerConfig(kappa=kappa, lam=LAMBDAS[lambda_kind](kappa), kappa0=1.1, lambda0=2.0)
+    for xi0 in (np.array([-0.0, 0.1, 0.0, 0.2]), np.array([0.0, -0.0, -0.0, 0.0])):
+        w0 = momenta(DXI0, xi0, metric) if form == "extremal" else np.array([0.6, -0.3, -0.0, 0.2])
+        assert_same_outcome(metric, form, xi0, w0, IntegratorConfig(steps=100, t_end=0.7))
+
+
+def test_unary_plus_of_a_comparison_is_an_int_line():
+    # +b of a bool b is the int 1 or 0, so that line stays; +True folds to the literal 1
+    rhs = _compiled(lambda _, m, y: [+(y[0] < y[1]), +m.full(y[0], True), -(y[0] < y[1])], None, y=2)
+    assert rhs([0.0, 1.0]) == [1, 1, -1] and [type(r) for r in rhs([0.0, 1.0])] == [int, int, int]
+
+
+# ---------------------------------------------------------------------------
+# random straight-line programs: the compiled listing against Python floats
+# ---------------------------------------------------------------------------
+
+_LITERALS = [1.0, 0.0, -0.0, -1.0, 0.5, 3.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-300]
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "**": operator.pow,
+           "<": operator.lt, "<=": operator.le, "==": operator.eq, "|": operator.or_}
+_UNARY = {"neg": operator.neg, "pos": operator.pos, "abs": abs}
+_IDENTITIES = {"+": 0.0, "-": 0.0, "*": 1.0, "/": 1.0, "**": 1.0, "|": False}  # exact, or in + and ** nearly
+_RAISES = [(DomainError, "kappa and the gauge must stay positive"), (OverflowError, "math range error")]
+
+
+class _Reflected(TypeError):
+    """A comparison with a literal on the left raised TypeError: Python reflects that comparison
+    (0.5 < t runs as t > 0.5) before a trace sees it, so the message names the other operator."""
+
+
+@st.composite
+def programs(draw):
+    """(n, lines, outputs): a straight-line program of up to 10 lines on n = 2 or 3 state floats, returning
+    about half of its values (outputs, their indices), so that the others are used once, more or never.  A line is
+    ("binary", s, a, b), ("unary", s, a) or ("raise", a, error, message) over operands ("value", i), the i-th
+    value so far (the state's, then each line's), ("raw", x), a literal, or ("full", x), a literal passed through
+    m.full, which a trace holds as a literal; about half of the literals are the operation's identity.  | and raise
+    take comparisons or bools, the other operations any value, and ** no two ints (an int power tower would not
+    end)."""
+    n = draw(st.integers(2, 3))
+    kinds = ["float"] * n  # each value's kind: float, int, or bool (a comparison's)
+
+    def operand(allowed, raw=True, identity=1.0):
+        present = sorted(allowed & set(kinds))
+        literals = [False, True] if allowed == {"bool"} else _LITERALS
+        source = draw(st.sampled_from((["value"] if present else []) + ["full"] + ["raw"] * raw))
+        if source == "value":  # a value of each kind as often, the recent ones most often
+            wanted = draw(st.sampled_from(present))
+            choices = [i for i, k in enumerate(kinds) if k == wanted]
+            return ("value", draw(st.sampled_from(choices[-2:] if draw(st.booleans()) else choices)))
+        return (source, draw(st.just(identity) | st.sampled_from(literals)))
+
+    def kind(o):
+        return kinds[o[1]] if o[0] == "value" else "bool" if type(o[1]) is bool else "float"
+
+    lines = []
+    for _ in range(draw(st.integers(1, 10))):
+        s = draw(st.sampled_from([*_BINARY, *_UNARY, "raise"]))
+        if s in ("|", "raise") and "bool" not in kinds:
+            s = "<"
+        if s == "raise":
+            lines.append(("raise", operand({"bool"}, raw=False), *draw(st.sampled_from(_RAISES))))
+            continue
+        if s in _UNARY:
+            a = operand({"float", "int", "bool"}, raw=False)
+            lines.append(("unary", s, a))
+            kinds.append("float" if kind(a) == "float" else "int")
+            continue
+        allowed = {"bool"} if s == "|" else {"float", "int", "bool"}
+        a = operand(allowed, identity=_IDENTITIES.get(s, 1.0))
+        b = operand(allowed, raw=a[0] != "raw", identity=_IDENTITIES.get(s, 1.0))
+        ints = kind(a) != "float" and kind(b) != "float"
+        s = "*" if s == "**" and ints else s
+        lines.append(("binary", s, a, b))
+        kinds.append("bool" if s in ("<", "<=", "==", "|") else "int" if ints and s in "+-*" else "float")
+    outputs = tuple(i for i in range(len(kinds)) if draw(st.booleans())) or (len(kinds) - 1,)
+    return n, tuple(lines), outputs
+
+
+def _run_program(program, m, y):
+    """The program's outputs at the state y, floats or a trace's values."""
+    _, lines, outputs = program
+    values = list(y)
+
+    def get(o):
+        return values[o[1]] if o[0] == "value" else o[1] if o[0] == "raw" else m.full(y[0], o[1])
+
+    for line in lines:
+        if line[0] == "raise":
+            _raise_if(get(line[1]), line[2], line[3])
+        elif line[0] == "unary":
+            values.append(_UNARY[line[1]](get(line[2])))
+        else:
+            _, s, a, b = line
+            try:
+                values.append(_BINARY[s](get(a), get(b)))
+            except TypeError as exc:
+                if a[0] == "raw" and s in ("<", "<="):
+                    raise _Reflected(*exc.args) from None
+                raise
+    return [values[i] for i in outputs]
+
+
+def _same_bits(x):
+    """x by its type and bits, a NaN (a complex's part too) as any NaN: CPython's specialised float
+    add and its generic add propagate different NaN operands."""
+    if isinstance(x, complex):
+        return complex, _same_bits(x.real)[1], _same_bits(x.imag)[1]
+    return type(x), "nan" if x != x else x.hex() if isinstance(x, float) else x
+
+
+def _program_outcome(run):
+    try:
+        return [_same_bits(x) for x in run()]
+    except Exception as exc:  # noqa: BLE001 -- every error the program can raise, compared by type and message
+        return type(exc), None if isinstance(exc, _Reflected) else str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=programs(), states=st.lists(st.lists(st.sampled_from(_LITERALS) | st.floats(-4.0, 4.0),
+                                                    min_size=3, max_size=3), min_size=4, max_size=4))
+def test_a_random_program_compiles_to_its_float_outcome(program, states):
+    # values bitwise with the sign of zero and the same type, or the same error type and message
+    rhs = _compiled.__wrapped__(_run_program, program, program[0])
+    for state in states:
+        state = state[:program[0]]
+        expected = _program_outcome(lambda: _run_program(program, _FLOATS, state))
+        got = _program_outcome(lambda: rhs(state))
+        if expected[1:] == (None,):
+            assert got[0] is TypeError, program
+        else:
+            assert got == expected, program
