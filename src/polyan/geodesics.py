@@ -43,16 +43,30 @@ __all__ = [
 ]
 
 
+_MAX_TERMS = 64  # the most non-zero entries of a constant G whose rates compile; see connection_from_structure
+
+
+def _structure(terms: tuple, m, y) -> list:
+    """The rates (v, a) at y = (x, v) of a G of non-zero entries terms (i, k, j, c): a_i = -(0.0 + c v_k v_j + ...)."""
+    v, acc = y[len(y) // 2:], [0.0] * (len(y) // 2)
+    for i, k, j, c in terms:
+        acc[i] = acc[i] + c * v[k] * v[j]
+    return v + [-a for a in acc]
+
+
 def zero_connection(n: int) -> ConnectionField:
     """G = 0; its rates are (v, -0.0), as geodesic_rhs gives them at any finite v."""
-    return ConnectionField(n, lambda x: np.zeros(x.shape[:-1] + (n, n, n)), lambda y: y[n:] + [-0.0] * n)
+    return ConnectionField(n, lambda x: np.zeros(x.shape[:-1] + (n, n, n)), _compiled(_structure, (), y=2 * n))
 
 
 def connection_from_structure(S, scale: float = 1.0) -> ConnectionField:
-    """Constant connection proportional to the structure constants; its rates contract the one G."""
+    """G = scale * p.  Its rates compile from G's non-zero entries in C order, einsum's; a zero entry adds nothing at a
+    finite v.  Above _MAX_TERMS entries it steps the contraction: at 64 a compiled step took 8 us against 42 and the
+    build 6 ms, repaid in 200 steps; at 256, 27 against 59 us and 21 ms, repaid in 650 (2-core x86-64)."""
     g, n = scale * S.p, S.n
+    terms = tuple(zip(*np.argwhere(g).T.tolist(), g[g != 0].tolist()))
     return ConnectionField(n, lambda x: np.broadcast_to(g, x.shape[:-1] + g.shape),
-                           lambda y: y[n:] + (-np.einsum("ikj,k,j->i", g, v := np.array(y[n:]), v)).tolist())
+                           _compiled(_structure, terms, y=2 * n) if len(terms) <= _MAX_TERMS else None)
 
 
 def _geodesic(metric: FinslerConfig, m, y) -> list:
@@ -108,8 +122,8 @@ class IntegratorConfig:
     drift_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ContractError("need at least one step")
+        if self.steps < 1 or not math.isfinite(self.t_end):
+            raise ContractError(f"need at least one step and a finite t_end, got {self.steps} and {self.t_end}")
 
 
 def geodesic_rhs(Gamma: ConnectionField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -126,19 +140,20 @@ def _rk4_loop(compiled, size: int, cone: tuple):
     and each slot's updates written out, so it rounds as numpy's elementwise operations would.  Stage s > 1 first
     sets its input u{s}_0 = y0 + half * k{s-1}_0, ...; then each stage is the listing of the compiled rates (see
     h4._compiled), its temporaries renamed t{s}_..., whose return sets k{s}_0, ...  Rates without a listing
-    (compiled None) are called: k{s}_0, ... = rhs([...]).  Each new state goes to extend; it returns the step of
+    (compiled None) are called: [k{s}_0, ...] = rhs([...]).  Each new state goes to extend; it returns the step of
     the first non-finite state or one with a slot in cone not positive."""
     ys, body = [f"y{i}" for i in range(size)], []
-    listing = compiled.listing if compiled else [f"return rhs([{', '.join(ys)}])"]
+    state = f"[{', '.join(ys)}]"  # a list target, so that one float unpacks too
+    listing = compiled.listing if compiled else [f"return rhs({state})"]
     for s, step in ((1, ""), (2, "half"), (3, "half"), (4, "h")):
         body += [f"u{s}_{i} = y{i} + {step} * k{s - 1}_{i}" for i in range(size) if step]
         prefix, ks = {"y": f"u{s}_" if step else "y", "t": f"t{s}_"}, ", ".join(f"k{s}_{i}" for i in range(size))
-        body += [_NAMES.sub(lambda g: prefix[g[1]] + g[2], line).replace("return ", f"{ks} = ") for line in listing]
+        body += [_NAMES.sub(lambda g: prefix[g[1]] + g[2], line).replace("return ", f"[{ks}] = ") for line in listing]
     body += [*(f"{y} = {y} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i, y in enumerate(ys)),
-             f"extend(({', '.join(ys)}))",
+             f"extend({state})",
              f"if not ({' and '.join(f'isfinite({y})' for y in ys)}){''.join(f' or y{i} <= 0' for i in cone)}:",
              "    return m + 1"]
-    source = (f"def loop(rhs, y, steps, h, half, sixth, extend):\n    {', '.join(ys)} = y\n    for m in range(steps):\n"
+    source = (f"def loop(rhs, y, steps, h, half, sixth, extend):\n    {state} = y\n    for m in range(steps):\n"
               + "".join(f"        {s}\n" for s in body))
     exec(source, names := {**(compiled.__globals__ if compiled else {}), "isfinite": math.isfinite})
     names["loop"].__doc__ = source
@@ -174,17 +189,12 @@ class GeodesicTrajectory:
         return {"tau": self.sigma, "xi": self.x, "v": self.v}
 
 
-def _contracted_rates(Gamma: ConnectionField, y: list) -> list:
-    """The rates (v, geodesic_rhs) at a state y = (x, v) of floats, for a connection without rates of its own."""
-    return y[Gamma.n:] + geodesic_rhs(Gamma, np.array(y[:Gamma.n]), np.array(y[Gamma.n:])).tolist()
-
-
 def integrate_geodesic(Gamma: ConnectionField, s0: GeodesicState, cfg: IntegratorConfig) -> GeodesicTrajectory:
-    """Fixed-step RK4 trajectory with steps + 1 samples, deterministic, of the connection's rates or geodesic_rhs."""
+    """Fixed-step RK4 trajectory with steps + 1 samples, deterministic, of Gamma's rates or (v, geodesic_rhs)."""
     n = s0.x.shape[0]
     if Gamma.n != n:
         raise ContractError("connection dimension disagrees with the state")
-    rates = Gamma.rates or functools.partial(_contracted_rates, Gamma)
+    rates = Gamma.rates or (lambda y: y[n:] + geodesic_rhs(Gamma, np.array(y[:n]), np.array(y[n:])).tolist())
     sigma, ys = _rk4(rates, np.concatenate([s0.x, s0.v]), cfg, "geodesic", "sigma")
     return GeodesicTrajectory(sigma=sigma, x=ys[:, :n].copy(), v=ys[:, n:].copy())
 

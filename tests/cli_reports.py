@@ -41,6 +41,14 @@ ALGEBRA_DOC = {"n": 2, "unit_index": 1, "name": "my-complex",
                            {"k": 2, "i": 2, "j": 1, "value": 1}, {"k": 1, "i": 2, "j": 2, "value": -1}]}
 GRID = {"points_per_axis": 3}
 
+
+def dense_document(n: int) -> dict:
+    """An algebra document with every entry of an n-dimensional table non-zero, p[k, i, j] != p[k, j, i]."""
+    cells = [(k, i, j) for k in range(1, n + 1) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return {"n": n, "entries": [{"k": k, "i": i, "j": j, "value": 1 + (9 * k + 3 * i + j) % 7 / 8}
+                                for k, i, j in cells]}
+
+
 # (name, command, config, extra arguments)
 CONFIGS = [
     ("algebra-check builtin", "algebra-check", {"algebra": "h4-e"}, ()),
@@ -138,6 +146,13 @@ CONFIGS = [
     ("geodesic zero n=64", "geodesic",
      {"connection": {"kind": "zero", "n": 64}, "x0": [k / 64 for k in range(64)], "v0": [1 - k / 32 for k in range(64)],
       "steps": 20}, ()),
+    # the structure connection's rates on both sides of their bound of 64 terms: 27 compiled, 125 contracted
+    ("geodesic structure-scaled dense n=3 document", "geodesic",
+     {"connection": {"kind": "structure-scaled", "algebra": dense_document(3), "scale": -0.15},
+      "x0": [0.1, -0.2, 0.3], "v0": [0.5, -0.4, 0.2], "steps": 300}, ()),
+    ("geodesic structure-scaled dense n=5 document", "geodesic",
+     {"connection": {"kind": "structure-scaled", "algebra": dense_document(5), "scale": 0.05},
+      "x0": [0.1, -0.2, 0.3, 0.0, 0.2], "v0": [0.5, -0.4, 0.2, -0.3, 0.1], "steps": 300}, ()),
     ("geodesic structure-scaled c3", "geodesic",
      {"connection": {"kind": "structure-scaled", "algebra": "c3", "scale": 0.4},
       "x0": [0.1, -0.2, 0.3], "v0": [0.5, 1.0, 0.8], "steps": 100}, ()),

@@ -158,7 +158,8 @@ MUTANTS = (
     Mutant("json-non-finite-as-number", "src/polyan/cli.py",
            'return format(obj, ".17g") if math.isfinite(obj) else "null"', 'return format(obj, ".17g")',
            ("tests/test_cli.py",)),
-    Mutant("zero-rates-positive-zero", "src/polyan/geodesics.py", "[-0.0] * n)", "[0.0] * n)",
+    Mutant("zero-rates-positive-zero", "src/polyan/geodesics.py", "return v + [-a for a in acc]",
+           "return v + [0.0 - a for a in acc]",
            ("tests/test_geodesics.py::test_zero_connection_rates_are_the_contraction_bitwise",)),
     Mutant("records-percent-unescaped", "src/polyan/cli.py", '.replace("%", "%%")', "",
            ("tests/test_cli.py::test_an_algebra_name_with_percent_signs_reaches_every_error_row_verbatim",
@@ -173,9 +174,22 @@ MUTANTS = (
            "float(np.add.accumulate(values)[-1] / values.size)", "float(np.mean(values))",
            ("tests/test_fields.py::test_grid_mean_is_the_left_to_right_sum",)),
     Mutant("structure-rates-sign-dropped", "src/polyan/geodesics.py",
-           '(-np.einsum("ikj,k,j->i", g,', '(np.einsum("ikj,k,j->i", g,', ("tests/test_geodesics.py",)),
+           "return v + [-a for a in acc]", "return v + acc", ("tests/test_geodesics.py",)),
+    Mutant("structure-term-product-regrouped", "src/polyan/geodesics.py",
+           "acc[i] + c * v[k] * v[j]", "acc[i] + c * (v[k] * v[j])",
+           ("tests/test_geodesics.py::test_structure_rates_are_the_einsum_bitwise",)),
+    Mutant("structure-sum-from-first-term", "src/polyan/geodesics.py",
+           "acc[i] = acc[i] + c * v[k] * v[j]",
+           "acc[i] = c * v[k] * v[j] if isinstance(acc[i], float) else acc[i] + c * v[k] * v[j]",
+           ("tests/test_geodesics.py::test_structure_rates_are_the_einsum_bitwise",)),
+    Mutant("structure-terms-reversed", "src/polyan/geodesics.py",
+           "for i, k, j, c in terms:", "for i, k, j, c in reversed(terms):",
+           ("tests/test_geodesics.py::test_structure_rates_are_the_einsum_bitwise",)),
+    Mutant("structure-bound-removed", "src/polyan/geodesics.py",
+           "if len(terms) <= _MAX_TERMS else None", "",
+           ("tests/test_geodesics.py::test_a_table_above_the_bound_steps_the_einsum_as_before",)),
     Mutant("fallback-position-rates-are-x", "src/polyan/geodesics.py",
-           "return y[Gamma.n:] + geodesic_rhs(", "return y[:Gamma.n] + geodesic_rhs(", ("tests/test_geodesics.py",)),
+           "y[n:] + geodesic_rhs(Gamma,", "y[:n] + geodesic_rhs(Gamma,", ("tests/test_geodesics.py",)),
     Mutant("grid-unbounded", "src/polyan/cli.py",
            "if points ** n > _MAX_GRID_POINTS:", "if False:", ("tests/test_cli.py",)),
     Mutant("formula-shape-unchecked", "src/polyan/h4.py",

@@ -2,16 +2,18 @@
 
 import csv
 import io
+import itertools
 import math
 import operator
 import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from polyan import ConeError, ContractError, DomainError, IntegrationError, builtin_algebra, builtin_names
+from polyan.algebra import algebra_from_dict
 from polyan.fields import (
     DiffConfig,
     chain_conditions,
@@ -26,6 +28,7 @@ from polyan.geodesics import (
     GeodesicState,
     GeodesicTrajectory,
     IntegratorConfig,
+    _MAX_TERMS,
     _extremal,
     _rk4,
     connection_from_structure,
@@ -237,6 +240,13 @@ def test_state_validation():
         IntegratorConfig(steps=0)
 
 
+@pytest.mark.parametrize("t_end", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_t_end_is_a_contract_error(t_end):
+    # before any step: inf or nan would make every step size non-finite
+    with pytest.raises(ContractError, match="t_end"):
+        IntegratorConfig(steps=2, t_end=t_end)
+
+
 # ---------------------------------------------------------------------------
 # extremal integration
 # ---------------------------------------------------------------------------
@@ -426,7 +436,7 @@ def test_each_rk4_stage_evaluates_kappa_once(form, lambda_kind, monkeypatch):
 
 GAUSSIAN_GEODESIC_LISTING = """\
 def rhs(y):
-    y0, y1, y2, y3, y4, y5, y6, y7 = y
+    [y0, y1, y2, y3, y4, y5, y6, y7] = y
     t9 = float(exp(0.225 * ((((y0 * y0) + (y1 * y1)) + (y2 * y2)) + (y3 * y3))))
     if t9 == inf: raise OverflowError('math range error')
     t12 = 1.1 * t9
@@ -828,6 +838,102 @@ def test_structure_acceleration_is_the_contraction(name, rng):
     assert np.array_equal(fast.x, ref.x) and np.array_equal(fast.v, ref.v)
 
 
+def _table(n, cells, values):
+    """An algebra document's table of n dimensions, the values at its cells (k, i, j), 1-based."""
+    return algebra_from_dict({"n": n, "entries": [{"k": k, "i": i, "j": j, "value": c}
+                                                  for (k, i, j), c in zip(cells, values)]})
+
+
+@st.composite
+def tables(draw):
+    """A built-in algebra, or a document table of at most _MAX_TERMS entries: sparse (n up to 6,
+    zero values included) or dense (every entry of an n up to 4, not symmetric in i and j)."""
+    kind = draw(st.sampled_from(["builtin", "sparse", "dense"]))
+    if kind == "builtin":
+        return builtin_algebra(draw(st.sampled_from(builtin_names())))
+    n = draw(st.integers(1, 6 if kind == "sparse" else 4))
+    cells = list(itertools.product(range(1, n + 1), repeat=3))
+    if kind == "sparse":
+        cells = draw(st.lists(st.sampled_from(cells), max_size=_MAX_TERMS, unique=True))
+    return _table(n, cells, draw(st.lists(st.floats(-4.0, 4.0), min_size=len(cells), max_size=len(cells))))
+
+
+def assert_same_floats(got, expected):
+    """Bitwise, with the sign of zero; a NaN only as a NaN."""
+    got, expected = np.array(got, dtype=float), np.array(expected, dtype=float)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+def einsum_rates(g, y):
+    """The structure connection's rates as an einsum: y[n:] and -einsum("ikj,k,j->i", g, v, v)."""
+    n = g.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return y[n:] + (-np.einsum("ikj,k,j->i", g, v := np.array(y[n:]), v)).tolist()
+
+
+@st.composite
+def tables_and_velocities(draw):
+    """A table and a velocity for it, whose components are often 0.0 or -0.0 and reach 1e200."""
+    S = draw(tables())
+    return S, draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1e200, 1e200), min_size=S.n, max_size=S.n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables_and_velocities(), scale=st.sampled_from([0.0, -0.0, 1e-300, 1.0, -0.7]) | st.floats(-3.0, 3.0))
+@example(table=(builtin_algebra("complex"), [-0.0, 1.0]), scale=1.0)  # a row of -0.0 terms sums to 0.0
+@example(table=(_table(2, [(1, 1, 2), (1, 2, 1)], [1.0, 1.0]), [-0.0, 2.0]), scale=1.0)
+def test_structure_rates_are_the_einsum_bitwise(table, scale):
+    """The compiled rates of any table up to the bound are (v, -einsum(g, v, v)) bit for bit: each row one sum
+    from 0.0 over its non-zero (k, j) in C order, each term (c * v_k) * v_j; at every sign of zero and up to
+    overflow."""
+    S, v = table
+    y, g = [0.5] * S.n + v, scale * S.p
+    assert_same_floats(connection_from_structure(S, scale).rates(y), einsum_rates(g, y))
+
+
+def test_a_table_above_the_bound_steps_the_einsum_as_before():
+    # a dense n = 5 table has 125 terms: it steps the contraction, bit for bit the einsum of its rates
+    n, rng = 5, np.random.default_rng(5)
+    cells = list(itertools.product(range(1, n + 1), repeat=3))
+    S = _table(n, cells, rng.uniform(-1.0, 1.0, len(cells)).tolist())
+    assert np.count_nonzero(S.p) > _MAX_TERMS
+    conn, g = connection_from_structure(S, 0.3), 0.3 * S.p
+    assert conn.rates is None
+    s0, cfg = GeodesicState(rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n)), IntegratorConfig(steps=50)
+    got = integrate_geodesic(conn, s0, cfg)
+    expected = integrate_geodesic(ConnectionField(n, conn.func, lambda y: einsum_rates(g, y)), s0, cfg)
+    assert np.array_equal(np.hstack([got.x, got.v]), np.hstack([expected.x, expected.v]))
+    sparse = _table(n, cells[:_MAX_TERMS], [1.0] * _MAX_TERMS)
+    assert connection_from_structure(sparse, 0.3).rates is not None
+
+
+def test_the_zero_connections_listing_returns_v_and_negative_zeros():
+    # no terms: v, then -0.0 for each row's empty sum from 0.0
+    assert zero_connection(2).rates.__doc__ == ("def rhs(y):\n    [y0, y1, y2, y3] = y\n"
+                                                "    return [y2, y3, (-0.0), (-0.0)]\n")
+
+
+def _one_float(c, m, y):
+    return [c * y[0] * y[0]]
+
+
+@pytest.mark.parametrize("y0", [1.0, -2.0], ids=["decays", "blows-up"])
+def test_a_one_float_state_steps_the_reference(y0):
+    # y' = -0.5 y^2, compiled and called, against RK4 on arrays; from -2.0 it blows up at t = 1
+    compiled = _compiled(_one_float, -0.5, y=1)
+    assert "[y0] = y" in compiled.__doc__
+    cfg = IntegratorConfig(steps=40, t_end=2.0)
+    expected = outcome(reference_rk4, lambda y: -0.5 * y * y, np.array([y0]), cfg, "one-float", "t")
+    for rhs in (compiled, lambda y: [-0.5 * y[0] * y[0]]):
+        got = outcome(lambda: _rk4(rhs, np.array([y0]), cfg, "one-float", "t")[1])
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
+
 def _user_connection(seed):
     """A position-dependent connection written for stacks; the row dot product is an einsum,
     since x @ w rounds a stack (BLAS gemv) differently from one point (ddot)."""
@@ -864,20 +970,20 @@ def test_connections_on_many_points_equal_one_point_calls(kind, metric, orientat
         rows_equal(gamma_matrices(points, metric, o), lambda x, v: gamma_matrices(x, metric, o))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(kind=st.sampled_from(["zero", "structure", "finsler", "user"]), metric=metrics(),
-       orientation=st.sampled_from(["as-printed", "transposed"]), name=st.sampled_from(builtin_names()),
-       seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40))
-def test_every_connection_steps_its_reference_rates_bitwise(kind, metric, orientation, name, seed, steps):
+       orientation=st.sampled_from(["as-printed", "transposed"]), S=tables(), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(1, 40), speed=st.sampled_from([1.0, 30.0, 1e150]))
+def test_every_connection_steps_its_reference_rates_bitwise(kind, metric, orientation, S, seed, steps, speed):
     """A connection's trajectory, through its own rates or the contraction's, is bitwise RK4 on arrays
     of the acceleration as written out: v (s . v - (s - l) v) for a Finsler connection, and
-    geodesic_rhs of G for the structure, zero and user connections; aborts included."""
+    geodesic_rhs of G for the structure, zero and user connections; aborts included: a structure
+    connection's start at speed 30 mostly blows up mid-run, and at speed 1e150 in its first step."""
     rng = np.random.default_rng(seed)
-    S = builtin_algebra(name)
     conn = {"zero": lambda: zero_connection(S.n), "structure": lambda: connection_from_structure(S, 0.6),
             "finsler": lambda: finsler_connection(metric, orientation), "user": lambda: _user_connection(seed)}[kind]()
     n, cfg = conn.n, IntegratorConfig(steps=steps, t_end=1.0)
-    x0, v0 = rng.uniform(-0.5, 0.5, n), rng.uniform(-1.0, 1.0, n)
+    x0, v0 = rng.uniform(-0.5, 0.5, n), rng.uniform(-1.0, 1.0, n) * (speed if kind == "structure" else 1.0)
 
     def run():
         traj = integrate_geodesic(conn, GeodesicState(x0, v0), cfg)
@@ -890,6 +996,7 @@ def test_every_connection_steps_its_reference_rates_bitwise(kind, metric, orient
         expected = outcome(reference_rk4, lambda y: np.concatenate([y[n:], geodesic_rhs(contraction, y[:n], y[n:])]),
                            np.concatenate([x0, v0]), cfg, "geodesic", "sigma")
     got = outcome(run)
+    event(f"{kind}: {expected[1].split(' at step')[0] if isinstance(expected, tuple) else 'samples'}")
     if isinstance(expected, tuple):
         assert got == expected
     else:
