@@ -60,13 +60,14 @@ def zero_connection(n: int) -> ConnectionField:
 
 
 def connection_from_structure(S, scale: float = 1.0) -> ConnectionField:
-    """G = scale * p.  Its rates compile from G's non-zero entries in C order, einsum's; a zero entry adds nothing at a
-    finite v.  Above _MAX_TERMS entries it steps the contraction: at 64 a compiled step took 8 us against 42 and the
-    build 6 ms, repaid in 200 steps; at 256, 27 against 59 us and 21 ms, repaid in 650 (2-core x86-64)."""
+    """G = scale * p.  Its rates compile from G's non-zero entries in C order, einsum's own; a zero entry adds nothing
+    at a finite v.  Above _MAX_TERMS entries they stay that einsum: against it a step at 64 took 9 us for 22 and the
+    build 6-10 ms, repaid in 500-800 steps; at 256, 29 us for 38 and 21-24 ms, in 2,000-2,700 (2-core x86-64)."""
     g, n = scale * S.p, S.n
     terms = tuple(zip(*np.argwhere(g).T.tolist(), g[g != 0].tolist()))
     return ConnectionField(n, lambda x: np.broadcast_to(g, x.shape[:-1] + g.shape),
-                           _compiled(_structure, terms, y=2 * n) if len(terms) <= _MAX_TERMS else None)
+                           _compiled(_structure, terms, y=2 * n) if len(terms) <= _MAX_TERMS else
+                           lambda y: y[n:] + (-np.einsum("ikj,k,j->i", g, v := np.array(y[n:]), v)).tolist())
 
 
 def _geodesic(metric: FinslerConfig, m, y) -> list:
@@ -140,21 +141,20 @@ def _rk4_loop(compiled, size: int, cone: tuple):
     and each slot's updates written out, so it rounds as numpy's elementwise operations would.  Stage s > 1 first
     sets its input u{s}_0 = y0 + half * k{s-1}_0, ...; then each stage is the listing of the compiled rates (see
     h4._compiled), its temporaries renamed t{s}_..., whose return sets k{s}_0, ...  Rates without a listing
-    (compiled None) are called: [k{s}_0, ...] = rhs([...]).  Each new state goes to extend; it returns the step of
+    (compiled None) are called: k{s}_0, ..., = rhs([...]).  Each new state goes to extend; it returns the step of
     the first non-finite state or one with a slot in cone not positive."""
     ys, body = [f"y{i}" for i in range(size)], []
-    state = f"[{', '.join(ys)}]"  # a list target, so that one float unpacks too
-    listing = compiled.listing if compiled else [f"return rhs({state})"]
+    listing = compiled.listing if compiled else [f"return rhs([{', '.join(ys)}])"]
     for s, step in ((1, ""), (2, "half"), (3, "half"), (4, "h")):
         body += [f"u{s}_{i} = y{i} + {step} * k{s - 1}_{i}" for i in range(size) if step]
         prefix, ks = {"y": f"u{s}_" if step else "y", "t": f"t{s}_"}, ", ".join(f"k{s}_{i}" for i in range(size))
-        body += [_NAMES.sub(lambda g: prefix[g[1]] + g[2], line).replace("return ", f"[{ks}] = ") for line in listing]
+        body += [_NAMES.sub(lambda g: prefix[g[1]] + g[2], line).replace("return ", f"{ks}, = ") for line in listing]
     body += [*(f"{y} = {y} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i, y in enumerate(ys)),
-             f"extend({state})",
+             f"extend(({', '.join(ys)},))",
              f"if not ({' and '.join(f'isfinite({y})' for y in ys)}){''.join(f' or y{i} <= 0' for i in cone)}:",
              "    return m + 1"]
-    source = (f"def loop(rhs, y, steps, h, half, sixth, extend):\n    {state} = y\n    for m in range(steps):\n"
-              + "".join(f"        {s}\n" for s in body))
+    source = (f"def loop(rhs, y, steps, h, half, sixth, extend):\n    {', '.join(ys)}, = y\n"
+              "    for m in range(steps):\n" + "".join(f"        {s}\n" for s in body))
     exec(source, names := {**(compiled.__globals__ if compiled else {}), "isfinite": math.isfinite})
     names["loop"].__doc__ = source
     return names["loop"]

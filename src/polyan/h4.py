@@ -246,7 +246,7 @@ def _compiled(form: Callable, cfg, y: int) -> Callable:
     m = _Trace()
     state = [_Var(m, f"y{i}", float) for i in range(y)]
     listing = m.body(form(cfg, m, state))
-    source = f"def rhs(y):\n    {m.literal(state)} = y\n" + "".join(f"    {s}\n" for s in listing)
+    source = f"def rhs(y):\n    {m.literal(state)[1:-1]}, = y\n" + "".join(f"    {s}\n" for s in listing)
     exec(source, m.names)
     m.names["rhs"].__doc__, m.names["rhs"].listing = source, listing
     return m.names["rhs"]

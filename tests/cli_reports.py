@@ -49,6 +49,11 @@ def dense_document(n: int) -> dict:
                                 for k, i, j in cells]}
 
 
+def sparse_document(n: int, rows: tuple, per_row: int) -> dict:
+    """An algebra document whose entries lie in the given rows k, per_row each, 4 to a row's i, spread over j."""
+    return {"n": n, "entries": [{"k": k, "i": 1 + (5 * (t // 4) + k) % n, "j": 1 + (13 * t) % n,
+                                 "value": (-1) ** t * (1 + t / 8)} for k in rows for t in range(per_row)]}
+
 # (name, command, config, extra arguments)
 CONFIGS = [
     ("algebra-check builtin", "algebra-check", {"algebra": "h4-e"}, ()),
@@ -153,6 +158,10 @@ CONFIGS = [
     ("geodesic structure-scaled dense n=5 document", "geodesic",
      {"connection": {"kind": "structure-scaled", "algebra": dense_document(5), "scale": 0.05},
       "x0": [0.1, -0.2, 0.3, 0.0, 0.2], "v0": [0.5, -0.4, 0.2, -0.3, 0.1], "steps": 300}, ()),
+    # 64 terms at n = 64, 16 in each of 4 rows of 4,096 cells: compiled, the largest rows a document can have
+    ("geodesic structure-scaled sparse n=64 document", "geodesic",
+     {"connection": {"kind": "structure-scaled", "algebra": sparse_document(64, (1, 22, 43, 64), 16), "scale": 0.05},
+      "x0": [k / 64 for k in range(64)], "v0": [(-1) ** k * (1 + k % 7 / 3) / 2 for k in range(64)], "steps": 200}, ()),
     ("geodesic structure-scaled c3", "geodesic",
      {"connection": {"kind": "structure-scaled", "algebra": "c3", "scale": 0.4},
       "x0": [0.1, -0.2, 0.3], "v0": [0.5, 1.0, 0.8], "steps": 100}, ()),

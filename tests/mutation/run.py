@@ -186,7 +186,10 @@ MUTANTS = (
            "for i, k, j, c in terms:", "for i, k, j, c in reversed(terms):",
            ("tests/test_geodesics.py::test_structure_rates_are_the_einsum_bitwise",)),
     Mutant("structure-bound-removed", "src/polyan/geodesics.py",
-           "if len(terms) <= _MAX_TERMS else None", "",
+           "if len(terms) <= _MAX_TERMS else", "if True else",
+           ("tests/test_geodesics.py::test_a_table_above_the_bound_steps_the_einsum_as_before",)),
+    Mutant("structure-einsum-transposed", "src/polyan/geodesics.py",
+           '(-np.einsum("ikj,k,j->i", g,', '(-np.einsum("kij,k,j->i", g,',
            ("tests/test_geodesics.py::test_a_table_above_the_bound_steps_the_einsum_as_before",)),
     Mutant("fallback-position-rates-are-x", "src/polyan/geodesics.py",
            "y[n:] + geodesic_rhs(Gamma,", "y[:n] + geodesic_rhs(Gamma,", ("tests/test_geodesics.py",)),

@@ -13,7 +13,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from polyan import ConeError, ContractError, DomainError, IntegrationError, builtin_algebra, builtin_names
-from polyan.algebra import algebra_from_dict
+from polyan.algebra import _MAX_DIMENSION, algebra_from_dict
 from polyan.fields import (
     DiffConfig,
     chain_conditions,
@@ -436,7 +436,7 @@ def test_each_rk4_stage_evaluates_kappa_once(form, lambda_kind, monkeypatch):
 
 GAUSSIAN_GEODESIC_LISTING = """\
 def rhs(y):
-    [y0, y1, y2, y3, y4, y5, y6, y7] = y
+    y0, y1, y2, y3, y4, y5, y6, y7, = y
     t9 = float(exp(0.225 * ((((y0 * y0) + (y1 * y1)) + (y2 * y2)) + (y3 * y3))))
     if t9 == inf: raise OverflowError('math range error')
     t12 = 1.1 * t9
@@ -846,16 +846,24 @@ def _table(n, cells, values):
 
 @st.composite
 def tables(draw):
-    """A built-in algebra, or a document table of at most _MAX_TERMS entries: sparse (n up to 6,
-    zero values included) or dense (every entry of an n up to 4, not symmetric in i and j)."""
+    """A built-in algebra, or a document table of at most _MAX_TERMS entries: sparse (n up to the largest
+    document's 64, its entries in up to 4 rows k of n^2 cells each, zero values included) or dense (every
+    entry of an n up to 4, not symmetric in i and j)."""
     kind = draw(st.sampled_from(["builtin", "sparse", "dense"]))
     if kind == "builtin":
         return builtin_algebra(draw(st.sampled_from(builtin_names())))
-    n = draw(st.integers(1, 6 if kind == "sparse" else 4))
-    cells = list(itertools.product(range(1, n + 1), repeat=3))
+    n = draw(st.integers(1, _MAX_DIMENSION if kind == "sparse" else 4))
     if kind == "sparse":
-        cells = draw(st.lists(st.sampled_from(cells), max_size=_MAX_TERMS, unique=True))
+        rows, axis = draw(st.lists(st.integers(1, n), min_size=1, max_size=4)), st.integers(1, n)
+        cells = draw(st.lists(st.tuples(st.sampled_from(rows), axis, axis), max_size=_MAX_TERMS, unique=True))
+    else:
+        cells = list(itertools.product(range(1, n + 1), repeat=3))
     return _table(n, cells, draw(st.lists(st.floats(-4.0, 4.0), min_size=len(cells), max_size=len(cells))))
+
+
+# n = 64, two rows of 32 terms among 4,096 cells (k, j), 4 to a k: a sum per k, or another order, rounds apart
+WIDE = _table(64, [(k, 1 + (5 * (t // 4) + k) % 64, 1 + (13 * t) % 64) for k in (1, 64) for t in range(32)],
+              [(-1.0) ** t * (1 + t / 8) for t in range(64)])
 
 
 def assert_same_floats(got, expected):
@@ -884,6 +892,7 @@ def tables_and_velocities(draw):
 @given(table=tables_and_velocities(), scale=st.sampled_from([0.0, -0.0, 1e-300, 1.0, -0.7]) | st.floats(-3.0, 3.0))
 @example(table=(builtin_algebra("complex"), [-0.0, 1.0]), scale=1.0)  # a row of -0.0 terms sums to 0.0
 @example(table=(_table(2, [(1, 1, 2), (1, 2, 1)], [1.0, 1.0]), [-0.0, 2.0]), scale=1.0)
+@example(table=(WIDE, [(-1.0) ** k * (1 + k % 7 / 3) for k in range(64)]), scale=0.3)
 def test_structure_rates_are_the_einsum_bitwise(table, scale):
     """The compiled rates of any table up to the bound are (v, -einsum(g, v, v)) bit for bit: each row one sum
     from 0.0 over its non-zero (k, j) in C order, each term (c * v_k) * v_j; at every sign of zero and up to
@@ -894,24 +903,24 @@ def test_structure_rates_are_the_einsum_bitwise(table, scale):
 
 
 def test_a_table_above_the_bound_steps_the_einsum_as_before():
-    # a dense n = 5 table has 125 terms: it steps the contraction, bit for bit the einsum of its rates
+    # a dense n = 5 table has 125 terms: its rates are not compiled, and step bit for bit the einsum
     n, rng = 5, np.random.default_rng(5)
     cells = list(itertools.product(range(1, n + 1), repeat=3))
     S = _table(n, cells, rng.uniform(-1.0, 1.0, len(cells)).tolist())
     assert np.count_nonzero(S.p) > _MAX_TERMS
     conn, g = connection_from_structure(S, 0.3), 0.3 * S.p
-    assert conn.rates is None
+    assert conn.rates is not None and not hasattr(conn.rates, "listing")
     s0, cfg = GeodesicState(rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n)), IntegratorConfig(steps=50)
     got = integrate_geodesic(conn, s0, cfg)
     expected = integrate_geodesic(ConnectionField(n, conn.func, lambda y: einsum_rates(g, y)), s0, cfg)
     assert np.array_equal(np.hstack([got.x, got.v]), np.hstack([expected.x, expected.v]))
     sparse = _table(n, cells[:_MAX_TERMS], [1.0] * _MAX_TERMS)
-    assert connection_from_structure(sparse, 0.3).rates is not None
+    assert hasattr(connection_from_structure(sparse, 0.3).rates, "listing")
 
 
 def test_the_zero_connections_listing_returns_v_and_negative_zeros():
     # no terms: v, then -0.0 for each row's empty sum from 0.0
-    assert zero_connection(2).rates.__doc__ == ("def rhs(y):\n    [y0, y1, y2, y3] = y\n"
+    assert zero_connection(2).rates.__doc__ == ("def rhs(y):\n    y0, y1, y2, y3, = y\n"
                                                 "    return [y2, y3, (-0.0), (-0.0)]\n")
 
 
@@ -923,7 +932,7 @@ def _one_float(c, m, y):
 def test_a_one_float_state_steps_the_reference(y0):
     # y' = -0.5 y^2, compiled and called, against RK4 on arrays; from -2.0 it blows up at t = 1
     compiled = _compiled(_one_float, -0.5, y=1)
-    assert "[y0] = y" in compiled.__doc__
+    assert "y0, = y" in compiled.__doc__
     cfg = IntegratorConfig(steps=40, t_end=2.0)
     expected = outcome(reference_rk4, lambda y: -0.5 * y * y, np.array([y0]), cfg, "one-float", "t")
     for rhs in (compiled, lambda y: [-0.5 * y[0] * y[0]]):
